@@ -1,5 +1,5 @@
-"""Turn embeddings: triplet serialization, a hashing embedder, cosine scoring,
-and a trainable linear projection over frozen base vectors.
+"""Turn embeddings: triplet serialization, a hashing embedder, and a trainable
+linear projection over frozen base vectors.
 
 The hashing embedder is the built-in, dependency-free encoder: lowercased word
 unigrams and bigrams are feature-hashed into a fixed number of signed buckets
@@ -40,9 +40,39 @@ def serialize_triplet(triplet: Triplet) -> str:
     return f"[state] {state} [system] {triplet.system_utterance} [user] {triplet.user_utterance}"
 
 
-def _hash64(token: str, key: bytes) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+def _check_dim(dim: int, error: type[Exception]) -> None:
+    if dim < 16 or dim & (dim - 1):
+        raise error(f"embedding dim must be a power of two >= 16, got {dim}")
+
+
+def _embed(text: str, dim: int, key: bytes, memo: dict[str, tuple[int, float]]) -> np.ndarray:
+    """The one hashing path: tokenize, look up or hash each feature's
+    (bucket, sign), and sum the signs per bucket. ``memo`` caches features
+    hashed under this (dim, key)."""
+    words = _TOKEN_RE.findall(text.lower())
+    features = words + [f"{left} {right}" for left, right in zip(words, words[1:])]
+    buckets: list[int] = []
+    signs: list[float] = []
+    for feature in features:
+        hit = memo.get(feature)
+        if hit is None:
+            h = int.from_bytes(
+                hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest(),
+                "little",
+            )
+            hit = memo[feature] = (h & (dim - 1), 1.0 if h & _SIGN_BIT else -1.0)
+        buckets.append(hit[0])
+        signs.append(hit[1])
+    # The sums are small integers, so they are exact in any summation order.
+    acc = np.bincount(np.array(buckets, dtype=np.intp), weights=signs, minlength=dim)
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        return acc.astype(np.float32)
+    return (acc / norm).astype(np.float32)
+
+
+def _seed_key(seed: int) -> bytes:
+    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
 def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
@@ -53,34 +83,19 @@ def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
     sum is normalized. A text with no tokens maps to the zero vector, which is
     left unnormalized. ``dim`` must be a power of two, at least 16.
     """
-    if dim < 16 or dim & (dim - 1):
-        raise ValueError(f"embedding dim must be a power of two >= 16, got {dim}")
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    words = _TOKEN_RE.findall(text.lower())
-    acc = np.zeros(dim, dtype=np.float64)
-    for token in words:
-        h = _hash64(token, key)
-        acc[h & (dim - 1)] += 1.0 if h & _SIGN_BIT else -1.0
-    for left, right in zip(words, words[1:]):
-        h = _hash64(f"{left} {right}", key)
-        acc[h & (dim - 1)] += 1.0 if h & _SIGN_BIT else -1.0
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        return acc.astype(np.float32)
-    return (acc / norm).astype(np.float32)
+    _check_dim(dim, ValueError)
+    return _embed(text, dim, _seed_key(seed), {})
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    u64 = np.asarray(u, dtype=np.float64)
-    v64 = np.asarray(v, dtype=np.float64)
-    if u64.shape != v64.shape:
-        raise ValueError(f"dimension mismatch: {u64.shape} vs {v64.shape}")
-    nu = float(np.linalg.norm(u64))
-    nv = float(np.linalg.norm(v64))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u64, v64) / (nu * nv))
+def finite_vector(value: object, dtype: type) -> np.ndarray | None:
+    """``value`` as a flat array of finite numbers, or None if it is not one.
+    Numbers that overflow ``dtype`` become infinite and are rejected."""
+    try:
+        with np.errstate(over="ignore"):
+            vector = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        return None
+    return vector if vector.ndim == 1 and np.all(np.isfinite(vector)) else None
 
 
 @dataclass
@@ -215,11 +230,11 @@ def load_store(path: str) -> EmbeddingStore:
                 raise InputError(f"{path}:{lineno}: expected string key and vector list")
             if record_key in vectors:
                 raise InputError(f"{path}:{lineno}: duplicate key {record_key!r}")
-            arr = np.asarray(vector, dtype=np.float32)
-            if arr.ndim != 1:
-                raise InputError(f"{path}:{lineno}: vector for {record_key!r} is not flat")
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{path}:{lineno}: vector for {record_key!r} has non-finite values")
+            arr = finite_vector(vector, np.float32)
+            if arr is None:
+                raise InputError(
+                    f"{path}:{lineno}: vector for {record_key!r} is not a flat vector of finite numbers"
+                )
             if dim is None:
                 dim = int(arr.shape[0])
             elif arr.shape[0] != dim:
@@ -239,16 +254,19 @@ def save_store(store: EmbeddingStore, path: str) -> None:
 
 
 class HashEmbedder:
-    """Embeds triplet text with the hashing embedder; ignores the turn key."""
+    """Embeds triplet text with the hashing embedder; ignores the turn key.
+    Each feature's (bucket, sign) is hashed once per instance and then reused,
+    so the memo grows with the vocabulary the instance has seen."""
 
     def __init__(self, dim: int, seed: int = 0) -> None:
-        if dim < 16 or dim & (dim - 1):
-            raise InputError(f"embedding dim must be a power of two >= 16, got {dim}")
+        _check_dim(dim, InputError)
         self.dim = dim
         self.seed = seed
+        self._key = _seed_key(seed)
+        self._memo: dict[str, tuple[int, float]] = {}
 
     def embed(self, key: str, text: str) -> np.ndarray:
-        return hash_embed(text, self.dim, self.seed)
+        return _embed(text, self.dim, self._key, self._memo)
 
 
 class StoreEmbedder:

@@ -28,7 +28,7 @@ from .dialogue import (
     render_belief,
     turn_key,
 )
-from .embedding import serialize_triplet
+from .embedding import finite_vector, serialize_triplet
 from .errors import InputError
 from .seeding import subseed
 from .similarity import graded_accuracy
@@ -364,14 +364,20 @@ def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:
     if not isinstance(record, dict) or "expert" not in record or "entries" not in record:
         raise InputError(f"pool {path!r}: expected an object with expert and entries")
     name = record["expert"]
-    if name not in experts:
+    if not isinstance(name, str) or name not in experts:
         raise InputError(f"pool {path!r} belongs to unknown expert {name!r}")
+    if not isinstance(record["entries"], list):
+        raise InputError(f"pool {path!r}: entries is not a list")
     entries: list[PoolEntry] = []
     dim: int | None = None
     for i, raw in enumerate(record["entries"]):
         if not isinstance(raw, dict) or not isinstance(raw.get("key"), str):
             raise InputError(f"pool {path!r}: entry {i} is malformed")
-        vector = np.asarray(raw.get("vector", []), dtype=np.float32)
+        vector = finite_vector(raw.get("vector", []), np.float32)
+        if vector is None:
+            raise InputError(
+                f"pool {path!r}: entry {raw['key']!r} is not a flat vector of finite numbers"
+            )
         if dim is None:
             dim = int(vector.shape[0])
         elif vector.shape[0] != dim:

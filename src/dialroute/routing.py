@@ -32,7 +32,7 @@ from .dialogue import (
     split_turn_key,
     triplet_of_turn,
 )
-from .embedding import ProjectionAdapter, project, serialize_triplet
+from .embedding import ProjectionAdapter, finite_vector, project, serialize_triplet
 from .errors import InputError
 from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, validate_experts
 
@@ -87,16 +87,25 @@ class RetrievalRouter:
                 if entry.key in seen:
                     raise InputError(f"pool entry {entry.key!r} appears in more than one pool")
                 seen.add(entry.key)
+                row = finite_vector(entry.vector, np.float64)
+                if row is None:
+                    raise InputError(f"pool entry {entry.key!r} is not a flat vector of finite numbers")
                 keys.append(entry.key)
                 owners.append(pool.expert)
-                rows.append(np.asarray(entry.vector, dtype=np.float64))
+                rows.append(row)
         if not rows:
             raise InputError("all pools are empty; retrieval routing is impossible")
         self._keys = keys
         self._owners = owners
-        self._matrix = np.vstack(rows)
+        try:
+            self._matrix = np.vstack(rows)
+        except ValueError:
+            raise InputError("pool entries do not share one vector dimension") from None
         norms = np.linalg.norm(self._matrix, axis=1)
         self._row_norms = np.where(norms == 0.0, np.inf, norms)
+        # Position of each entry in ascending key order: the score tie-break.
+        self._key_rank = np.empty(len(keys), dtype=np.intp)
+        self._key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
 
     def decide(self, ctx: TurnContext) -> RoutingDecision:
         if ctx.query_vector is None:
@@ -111,11 +120,13 @@ class RetrievalRouter:
             scores = np.zeros(len(self._keys))
         else:
             scores = (self._matrix @ q) / (self._row_norms * qnorm)
-        k_eff = min(self.k, len(self._keys))
-        ranked = sorted(
-            range(len(self._keys)),
-            key=lambda i: (-scores[i], self._keys[i], self._owners[i].priority_rank),
-        )[:k_eff]
+        # Exact top-k: every entry scoring at least the k-th best score is a
+        # candidate, and only the candidates are sorted by (score desc, key asc).
+        n = len(self._keys)
+        k_eff = min(self.k, n)
+        candidates = np.flatnonzero(scores >= np.partition(scores, n - k_eff)[n - k_eff])
+        order = np.lexsort((self._key_rank[candidates], -scores[candidates]))
+        ranked = candidates[order[:k_eff]].tolist()
         votes: dict[ExpertId, int] = {expert: 0 for expert in self.experts}
         for i in ranked:
             votes[self._owners[i]] += 1
@@ -422,6 +433,14 @@ def save_run(run: RoutedRun, path: str) -> None:
         write_run(run, handle)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_run(path: str) -> RoutedRun:
     """Reload a routed run; accumulated states are refolded from the recorded
     beliefs, so metrics computed from the file match the in-memory run."""
@@ -451,30 +470,51 @@ def load_run(path: str) -> RoutedRun:
                 raw_records.append(record)
     if summary is None:
         raise InputError(f"run {path!r} has no trailing summary record")
+    if not isinstance(summary, dict):
+        raise InputError(f"run {path!r}: summary is not an object")
     experts_raw = summary.get("experts")
-    if not isinstance(experts_raw, list):
-        raise InputError(f"run {path!r}: summary lacks the expert list")
-    experts = validate_experts(
-        [ExpertId(e["name"], int(e["priority_rank"])) for e in experts_raw]
-    )
+    if not isinstance(experts_raw, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int(e.get("priority_rank"))
+        for e in experts_raw
+    ):
+        raise InputError(f"run {path!r}: summary lacks a list of named, integer-ranked experts")
+    experts = validate_experts([ExpertId(e["name"], e["priority_rank"]) for e in experts_raw])
     by_name = {e.name: e for e in experts}
     records: list[TurnRecord] = []
     states: dict[str, dict] = {}
     for record in raw_records:
         key = record.get("key")
         name = record.get("expert")
-        if not isinstance(key, str) or not isinstance(name, str) or name not in by_name:
-            raise InputError(f"run {path!r}: malformed turn record {record!r}")
         votes_raw = record.get("votes", {})
+        neighbors_raw = record.get("neighbors", [])
+        tlb_raw = record.get("tlb", {})
+        invoked_raw = record.get("invoked", [name])
+        confidence = record.get("confidence")
+        if (
+            not isinstance(key, str)
+            or not isinstance(name, str)
+            or name not in by_name
+            or not isinstance(votes_raw, dict)
+            or not all(_is_int(count) for count in votes_raw.values())
+            or not isinstance(neighbors_raw, list)
+            or not all(
+                isinstance(n, list) and len(n) == 2 and isinstance(n[0], str) and _is_number(n[1])
+                for n in neighbors_raw
+            )
+            or not isinstance(tlb_raw, dict)
+            or not isinstance(invoked_raw, list)
+            or not all(isinstance(n, str) and n in by_name for n in invoked_raw)
+            or not (confidence is None or _is_number(confidence))
+        ):
+            raise InputError(f"run {path!r}: malformed turn record {record!r}")
         votes = {}
         for vote_name, count in votes_raw.items():
             if vote_name not in by_name:
                 raise InputError(f"run {path!r}: vote for unknown expert {vote_name!r}")
-            votes[by_name[vote_name]] = int(count)
-        neighbors = tuple((n[0], float(n[1])) for n in record.get("neighbors", []))
-        tlb, _ = make_belief(record.get("tlb", {}))
-        invoked = tuple(by_name[n] for n in record.get("invoked", [name]))
-        confidence = record.get("confidence")
+            votes[by_name[vote_name]] = count
+        neighbors = tuple((n[0], float(n[1])) for n in neighbors_raw)
+        tlb, _ = make_belief(tlb_raw)
+        invoked = tuple(by_name[n] for n in invoked_raw)
         decision = RoutingDecision(
             key,
             by_name[name],

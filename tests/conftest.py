@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dialroute import Corpus, SimulationSpec, run_simulation
@@ -16,6 +17,19 @@ def dlg(dialogue_id, turns, domains=("hotel",)):
 
 def corpus_of(*dialogues) -> Corpus:
     return parse_dialogues(json.dumps(d) for d in dialogues)
+
+
+def cosine(u, v) -> float:
+    """Reference cosine similarity; 0.0 when either vector has zero norm."""
+    u64 = np.asarray(u, dtype=np.float64)
+    v64 = np.asarray(v, dtype=np.float64)
+    if u64.shape != v64.shape:
+        raise ValueError(f"dimension mismatch: {u64.shape} vs {v64.shape}")
+    nu = float(np.linalg.norm(u64))
+    nv = float(np.linalg.norm(v64))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u64, v64) / (nu * nv))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Command-line driver and its JSON run configuration."""
 
 import json
+import shutil
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -232,6 +233,28 @@ class TestExitCodes:
         monkeypatch.setitem(cli_module._COMMANDS, "validate", boom)
         assert main(["validate"]) == 2
         assert "wires crossed" in capsys.readouterr().err
+
+    def test_non_numeric_pool_vector_exits_one(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "work"
+        shutil.copytree(pipeline.out, out)
+        config = write_config(tmp_path / "c.json", pipeline.sim, out)
+        pool = json.loads((out / "pool_slm.json").read_text())
+        pool["entries"][0]["vector"] = "abc"
+        (out / "pool_slm.json").write_text(json.dumps(pool))
+        assert main(["route", "--config", config]) == 1
+        assert "finite numbers" in capsys.readouterr().err
+
+    def test_malformed_run_votes_exit_one(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "work"
+        shutil.copytree(pipeline.out, out)
+        config = write_config(tmp_path / "c.json", pipeline.sim, out)
+        assert main(["route", "--config", config]) == 0
+        lines = (out / "run.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["votes"] = {"slm": "x"}
+        (out / "run.jsonl").write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        assert main(["report", "--config", config]) == 1
+        assert "malformed turn record" in capsys.readouterr().err
 
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")

@@ -1,7 +1,9 @@
-"""Hashing embedder, cosine, projection adapter, and store serialization."""
+"""Hashing embedder, the reference cosine, projection adapter, and store serialization."""
 
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from dialroute import (
     ProjectionAdapter,
     SlotName,
     StoreEmbedder,
-    cosine,
     hash_embed,
     load_adapter,
     load_store,
@@ -25,6 +26,21 @@ from dialroute import (
     serialize_triplet,
 )
 from dialroute.dialogue import Triplet
+
+from conftest import cosine
+
+
+def reference_hash_embed(text, dim, seed):
+    """Per-feature accumulation into a float64 array, one hash per occurrence."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    words = re.findall(r"[a-z0-9]+", text.lower())
+    acc = np.zeros(dim, dtype=np.float64)
+    for feature in words + [f"{a} {b}" for a, b in zip(words, words[1:])]:
+        digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
+        h = int.from_bytes(digest, "little")
+        acc[h & (dim - 1)] += 1.0 if h >> 63 else -1.0
+    norm = float(np.linalg.norm(acc))
+    return (acc if norm == 0.0 else acc / norm).astype(np.float32)
 
 
 class TestSerializeTriplet:
@@ -193,6 +209,13 @@ class TestStore:
         with pytest.raises(InputError):
             load_store(str(path))
 
+    @pytest.mark.parametrize("vector", ['["x", 1]', "[[1.0], [2.0]]", "[NaN]"])
+    def test_load_rejects_non_numeric_or_nested(self, tmp_path, vector):
+        path = tmp_path / "store.jsonl"
+        path.write_text(f'{{"key": "a", "vector": {vector}}}\n')
+        with pytest.raises(InputError, match="finite numbers"):
+            load_store(str(path))
+
 
 class TestEmbedders:
     def test_hash_embedder_matches_function(self):
@@ -203,6 +226,38 @@ class TestEmbedders:
     def test_hash_embedder_rejects_bad_dim(self):
         with pytest.raises(InputError):
             HashEmbedder(12)
+
+    @given(
+        st.lists(st.text(alphabet="abcAB 01-.!", max_size=40), min_size=1, max_size=12),
+        st.sampled_from([16, 64, 256]),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_memoized_embedder_is_byte_identical_cold_and_warm(self, texts, dim, seed):
+        embedder = HashEmbedder(dim, seed)
+        for _ in range(2):  # the second pass hits the memo for every feature
+            for text in texts:
+                want = reference_hash_embed(text, dim, seed).tobytes()
+                assert hash_embed(text, dim, seed).tobytes() == want
+                got = embedder.embed("any:0", text)
+                assert got.dtype == np.float32
+                assert got.tobytes() == want
+
+    @pytest.mark.parametrize("dim, seed", [(64, 2), (128, 1)])
+    def test_instances_do_not_share_memo_entries(self, dim, seed):
+        text = "i need a cheap hotel in the north"
+        warm = HashEmbedder(64, 1)
+        warm.embed("any:0", text)
+        other = HashEmbedder(dim, seed)
+        assert other.embed("any:0", text).tobytes() == hash_embed(text, dim, seed).tobytes()
+        assert warm.embed("any:0", text).tobytes() == hash_embed(text, 64, 1).tobytes()
+
+    def test_hash_embedder_text_without_tokens_is_zero(self):
+        embedder = HashEmbedder(32, seed=4)
+        embedder.embed("any:0", "hotel north")
+        for text in ("", "!!! ???"):
+            vector = embedder.embed("any:0", text)
+            assert vector.dtype == np.float32 and vector.shape == (32,)
+            assert not vector.any()
 
     def test_store_embedder_looks_up_by_key(self):
         store = EmbeddingStore.build([("d:0", np.ones(4))])

@@ -265,6 +265,15 @@ class TestPoolIO:
         assert [e.key for e in again.entries] == ["d:0", "d:1", "d:2"]
         assert np.allclose(again.entries[2].vector, entries[2].vector)
 
+    @pytest.mark.parametrize(
+        "vector", ['"abc"', '["x", 1]', "[1.0, NaN]", "[Infinity]", "[1e300]", "[[1.0]]"]
+    )
+    def test_non_numeric_or_non_finite_vector_rejected(self, tmp_path, vector):
+        path = tmp_path / "pool.json"
+        path.write_text(f'{{"expert": "slm", "entries": [{{"key": "d:0", "vector": {vector}}}]}}')
+        with pytest.raises(InputError, match="d:0"):
+            load_pool(str(path), {"slm": SLM})
+
     def test_unknown_expert_rejected(self, tmp_path):
         pool = ExpertPool(ExpertId("ghost", 2), [])
         path = tmp_path / "pool.json"

@@ -1,7 +1,11 @@
 """Routers against exhaustive references, threshold tuning, and run files."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialroute import (
     LLM,
@@ -18,7 +22,6 @@ from dialroute import (
     RoutingDecision,
     SlotName,
     TurnContext,
-    cosine,
     load_run,
     run_pipeline,
     save_run,
@@ -28,7 +31,7 @@ from dialroute import (
 from dialroute.experts import ExpertPool, PoolEntry
 from dialroute.routing import LogisticModel
 
-from conftest import corpus_of, dlg, trn
+from conftest import corpus_of, cosine, dlg, trn
 
 AREA = SlotName("hotel", "area")
 
@@ -61,6 +64,49 @@ def reference_retrieval(pools, k, query):
     experts = sorted(votes, key=lambda e: e.priority_rank)
     winner = max(experts, key=lambda e: (votes[e], -e.priority_rank))
     return winner, [key for _, key, _ in top]
+
+
+def sorted_retrieval(pools, k, query):
+    """The full Python sort that ranks every entry by (score desc, key asc,
+    priority rank), scoring with the router's own float expression."""
+    keys = [e.key for pool in pools for e in pool.entries]
+    owners = [pool.expert for pool in pools for _ in pool.entries]
+    matrix = np.vstack([np.asarray(e.vector, dtype=np.float64) for p in pools for e in p.entries])
+    norms = np.linalg.norm(matrix, axis=1)
+    row_norms = np.where(norms == 0.0, np.inf, norms)
+    q = np.asarray(query, dtype=np.float64)
+    qnorm = float(np.linalg.norm(q))
+    scores = np.zeros(len(keys)) if qnorm == 0.0 else (matrix @ q) / (row_norms * qnorm)
+    ranked = sorted(
+        range(len(keys)), key=lambda i: (-scores[i], keys[i], owners[i].priority_rank)
+    )[: min(k, len(keys))]
+    experts = sorted((pool.expert for pool in pools), key=lambda e: e.priority_rank)
+    votes = {expert: 0 for expert in experts}
+    for i in ranked:
+        votes[owners[i]] += 1
+    chosen = min(experts, key=lambda e: (-votes[e], e.priority_rank))
+    return chosen, votes, [(keys[i], float(scores[i])) for i in ranked]
+
+
+MID = ExpertId("mid", 2)
+
+
+@st.composite
+def retrieval_cases(draw):
+    """Small integer vectors drawn from a few distinct rows, so exact score
+    ties at the k-th boundary, zero-norm rows and zero queries are common."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vector, min_size=1, max_size=5)) + [[0] * dim]
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=24))
+    n = len(rows)
+    keys = draw(st.permutations([f"d{i}:{i % 3}" for i in range(n)]))
+    owners = draw(st.lists(st.sampled_from([SLM, LLM, MID]), min_size=n, max_size=n))
+    entries = [(owner, entry(key, row)) for key, row, owner in zip(keys, rows, owners)]
+    pools = [ExpertPool(x, [e for owner, e in entries if owner == x]) for x in (SLM, LLM, MID)]
+    query = draw(st.one_of(st.just([0] * dim), vector))
+    k = draw(st.integers(1, n + 3))
+    return pools, k, query
 
 
 class TestRetrievalRouter:
@@ -142,6 +188,30 @@ class TestRetrievalRouter:
     def test_missing_query_vector(self):
         with pytest.raises(ValueError):
             RetrievalRouter(self.two_pools(), 3).decide(ctx(None))
+
+    @settings(max_examples=300, deadline=None)
+    @given(retrieval_cases())
+    def test_partial_selection_matches_full_sort(self, case):
+        pools, k, query = case
+        decision = RetrievalRouter(pools, k).decide(ctx(query))
+        chosen, votes, neighbors = sorted_retrieval(pools, k, query)
+        assert decision.chosen == chosen
+        assert dict(decision.votes) == votes
+        assert [key for key, _ in decision.neighbors] == [key for key, _ in neighbors]
+        assert [np.float64(s).tobytes() for _, s in decision.neighbors] == [
+            np.float64(s).tobytes() for _, s in neighbors
+        ]
+
+    @pytest.mark.parametrize("vector", [[1.0, np.nan], [np.inf, 0.0], "abc", [[1.0, 2.0]]])
+    def test_rejects_non_numeric_or_non_finite_vectors(self, vector):
+        bad = PoolEntry("x:0", "text", vector)
+        with pytest.raises(InputError, match="x:0"):
+            RetrievalRouter([ExpertPool(SLM, [entry("a:0", [1.0, 0.0]), bad])], 1)
+
+    def test_rejects_pools_of_different_dims(self):
+        pools = [ExpertPool(SLM, [entry("a:0", [1.0, 0.0])]), ExpertPool(LLM, [entry("b:0", [1.0])])]
+        with pytest.raises(InputError, match="dimension"):
+            RetrievalRouter(pools, 1)
 
 
 class TestOracleRouter:
@@ -423,6 +493,43 @@ class TestRunIO:
         path = tmp_path / "run.jsonl"
         path.write_text('{"key": "d:0", "expert": "slm", "tlb": {}}\n')
         with pytest.raises(InputError, match="summary"):
+            load_run(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("votes", {"slm": "x"}),
+            ("votes", ["slm"]),
+            ("neighbors", [["a"]]),
+            ("neighbors", [["a", "near"]]),
+            ("neighbors", 3),
+            ("confidence", "hi"),
+            ("tlb", ["hotel-area"]),
+            ("invoked", ["ghost"]),
+            ("expert", ["slm"]),
+        ],
+    )
+    def test_malformed_turn_values_rejected(self, tmp_path, field, value):
+        run, _ = self.small_run()
+        path = tmp_path / "run.jsonl"
+        save_run(run, str(path))
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        path.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        with pytest.raises(InputError, match="malformed turn record"):
+            load_run(str(path))
+
+    @pytest.mark.parametrize("rank", ["1", 1.5, None, True])
+    def test_non_integer_priority_rank_rejected(self, tmp_path, rank):
+        run, _ = self.small_run()
+        path = tmp_path / "run.jsonl"
+        save_run(run, str(path))
+        lines = path.read_text().splitlines()
+        summary = json.loads(lines[-1])
+        summary["summary"]["experts"][0]["priority_rank"] = rank
+        path.write_text("\n".join([*lines[:-1], json.dumps(summary)]) + "\n")
+        with pytest.raises(InputError, match="integer-ranked"):
             load_run(str(path))
 
     def test_record_after_summary_rejected(self, tmp_path):

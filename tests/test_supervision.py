@@ -16,7 +16,6 @@ from dialroute import (
     SlotName,
     TrainConfig,
     contrastive_loss,
-    cosine,
     grad_check,
     merge_pairs,
     mine_expert_pairs,
@@ -26,6 +25,8 @@ from dialroute import (
 )
 from dialroute.dialogue import LabeledTurn, Triplet
 from dialroute.supervision import load_pairs, save_pairs
+
+from conftest import cosine
 
 AREA = SlotName("hotel", "area")
 DAY = SlotName("train", "day")
