@@ -7,6 +7,9 @@ Subcommands mirror the pipeline stages and compose through files::
 plus ``simulate``, which generates a synthetic benchmark and runs everything
 end to end. Every command is deterministic in (config, input files, seed).
 
+The stage functions below hold the pipeline over in-memory objects: the
+commands wrap them in load and save, and ``simulate`` runs the same stages.
+
 Exit codes: 0 success, 1 bad input (including usage errors), 2 internal error.
 Set ``ORCHESTRA_LOG=debug|info|warning|error`` for stderr verbosity.
 """
@@ -19,11 +22,13 @@ import logging
 import os
 import sys
 import traceback
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .config import ROUTERS, SUPERVISIONS, RunConfig, apply_overrides, load_config
-from .dialogue import Corpus, LabeledTurn, load_corpus
+from .dialogue import Corpus, LabeledTurn, TurnBelief, load_corpus
 from .embedding import (
     EmbeddingStore,
     HashEmbedder,
@@ -39,6 +44,7 @@ from .embedding import (
 from .errors import InputError
 from .experts import (
     ExpertId,
+    ExpertPool,
     ExpertPrediction,
     ReplayExpert,
     assign_expert_label,
@@ -62,7 +68,6 @@ from .routing import (
     tune_cascade_threshold,
 )
 from .seeding import subseed
-from .simulate import SimulationSpec, run_simulation
 from .supervision import (
     PairSet,
     TrainConfig,
@@ -74,6 +79,70 @@ from .supervision import (
 )
 
 logger = logging.getLogger(__name__)
+
+Beliefs = dict[ExpertId, dict[str, TurnBelief]]
+
+
+# --- stages -------------------------------------------------------------------
+
+
+def embed_turns(embedder, turns: Sequence[LabeledTurn]) -> EmbeddingStore:
+    """Each turn's base vector, from ``embedder.embed`` of its triplet text."""
+    return EmbeddingStore.build(
+        (t.key, embedder.embed(t.key, serialize_triplet(t.triplet))) for t in turns
+    )
+
+
+def _expert_labels(turns: Sequence[LabeledTurn], beliefs: Beliefs) -> dict[str, str]:
+    """Each turn's label: the name of the expert whose belief is closest to gold."""
+    return {
+        t.key: assign_expert_label({e: b[t.key] for e, b in beliefs.items()}, t.gold_tlb).name
+        for t in turns
+    }
+
+
+def mine_pairs(
+    turns: Sequence[LabeledTurn],
+    supervision: str,
+    l: int,
+    beliefs: Beliefs | None,
+    store: EmbeddingStore,
+) -> PairSet:
+    """The pairs a supervision kind trains on, empty for ``none``; the
+    expert-aware kinds label ``turns`` from ``beliefs``."""
+    pairs = PairSet()
+    if supervision in ("task", "task+expert"):
+        pairs = mine_task_pairs(turns, l)
+    if supervision in ("expert", "task+expert"):
+        expert_pairs = mine_expert_pairs(turns, _expert_labels(turns, beliefs), store, l)
+        pairs = merge_pairs(pairs, expert_pairs) if supervision == "task+expert" else expert_pairs
+    return pairs
+
+
+def save_training(adapter: ProjectionAdapter, history: list[float], path: Path) -> None:
+    """Write the adapter to ``path`` and its loss history beside it."""
+    save_adapter(adapter, str(path))
+    with open(path.parent / "loss_history.json", "w", encoding="utf-8") as handle:
+        json.dump({"loss_history": history}, handle)
+        handle.write("\n")
+
+
+def sampled_pools(
+    turns: Sequence[LabeledTurn],
+    beliefs: Beliefs,
+    store: EmbeddingStore,
+    adapter: ProjectionAdapter,
+    sizes: dict[ExpertId, int],
+    seed: int,
+) -> dict[ExpertId, tuple[ExpertPool, ExpertPool]]:
+    """Each expert's pool of projected hold-out turns and its seeded sample of
+    ``sizes[expert]`` entries, in priority order."""
+    projected = {t.key: project(adapter, store.lookup(t.key)) for t in turns}
+    pools = build_pools(turns, beliefs, projected)
+    return {
+        e: (pool, sample_pool(pool, sizes[e], subseed(seed, f"pool:{e.name}")))
+        for e, pool in pools.items()
+    }
 
 
 # --- shared loading helpers --------------------------------------------------
@@ -127,16 +196,14 @@ def _check_coverage(
             )
 
 
-def _expert_labels(
-    holdout: list[LabeledTurn],
+def _beliefs(
+    cfg: RunConfig,
     predictions: dict[str, dict[str, ExpertPrediction]],
-    experts: tuple[ExpertId, ...],
-) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    for turn in holdout:
-        per_expert = {e: predictions[e.name][turn.key].tlb for e in experts}
-        labels[turn.key] = assign_expert_label(per_expert, turn.gold_tlb).name
-    return labels
+    turns: list[LabeledTurn],
+) -> Beliefs:
+    """Each configured expert's predicted belief for every hold-out turn."""
+    _check_coverage(predictions, cfg.experts, [t.key for t in turns], "hold-out")
+    return {e: {t.key: predictions[e.name][t.key].tlb for t in turns} for e in cfg.experts}
 
 
 def _make_query_embedder(cfg: RunConfig):
@@ -179,22 +246,16 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
-    holdout = _load_corpus(cfg, "holdout")
-    turns = holdout.labeled()
-    if cfg.embedder.kind == "hash":
-        embedder = HashEmbedder(cfg.embedder.dim, subseed(cfg.seed, "embedder"))
-        store = EmbeddingStore.build(
-            (t.key, embedder.embed(t.key, serialize_triplet(t.triplet))) for t in turns
-        )
-    else:
-        imported = load_store(str(cfg.embedder.path))
-        missing = [t.key for t in turns if t.key not in imported]
+    turns = _load_corpus(cfg, "holdout").labeled()
+    embedder = _make_query_embedder(cfg)
+    if cfg.embedder.kind == "store":
+        missing = [t.key for t in turns if t.key not in embedder.store]
         if missing:
             raise InputError(
                 f"imported store {cfg.embedder.path!r} is missing "
                 f"{len(missing)} hold-out turns, first {missing[0]!r}"
             )
-        store = EmbeddingStore.build((t.key, imported.lookup(t.key)) for t in turns)
+    store = embed_turns(embedder, turns)
     out = cfg.resolve_embeddings()
     out.parent.mkdir(parents=True, exist_ok=True)
     save_store(store, str(out))
@@ -202,28 +263,21 @@ def _cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
-    holdout = _load_corpus(cfg, "holdout")
-    turns = holdout.labeled()
+    turns = _load_corpus(cfg, "holdout").labeled()
     store = load_store(str(cfg.resolve_embeddings()))
     if len(store) == 0:
         raise InputError(f"embedding store {cfg.resolve_embeddings()} is empty")
     adapter_path = cfg.resolve_adapter()
     adapter_path.parent.mkdir(parents=True, exist_ok=True)
-    history_path = adapter_path.parent / "loss_history.json"
 
     if cfg.supervision == "none":
         adapter = ProjectionAdapter.identity(store.dim)
         history: list[float] = []
     else:
-        pairs = PairSet()
-        if cfg.supervision in ("task", "task+expert"):
-            pairs = mine_task_pairs(turns, cfg.pairs_per_query)
+        beliefs = None
         if cfg.supervision in ("expert", "task+expert"):
-            predictions = _load_all_predictions(cfg)
-            _check_coverage(predictions, cfg.experts, [t.key for t in turns], "hold-out")
-            labels = _expert_labels(turns, predictions, cfg.experts)
-            expert_pairs = mine_expert_pairs(turns, labels, store, cfg.pairs_per_query)
-            pairs = merge_pairs(pairs, expert_pairs) if cfg.supervision == "task+expert" else expert_pairs
+            beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
+        pairs = mine_pairs(turns, cfg.supervision, cfg.pairs_per_query, beliefs, store)
         pairs_path = cfg.resolve_pairs()
         pairs_path.parent.mkdir(parents=True, exist_ok=True)
         save_pairs(pairs, str(pairs_path))
@@ -232,18 +286,11 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
             f"{len(pairs.negatives)} negative -> {pairs_path}"
         )
         train_config = TrainConfig(
-            pairs_per_query=cfg.pairs_per_query,
-            margin=cfg.margin,
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            seed=subseed(cfg.seed, "train"),
+            margin=cfg.margin, learning_rate=cfg.learning_rate, epochs=cfg.epochs
         )
         adapter, history = train_adapter(pairs, store, train_config)
 
-    save_adapter(adapter, str(adapter_path))
-    with open(history_path, "w", encoding="utf-8") as handle:
-        json.dump({"loss_history": history}, handle)
-        handle.write("\n")
+    save_training(adapter, history, adapter_path)
     if history:
         print(
             f"adapter: dim {adapter.dim}, loss {history[0]:.6f} -> {history[-1]:.6f} "
@@ -254,10 +301,8 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
-    holdout = _load_corpus(cfg, "holdout")
-    turns = holdout.labeled()
-    predictions = _load_all_predictions(cfg)
-    _check_coverage(predictions, cfg.experts, [t.key for t in turns], "hold-out")
+    turns = _load_corpus(cfg, "holdout").labeled()
+    beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
     store = load_store(str(cfg.resolve_embeddings()))
     adapter_path = cfg.resolve_adapter()
     if not adapter_path.exists():
@@ -266,22 +311,15 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
             "(supervision 'none' writes the identity adapter)"
         )
     adapter = load_adapter(str(adapter_path))
-    projected = {t.key: project(adapter, store.lookup(t.key)) for t in turns}
-    by_id = {e: {t.key: predictions[e.name][t.key].tlb for t in turns} for e in cfg.experts}
-    pools = build_pools(turns, by_id, projected)
-    pools_dir = cfg.resolve_pools_dir()
-    pools_dir.mkdir(parents=True, exist_ok=True)
-    assigned = 0
+    sizes = {e: cfg.pool_size_for(e.name) for e in cfg.experts}
+    pools = sampled_pools(turns, beliefs, store, adapter, sizes, cfg.seed)
+    cfg.resolve_pools_dir().mkdir(parents=True, exist_ok=True)
     for expert in cfg.experts:
-        pool = pools[expert]
-        assigned += len(pool.entries)
-        sampled = sample_pool(
-            pool, cfg.pool_size_for(expert.name), subseed(cfg.seed, f"pool:{expert.name}")
-        )
+        pool, sampled = pools[expert]
         path = cfg.pool_path(expert.name)
         save_pool(sampled, str(path))
         print(f"pool[{expert.name}]: {len(sampled.entries)} of {len(pool.entries)} candidate turns -> {path}")
-    excluded = len(turns) - assigned
+    excluded = len(turns) - sum(len(pool.entries) for pool, _ in pools.values())
     print(f"excluded: {excluded} turns no expert predicted exactly right")
 
 
@@ -341,11 +379,10 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         snapshot["threshold"] = threshold
         print(f"cascade threshold: {threshold:.6f}")
     else:  # classifier
-        holdout = _load_corpus(cfg, "holdout")
-        holdout_turns = holdout.labeled()
-        _check_coverage(predictions, cfg.experts, [t.key for t in holdout_turns], "hold-out")
+        holdout_turns = _load_corpus(cfg, "holdout").labeled()
+        beliefs = _beliefs(cfg, predictions, holdout_turns)
         store = load_store(str(cfg.resolve_embeddings()))
-        labels = _expert_labels(holdout_turns, predictions, cfg.experts)
+        labels = _expert_labels(holdout_turns, beliefs)
         if len(cfg.experts) != 2:
             raise InputError("classifier routing supports exactly two experts")
         high = sorted(cfg.experts, key=lambda e: e.priority_rank)[1]
@@ -409,6 +446,8 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
+    from .simulate import SimulationSpec, run_simulation  # simulate imports this module
+
     fields = {f.name for f in SimulationSpec.__dataclass_fields__.values()}
     unknown = set(cfg.simulation) - fields
     if unknown:

@@ -19,11 +19,10 @@ directory so the commands compose without extra wiring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, read_json
 from .experts import ExpertId
 from .metrics import CostTable
 
@@ -230,14 +229,7 @@ def parse_config(record: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot open config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path!r}: malformed JSON ({exc.msg})") from None
-    return parse_config(record)
+    return parse_config(read_json(path, "config"))
 
 
 def apply_overrides(

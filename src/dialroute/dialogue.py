@@ -345,7 +345,10 @@ def load_corpus(path: str) -> Corpus:
     except OSError as exc:
         raise InputError(f"cannot open corpus {path!r}: {exc}") from None
     with handle:
-        return parse_dialogues(handle)
+        try:
+            return parse_dialogues(handle)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"corpus {path!r}: not UTF-8 text ({exc.reason})") from None
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .dialogue import Triplet
-from .errors import InputError
+from .errors import InputError, read_json, read_json_lines
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SIGN_BIT = 1 << 63
@@ -145,13 +145,7 @@ def save_adapter(adapter: ProjectionAdapter, path: str) -> None:
 
 
 def load_adapter(path: str) -> ProjectionAdapter:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot open adapter {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"adapter {path!r}: malformed JSON ({exc.msg})") from None
+    record = read_json(path, "adapter")
     if not isinstance(record, dict) or "dim" not in record or "matrix" not in record:
         raise InputError(f"adapter {path!r}: expected an object with dim and matrix")
     dim = record["dim"]
@@ -210,39 +204,26 @@ def load_store(path: str) -> EmbeddingStore:
     """Load a JSON Lines embedding store: ``{"key": …, "vector": […]}`` per line."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open embedding store {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: record is not an object")
-            record_key = record.get("key")
-            vector = record.get("vector")
-            if not isinstance(record_key, str) or not isinstance(vector, list):
-                raise InputError(f"{path}:{lineno}: expected string key and vector list")
-            if record_key in vectors:
-                raise InputError(f"{path}:{lineno}: duplicate key {record_key!r}")
-            arr = finite_vector(vector, np.float32)
-            if arr is None:
-                raise InputError(
-                    f"{path}:{lineno}: vector for {record_key!r} is not a flat vector of finite numbers"
-                )
-            if dim is None:
-                dim = int(arr.shape[0])
-            elif arr.shape[0] != dim:
-                raise InputError(
-                    f"{path}:{lineno}: vector for key {record_key!r} has dim "
-                    f"{arr.shape[0]}, expected {dim}"
-                )
-            vectors[record_key] = arr
+    for lineno, record in read_json_lines(path, "embedding store"):
+        record_key = record.get("key")
+        vector = record.get("vector")
+        if not isinstance(record_key, str) or not isinstance(vector, list):
+            raise InputError(f"{path}:{lineno}: expected string key and vector list")
+        if record_key in vectors:
+            raise InputError(f"{path}:{lineno}: duplicate key {record_key!r}")
+        arr = finite_vector(vector, np.float32)
+        if arr is None:
+            raise InputError(
+                f"{path}:{lineno}: vector for {record_key!r} is not a flat vector of finite numbers"
+            )
+        if dim is None:
+            dim = int(arr.shape[0])
+        elif arr.shape[0] != dim:
+            raise InputError(
+                f"{path}:{lineno}: vector for key {record_key!r} has dim "
+                f"{arr.shape[0]}, expected {dim}"
+            )
+        vectors[record_key] = arr
     return EmbeddingStore(vectors, dim or 0)
 
 

@@ -29,9 +29,9 @@ from .dialogue import (
     turn_key,
 )
 from .embedding import finite_vector, serialize_triplet
-from .errors import InputError
+from .errors import InputError, read_json, read_json_lines
 from .seeding import subseed
-from .similarity import graded_accuracy
+from .similarity import tlb_similarity
 
 logger = logging.getLogger(__name__)
 
@@ -80,13 +80,13 @@ def judge_correct(pred: TurnBelief, gold: TurnBelief) -> bool:
 
 
 def assign_expert_label(preds: Mapping[ExpertId, TurnBelief], gold: TurnBelief) -> ExpertId:
-    """The expert whose prediction is closest to gold by graded accuracy,
+    """The expert whose prediction is closest to gold by belief similarity,
     ties resolved toward the lower priority rank."""
     if not preds:
         raise InputError("assign_expert_label needs at least one prediction")
     ranked = sorted(
         preds.items(),
-        key=lambda item: (-graded_accuracy(item[1], gold), item[0].priority_rank),
+        key=lambda item: (-tlb_similarity(item[1], gold), item[0].priority_rank),
     )
     return ranked[0][0]
 
@@ -272,56 +272,43 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
     """
     grouped: dict[str, dict[str, ExpertPrediction]] = {}
     dropped = 0
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open predictions {path!r}: {exc}") from None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: record is not an object")
-            dialogue_id = record.get("dialogue_id")
-            record_turn_id = record.get("turn_id")
-            expert = record.get("expert")
-            tlb_raw = record.get("tlb", {})
-            if (
-                not isinstance(dialogue_id, str)
-                or not isinstance(record_turn_id, int)
-                or isinstance(record_turn_id, bool)
-                or not isinstance(expert, str)
-                or not isinstance(tlb_raw, dict)
-            ):
-                raise InputError(f"{path}:{lineno}: malformed prediction record")
-            confidence = record.get("confidence")
-            if confidence is not None and not isinstance(confidence, (int, float)):
-                raise InputError(f"{path}:{lineno}: confidence must be a number or null")
-            if confidence is not None and not 0.0 <= float(confidence) <= 1.0:
-                raise InputError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
-            try:
-                tlb, tlb_dropped = make_belief(tlb_raw)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            dropped += tlb_dropped
-            prediction = ExpertPrediction(
-                dialogue_id,
-                record_turn_id,
-                expert,
-                tlb,
-                None if confidence is None else float(confidence),
+    for lineno, record in read_json_lines(path, "predictions"):
+        dialogue_id = record.get("dialogue_id")
+        record_turn_id = record.get("turn_id")
+        expert = record.get("expert")
+        tlb_raw = record.get("tlb", {})
+        if (
+            not isinstance(dialogue_id, str)
+            or not isinstance(record_turn_id, int)
+            or isinstance(record_turn_id, bool)
+            or not isinstance(expert, str)
+            or not isinstance(tlb_raw, dict)
+        ):
+            raise InputError(f"{path}:{lineno}: malformed prediction record")
+        confidence = record.get("confidence")
+        if confidence is not None and not isinstance(confidence, (int, float)):
+            raise InputError(f"{path}:{lineno}: confidence must be a number or null")
+        if confidence is not None and not 0.0 <= float(confidence) <= 1.0:
+            raise InputError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
+        try:
+            tlb, tlb_dropped = make_belief(tlb_raw)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        dropped += tlb_dropped
+        prediction = ExpertPrediction(
+            dialogue_id,
+            record_turn_id,
+            expert,
+            tlb,
+            None if confidence is None else float(confidence),
+        )
+        by_key = grouped.setdefault(expert, {})
+        if prediction.key in by_key:
+            raise InputError(
+                f"{path}:{lineno}: duplicate prediction for expert {expert!r}, "
+                f"turn {prediction.key!r}"
             )
-            by_key = grouped.setdefault(expert, {})
-            if prediction.key in by_key:
-                raise InputError(
-                    f"{path}:{lineno}: duplicate prediction for expert {expert!r}, "
-                    f"turn {prediction.key!r}"
-                )
-            by_key[prediction.key] = prediction
+        by_key[prediction.key] = prediction
     if dropped:
         logger.warning("dropped %d null values while loading predictions from %s", dropped, path)
     return grouped
@@ -354,13 +341,7 @@ def save_pool(pool: ExpertPool, path: str) -> None:
 
 
 def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot open pool {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"pool {path!r}: malformed JSON ({exc.msg})") from None
+    record = read_json(path, "pool")
     if not isinstance(record, dict) or "expert" not in record or "entries" not in record:
         raise InputError(f"pool {path!r}: expected an object with expert and entries")
     name = record["expert"]

@@ -54,16 +54,6 @@ def _check_coverage(run: RoutedRun, corpus: Corpus) -> None:
         )
 
 
-def tlb_jga(run: RoutedRun, corpus: Corpus) -> float:
-    """Fraction of turns whose chosen belief matches gold exactly."""
-    _check_coverage(run, corpus)
-    if not run.records:
-        raise InputError("cannot score an empty run")
-    gold = corpus.gold_tlbs()
-    hits = sum(judge_correct(record.tlb, gold[record.decision.key]) for record in run.records)
-    return hits / len(run.records)
-
-
 def _gold_states(corpus: Corpus) -> dict[str, dict]:
     states: dict[str, dict] = {}
     for dialogue in corpus:
@@ -71,28 +61,6 @@ def _gold_states(corpus: Corpus) -> dict[str, dict]:
         for turn, state in zip(dialogue.turns, folded):
             states[turn_key(dialogue.dialogue_id, turn.turn_id)] = state
     return states
-
-
-def dst_jga(run: RoutedRun, corpus: Corpus) -> float:
-    """Fraction of turns whose accumulated predicted state matches the
-    accumulated gold state exactly. Errors persist until overwritten."""
-    _check_coverage(run, corpus)
-    if not run.records:
-        raise InputError("cannot score an empty run")
-    gold = _gold_states(corpus)
-    hits = sum(record.state == gold[record.decision.key] for record in run.records)
-    return hits / len(run.records)
-
-
-def assignment_ratio(run: RoutedRun) -> dict[str, float]:
-    """Fraction of turns routed to each expert, by name."""
-    if not run.records:
-        raise InputError("cannot compute assignment ratios of an empty run")
-    counts = {expert.name: 0 for expert in run.experts}
-    for record in run.records:
-        counts.setdefault(record.decision.chosen.name, 0)
-        counts[record.decision.chosen.name] += 1
-    return {name: count / len(run.records) for name, count in counts.items()}
 
 
 def total_cost(run: RoutedRun, costs: CostTable) -> float:
@@ -121,6 +89,11 @@ def categorize_ood(dialogue_domains: Iterable[str], training_domains: Iterable[s
 
 @dataclass
 class Report:
+    """One run's scores. ``tlb_jga`` is the share of turns whose chosen
+    belief matches gold exactly; ``dst_jga`` the share whose accumulated state
+    matches the accumulated gold state, so an error persists until
+    overwritten; ``assignment_ratio`` the share routed to each expert."""
+
     turns: int
     tlb_jga: float
     dst_jga: float

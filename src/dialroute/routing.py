@@ -33,7 +33,7 @@ from .dialogue import (
     triplet_of_turn,
 )
 from .embedding import ProjectionAdapter, finite_vector, project, serialize_triplet
-from .errors import InputError
+from .errors import InputError, read_json_lines
 from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, validate_experts
 
 logger = logging.getLogger(__name__)
@@ -444,30 +444,17 @@ def _is_number(value: object) -> bool:
 def load_run(path: str) -> RoutedRun:
     """Reload a routed run; accumulated states are refolded from the recorded
     beliefs, so metrics computed from the file match the in-memory run."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open run {path!r}: {exc}") from None
     raw_records: list[dict] = []
     summary: dict | None = None
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{lineno}: record is not an object")
-            if "summary" in record:
-                if summary is not None:
-                    raise InputError(f"{path}:{lineno}: multiple summary records")
-                summary = record["summary"]
-            elif summary is not None:
-                raise InputError(f"{path}:{lineno}: turn record after the summary")
-            else:
-                raw_records.append(record)
+    for lineno, record in read_json_lines(path, "run"):
+        if "summary" in record:
+            if summary is not None:
+                raise InputError(f"{path}:{lineno}: multiple summary records")
+            summary = record["summary"]
+        elif summary is not None:
+            raise InputError(f"{path}:{lineno}: turn record after the summary")
+        else:
+            raw_records.append(record)
     if summary is None:
         raise InputError(f"run {path!r} has no trailing summary record")
     if not isinstance(summary, dict):

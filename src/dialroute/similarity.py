@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Collection, Hashable, Mapping
 
-from .dialogue import DialogueState, LabeledTurn, SlotName, TurnBelief
+from .dialogue import LabeledTurn, SlotName
 
 
 def f1_sets(a: Collection[Hashable], b: Collection[Hashable]) -> float:
@@ -33,19 +33,9 @@ def tlb_similarity(a: Mapping[SlotName, str], b: Mapping[SlotName, str]) -> floa
     return f_slot_value + f_slot - 1.0
 
 
-def state_similarity(a: DialogueState, b: DialogueState) -> float:
-    """The belief similarity formula applied to accumulated states."""
-    return tlb_similarity(a, b)
-
-
 def turn_similarity(a: LabeledTurn, b: LabeledTurn) -> float:
     """Combined turn score in [-1.5, 1.5]: half the prior-state similarity
     plus the turn-belief similarity."""
-    return 0.5 * state_similarity(a.prev_state, b.prev_state) + tlb_similarity(
+    return 0.5 * tlb_similarity(a.prev_state, b.prev_state) + tlb_similarity(
         a.gold_tlb, b.gold_tlb
     )
-
-
-def graded_accuracy(pred: TurnBelief, gold: TurnBelief) -> float:
-    """How close a predicted belief is to gold, as the belief similarity."""
-    return tlb_similarity(pred, gold)

@@ -6,18 +6,19 @@ synthetic experts with complementary competence: the cheap one is accurate on
 hotel turns, the expensive one on restaurant turns. On top of that it runs
 the whole pipeline: hash-embed the hold-out, mine pairs, train the adapter,
 build pools, route the test corpus several ways, and report accuracy against
-cost. Everything is a pure function of the spec's seed.
+cost, through the same stage functions as the CLI. Everything is a pure
+function of the spec's seed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .cli import embed_turns, mine_pairs, sampled_pools, save_training
 from .dialogue import (
     Corpus,
     Dialogue,
@@ -25,24 +26,12 @@ from .dialogue import (
     Turn,
     save_corpus,
 )
-from .embedding import (
-    EmbeddingStore,
-    HashEmbedder,
-    ProjectionAdapter,
-    project,
-    save_adapter,
-    save_store,
-    serialize_triplet,
-)
+from .embedding import HashEmbedder, ProjectionAdapter, save_store
 from .experts import (
     LLM,
     SLM,
-    ExpertPool,
     SyntheticExpert,
     SyntheticProfile,
-    assign_expert_label,
-    build_pools,
-    sample_pool,
     save_pool,
     write_predictions,
 )
@@ -56,14 +45,7 @@ from .routing import (
     save_run,
 )
 from .seeding import subseed
-from .supervision import (
-    TrainConfig,
-    merge_pairs,
-    mine_expert_pairs,
-    mine_task_pairs,
-    save_pairs,
-    train_adapter,
-)
+from .supervision import TrainConfig, save_pairs, train_adapter
 
 HOTEL_DOMAIN = "hotel"
 RESTAURANT_DOMAIN = "restaurant"
@@ -248,60 +230,32 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
 
     holdout_turns = holdout_corpus.labeled()
     test_turns = test_corpus.labeled()
+    beliefs = {}
     for expert in experts:
         preds = [expert.predict(t.triplet) for t in [*holdout_turns, *test_turns]]
         write_predictions(preds, str(out / f"predictions_{expert.id.name}.jsonl"))
+        beliefs[expert.id] = {t.key: p.tlb for t, p in zip(holdout_turns, preds)}
 
     embedder = HashEmbedder(spec.embedding_dim, subseed(spec.seed, "embedder"))
-    store = EmbeddingStore.build(
-        (t.key, embedder.embed(t.key, serialize_triplet(t.triplet))) for t in holdout_turns
-    )
+    store = embed_turns(embedder, holdout_turns)
     save_store(store, str(out / "embeddings_holdout.jsonl"))
 
-    holdout_preds = {
-        expert.id: {t.key: expert.predict(t.triplet).tlb for t in holdout_turns}
-        for expert in experts
-    }
-    labels = {
-        t.key: assign_expert_label(
-            {eid: preds[t.key] for eid, preds in holdout_preds.items()}, t.gold_tlb
-        ).name
-        for t in holdout_turns
-    }
-    task_pairs = mine_task_pairs(holdout_turns, spec.pairs_per_query)
-    expert_pairs = mine_expert_pairs(holdout_turns, labels, store, spec.pairs_per_query)
-    pairs = merge_pairs(task_pairs, expert_pairs)
+    pairs = mine_pairs(holdout_turns, "task+expert", spec.pairs_per_query, beliefs, store)
     save_pairs(pairs, str(out / "pairs.json"))
-
     train_config = TrainConfig(
-        pairs_per_query=spec.pairs_per_query,
-        margin=spec.margin,
-        learning_rate=spec.learning_rate,
-        epochs=spec.epochs,
-        seed=subseed(spec.seed, "train"),
+        margin=spec.margin, learning_rate=spec.learning_rate, epochs=spec.epochs
     )
     adapter, history = train_adapter(pairs, store, train_config)
-    save_adapter(adapter, str(out / "adapter.json"))
-    with open(out / "loss_history.json", "w", encoding="utf-8") as handle:
-        json.dump({"loss_history": history}, handle)
-        handle.write("\n")
+    save_training(adapter, history, out / "adapter.json")
 
     identity = ProjectionAdapter.identity(spec.embedding_dim)
-
-    def build_sampled_pools(active: ProjectionAdapter, tag: str) -> list[ExpertPool]:
-        projected = {t.key: project(active, store.lookup(t.key)) for t in holdout_turns}
-        pools = build_pools(holdout_turns, holdout_preds, projected)
-        sampled = []
-        for expert_id in sorted(pools, key=lambda e: e.priority_rank):
-            pool = sample_pool(
-                pools[expert_id], spec.pool_size, subseed(spec.seed, f"pool:{expert_id.name}")
-            )
-            save_pool(pool, str(out / f"pool_{tag}_{expert_id.name}.json"))
-            sampled.append(pool)
-        return sampled
-
-    pools_base = build_sampled_pools(identity, "base")
-    pools_trained = build_sampled_pools(adapter, "trained")
+    sizes = {expert_id: spec.pool_size for expert_id in beliefs}
+    pool_sets = {}
+    for tag, active in (("base", identity), ("trained", adapter)):
+        pools = sampled_pools(holdout_turns, beliefs, store, active, sizes, spec.seed)
+        for expert_id, (_, sample) in pools.items():
+            save_pool(sample, str(out / f"pool_{tag}_{expert_id.name}.json"))
+        pool_sets[tag] = [sample for _, sample in pools.values()]
 
     costs = CostTable({SLM.name: spec.slm_cost, LLM.name: spec.llm_cost}, spec.router_cost)
     result = SimulationResult(spec, out, test_corpus, holdout_corpus)
@@ -328,13 +282,13 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     execute("oracle", OracleRouter([SLM, LLM]), use_embedder=False, active=None)
     execute(
         "retrieval_base",
-        RetrievalRouter(pools_base, spec.k),
+        RetrievalRouter(pool_sets["base"], spec.k),
         use_embedder=True,
         active=identity,
     )
     execute(
         "retrieval_trained",
-        RetrievalRouter(pools_trained, spec.k),
+        RetrievalRouter(pool_sets["trained"], spec.k),
         use_embedder=True,
         active=adapter,
     )

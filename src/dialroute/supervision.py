@@ -29,7 +29,7 @@ import numpy as np
 
 from .dialogue import LabeledTurn
 from .embedding import ProjectionAdapter
-from .errors import InputError
+from .errors import InputError, read_json
 from .similarity import f1_sets
 
 logger = logging.getLogger(__name__)
@@ -191,15 +191,11 @@ def mine_expert_pairs(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    pairs_per_query: int = 25
     margin: float = 0.2
     learning_rate: float = 0.01
     epochs: int = 30
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.pairs_per_query < 1:
-            raise ValueError(f"pairs_per_query must be >= 1, got {self.pairs_per_query}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if self.learning_rate <= 0.0:
@@ -256,6 +252,23 @@ class _PairProblem:
 
 
 _CHUNK = 16384
+_BLOCK = 1024
+
+
+def _tangent(
+    coeff: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Rows of ``coeff * (a - s * b) / scale``, the same operations in the same
+    order, computed in place over blocks of rows that stay in cache."""
+    out = np.empty_like(a)
+    for lo in range(0, len(out), _BLOCK):
+        hi = lo + _BLOCK
+        block = out[lo:hi]
+        np.multiply(s[lo:hi, None], b[lo:hi], out=block)
+        np.subtract(a[lo:hi], block, out=block)
+        np.multiply(coeff[lo:hi, None], block, out=block)
+        np.divide(block, scale[lo:hi, None], out=block)
+    return out
 
 
 def _polarity_terms(
@@ -294,8 +307,8 @@ def _polarity_terms(
             total += float(np.sum(hinge))
             coeff = np.where(ok & (s > margin), 1.0 / n, 0.0)
         if grad is not None:
-            x = coeff[:, None] * (uc - s[:, None] * uq) / safe[q][:, None]
-            y = coeff[:, None] * (uq - s[:, None] * uc) / safe[c][:, None]
+            x = _tangent(coeff, uc, uq, s, safe[q])
+            y = _tangent(coeff, uq, uc, s, safe[c])
             grad += x.T @ problem.base[q]
             grad += y.T @ problem.base[c]
     return total
@@ -351,7 +364,7 @@ def train_adapter(
 
     Returns the trained adapter and the loss history (initial loss first, then
     one entry per epoch). Deterministic: full-batch descent has no sampling,
-    so the seed only labels the run.
+    so it takes no seed.
     """
     if not pairs.positives and not pairs.negatives:
         raise InputError("cannot train an adapter on an empty pair set")
@@ -414,13 +427,7 @@ def save_pairs(pairs: PairSet, path: str) -> None:
 
 
 def load_pairs(path: str) -> PairSet:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            record = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot open pairs {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"pairs {path!r}: malformed JSON ({exc.msg})") from None
+    record = read_json(path, "pairs")
     if not isinstance(record, dict):
         raise InputError(f"pairs {path!r}: expected an object")
 

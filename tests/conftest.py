@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dialroute import Corpus, SimulationSpec, run_simulation
+from dialroute import Corpus, CostTable, SimulationSpec, make_report, run_simulation
 from dialroute.dialogue import parse_dialogues
 
 
@@ -30,6 +30,29 @@ def cosine(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u64, v64) / (nu * nv))
+
+
+def _scores(run, corpus):
+    """make_report with every expert free of cost: only its scores matter here."""
+    return make_report(run, corpus, CostTable({e.name: 0.0 for e in run.experts}))
+
+
+def tlb_jga(run, corpus) -> float:
+    return _scores(run, corpus).tlb_jga
+
+
+def dst_jga(run, corpus) -> float:
+    return _scores(run, corpus).dst_jga
+
+
+def assignment_ratio(run) -> dict[str, float]:
+    """make_report's assignment ratio, over a corpus made of the run's own turns."""
+    turns: dict[str, list] = {}
+    for key in run.keys():
+        dialogue_id, turn_id = key.rsplit(":", 1)
+        turns.setdefault(dialogue_id, []).append(trn(int(turn_id), "u"))
+    corpus = corpus_of(*(dlg(dialogue_id, t) for dialogue_id, t in turns.items()))
+    return _scores(run, corpus).assignment_ratio
 
 
 @pytest.fixture(scope="session")

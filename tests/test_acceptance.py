@@ -28,14 +28,12 @@ from dialroute import (
     SlotName,
     Triplet,
     build_pools,
-    dst_jga,
     f1_sets,
     grad_check,
     judge_correct,
     project,
     run_pipeline,
     run_simulation,
-    tlb_jga,
     tlb_similarity,
     total_cost,
 )
@@ -43,7 +41,7 @@ from dialroute.dialogue import LabeledTurn
 from dialroute.experts import ExpertPool, PoolEntry
 from dialroute.routing import TurnRecord
 
-from conftest import corpus_of, dlg, trn
+from conftest import corpus_of, dlg, dst_jga, tlb_jga, trn
 from test_routing import ctx, entry, reference_retrieval
 from test_similarity import tlb_reference
 

@@ -9,7 +9,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dialroute import InputError, RunConfig, load_adapter
+from dialroute import (
+    SLM,
+    InputError,
+    RunConfig,
+    load_adapter,
+    load_corpus,
+    load_pool,
+    load_predictions,
+    load_run,
+    load_store,
+)
 from dialroute.cli import main
 from dialroute.config import (
     EmbedderSpec,
@@ -17,6 +27,7 @@ from dialroute.config import (
     load_config,
     parse_config,
 )
+from dialroute.supervision import load_pairs
 
 
 def write_config(path, sim, out_dir, **extra):
@@ -167,6 +178,39 @@ class TestPipelineArtifacts:
         assert [point["name"] for point in series] == ["oracle", "slm_only"]
 
 
+def test_cli_stages_reproduce_simulate_artifacts(small_sim, tmp_path):
+    """The CLI, given what ``simulate`` wrote and the same settings, writes
+    the same embeddings, pairs, adapter, pools and routed turns."""
+    spec = small_sim.spec
+    config = write_config(
+        tmp_path / "c.json",
+        small_sim,
+        tmp_path / "out",
+        embedder={"kind": "hash", "dim": spec.embedding_dim},
+        seed=spec.seed,
+        hyperparameters={
+            "k": spec.k,
+            "l": spec.pairs_per_query,
+            "pool_size": spec.pool_size,
+            "margin": spec.margin,
+            "learning_rate": spec.learning_rate,
+            "epochs": spec.epochs,
+        },
+    )
+    for command in ("embed", "mine-and-train", "build-pools", "route"):
+        assert main([command, "--config", config]) == 0
+    sim, out = small_sim.out_dir, tmp_path / "out"
+    same = [("embeddings_holdout.jsonl", "embeddings.jsonl")]
+    same += [(name, name) for name in ("pairs.json", "adapter.json", "loss_history.json")]
+    same += [(f"pool_trained_{e}.json", f"pool_{e}.json") for e in ("slm", "llm")]
+    for simulated, cli_made in same:
+        assert (sim / simulated).read_bytes() == (out / cli_made).read_bytes(), cli_made
+    simulated_run = (sim / "run_retrieval_trained.jsonl").read_bytes().splitlines()
+    cli_run = (out / "run.jsonl").read_bytes().splitlines()
+    assert simulated_run[:-1] == cli_run[:-1]  # only the summary's config differs
+    assert len(cli_run) == small_sim.test_corpus.turn_count() + 1
+
+
 class TestSimulate:
     def settings(self):
         return {
@@ -256,6 +300,13 @@ class TestExitCodes:
         assert main(["report", "--config", config]) == 1
         assert "malformed turn record" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_exits_one(self, small_sim, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes((small_sim.out_dir / "corpus_test.jsonl").read_bytes() + b"\xff\n")
+        config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", corpus=str(corpus))
+        assert main(["validate", "--config", config]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
         proc = subprocess.run(
@@ -265,6 +316,26 @@ class TestExitCodes:
         )
         assert proc.returncode == 0, proc.stderr
         assert "coverage: ok" in proc.stdout
+
+
+LOADERS = {
+    "adapter": load_adapter,
+    "config": load_config,
+    "corpus": load_corpus,
+    "pairs": load_pairs,
+    "pool": lambda path: load_pool(path, {"slm": SLM}),
+    "predictions": load_predictions,
+    "run": load_run,
+    "store": load_store,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_loaders_reject_non_utf8(kind, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"key": "caf\xff"}\n')
+    with pytest.raises(InputError, match="not UTF-8"):
+        LOADERS[kind](str(path))
 
 
 class TestParseConfig:

@@ -17,22 +17,19 @@ from dialroute import (
     RoutedRun,
     RoutingDecision,
     SlotName,
-    assignment_ratio,
     categorize_ood,
-    dst_jga,
     load_run,
     make_report,
     make_series,
     run_pipeline,
     save_report,
     save_run,
-    tlb_jga,
     total_cost,
 )
 from dialroute.metrics import HALF_OOD, IN_DOMAIN, OOD
 from dialroute.routing import TurnRecord
 
-from conftest import corpus_of, dlg, trn
+from conftest import assignment_ratio, corpus_of, dlg, dst_jga, tlb_jga, trn
 
 AREA = SlotName("hotel", "area")
 PRICE = SlotName("hotel", "price")

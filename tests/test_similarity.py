@@ -3,9 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dialroute import SlotName, f1_sets, state_similarity, tlb_similarity, turn_similarity
+from dialroute import SlotName, f1_sets, tlb_similarity, turn_similarity
 from dialroute.dialogue import LabeledTurn, Triplet
-from dialroute.similarity import graded_accuracy
 
 
 # --- references (counting loops, no set algebra) -----------------------------
@@ -98,8 +97,8 @@ def test_turn_similarity_weights_state_half():
 
 
 def test_graded_accuracy_is_belief_similarity():
-    assert graded_accuracy({AREA: "north"}, {AREA: "north"}) == 1.0
-    assert graded_accuracy({}, {AREA: "north"}) == -1.0
+    assert tlb_similarity({AREA: "north"}, {AREA: "north"}) == 1.0
+    assert tlb_similarity({}, {AREA: "north"}) == -1.0
 
 
 # --- properties ----------------------------------------------------------------
@@ -135,8 +134,3 @@ def test_turn_similarity_matches_reference(state_a, tlb_a, state_b, tlb_b):
     expected = 0.5 * tlb_reference(state_a, state_b) + tlb_reference(tlb_a, tlb_b)
     assert turn_similarity(a, b) == expected
     assert -1.5 <= turn_similarity(a, b) <= 1.5
-
-
-@given(beliefs, beliefs)
-def test_state_similarity_is_same_kernel(a, b):
-    assert state_similarity(a, b) == tlb_similarity(a, b)
