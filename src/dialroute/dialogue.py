@@ -349,6 +349,8 @@ def load_corpus(path: str) -> Corpus:
             return parse_dialogues(handle)
         except UnicodeDecodeError as exc:
             raise InputError(f"corpus {path!r}: not UTF-8 text ({exc.reason})") from None
+        except InputError as exc:
+            raise InputError(f"corpus {path!r}: {exc}") from None
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

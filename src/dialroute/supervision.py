@@ -19,18 +19,16 @@ verifiable against central finite differences via :func:`grad_check`.
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .dialogue import LabeledTurn
 from .embedding import ProjectionAdapter
 from .errors import InputError, read_json
-from .similarity import f1_sets
 
 logger = logging.getLogger(__name__)
 
@@ -103,44 +101,117 @@ def _effective_l(requested: int, available: int, what: str) -> int:
     return requested
 
 
+# Dense blocks (the miners' score rows, the trainer's coefficient matrix C) hold
+# at most this many cells: 8 MB of float64 each.
+_CELLS = 1 << 20
+
+
+def _ranked(scores: np.ndarray, l: int) -> np.ndarray:
+    """Column indices of each row's ``l`` highest scores, ordered by (score
+    desc, column asc): the columns scoring above the row's l-th best value,
+    then the lowest-numbered columns tied at it."""
+    kth = np.partition(scores, scores.shape[1] - l, axis=1)[:, -l, None]
+    above = scores > kth
+    tied = scores == kth
+    room = l - np.count_nonzero(above, axis=1)[:, None]
+    keep = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    cols = np.nonzero(keep)[1].reshape(len(scores), l)
+    order = np.argsort(-np.take_along_axis(scores, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def _extremes(score_rows, n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of an n×n score matrix, the ``l`` best other columns by
+    (score desc, column asc) and the ``l`` worst by (score asc, column asc).
+    ``score_rows(lo, hi)`` returns a fresh array of rows ``lo:hi``; rows are
+    taken in blocks of at most ``_CELLS`` cells."""
+    top = np.empty((n, l), dtype=np.intp)
+    bottom = np.empty((n, l), dtype=np.intp)
+    step = max(1, _CELLS // n)
+    for lo in range(0, n, step):
+        scores = score_rows(lo, min(lo + step, n))
+        rows = np.arange(len(scores))
+        scores[rows, lo + rows] = -np.inf
+        top[lo : lo + step] = _ranked(scores, l)
+        scores = np.negative(scores)
+        scores[rows, lo + rows] = -np.inf
+        bottom[lo : lo + step] = _ranked(scores, l)
+    return top, bottom
+
+
+def _pair_set(
+    keys: list[str], top: np.ndarray, bottom: np.ndarray, keep_top, keep_bottom, tag: str
+) -> PairSet:
+    """Each query ``keys[i]`` paired with its kept ``top[i]`` candidates as
+    positives and its kept ``bottom[i]`` candidates as negatives, in rank
+    order, all tagged ``tag``."""
+    result = PairSet()
+    for query, best, worst, keep_best, keep_worst in zip(
+        keys, top.tolist(), bottom.tolist(), keep_top.tolist(), keep_bottom.tolist()
+    ):
+        for j, keep in zip(best, keep_best):
+            if keep:
+                result.positives.append((query, keys[j]))
+                result.provenance[provenance_key(query, keys[j])] = tag
+        for j, keep in zip(worst, keep_worst):
+            if keep:
+                result.negatives.append((query, keys[j]))
+                result.provenance[provenance_key(query, keys[j])] = tag
+    return result
+
+
+def _incidence(sets: list[Collection[Hashable]]) -> tuple[np.ndarray, np.ndarray]:
+    """A 0/1 matrix with one row per set and one column per distinct member,
+    and the set sizes as a column of float64."""
+    vocabulary: dict = {}
+    rows = [i for i, members in enumerate(sets) for _ in members]
+    cols = [vocabulary.setdefault(m, len(vocabulary)) for members in sets for m in members]
+    matrix = np.zeros((len(sets), len(vocabulary)), dtype=np.float32)
+    matrix[rows, cols] = 1.0
+    return matrix, np.array([len(members) for members in sets], dtype=np.float64)[:, None]
+
+
+def _f1_rows(incidence: np.ndarray, sizes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """:func:`f1_sets` of sets ``lo:hi`` against every set, with the same
+    float64 expression; |a∩b| comes exact from one float32 matmul of 0/1
+    rows (counts far below 2**24)."""
+    hits = (incidence[lo:hi] @ incidence.T).astype(np.float64)
+    size_a, size_b = sizes[lo:hi], sizes.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = hits / size_a
+        recall = hits / size_b
+        f1 = 2.0 * precision * recall / (precision + recall)
+    f1[hits == 0.0] = 0.0
+    f1[(size_a == 0.0) & (size_b == 0.0)] = 1.0
+    return f1
+
+
 def mine_task_pairs(holdout: Sequence[LabeledTurn], pairs_per_query: int) -> PairSet:
     """For every hold-out turn, take the ``l`` most similar other turns by the
-    combined turn similarity as positives and the ``l`` least similar as
-    negatives. Ties order by (score, turn key) for determinism."""
+    combined turn similarity (:func:`~dialroute.similarity.turn_similarity`)
+    as positives and the ``l`` least similar as negatives. Ties order by
+    (score, turn key) for determinism."""
     turns = _sorted_turns(holdout)
     l = _effective_l(pairs_per_query, len(turns) - 1, "task-aware")
-    result = PairSet()
     if l == 0:
-        return result
-    profiles = [
-        (
-            frozenset(t.prev_state.items()),
-            frozenset(t.prev_state.keys()),
-            frozenset(t.gold_tlb.items()),
-            frozenset(t.gold_tlb.keys()),
+        return PairSet()
+    features = [
+        _incidence([select(t) for t in turns])
+        for select in (
+            lambda t: t.prev_state.items(),
+            lambda t: t.prev_state.keys(),
+            lambda t: t.gold_tlb.items(),
+            lambda t: t.gold_tlb.keys(),
         )
-        for t in turns
     ]
-    keys = [t.key for t in turns]
-    for i in range(len(turns)):
-        si, ki, ti, gi = profiles[i]
-        scored: list[tuple[float, str]] = []
-        for j in range(len(turns)):
-            if j == i:
-                continue
-            sj, kj, tj, gj = profiles[j]
-            state_sim = f1_sets(si, sj) + f1_sets(ki, kj) - 1.0
-            tlb_sim = f1_sets(ti, tj) + f1_sets(gi, gj) - 1.0
-            scored.append((0.5 * state_sim + tlb_sim, keys[j]))
-        top = heapq.nsmallest(l, scored, key=lambda t: (-t[0], t[1]))
-        bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
-        for _, candidate in top:
-            result.positives.append((keys[i], candidate))
-            result.provenance[provenance_key(keys[i], candidate)] = "task"
-        for _, candidate in bottom:
-            result.negatives.append((keys[i], candidate))
-            result.provenance.setdefault(provenance_key(keys[i], candidate), "task")
-    return result
+
+    def score_rows(lo: int, hi: int) -> np.ndarray:
+        state, slots, tlb, tlb_slots = (_f1_rows(m, sizes, lo, hi) for m, sizes in features)
+        return 0.5 * (state + slots - 1.0) + (tlb + tlb_slots - 1.0)
+
+    top, bottom = _extremes(score_rows, len(turns), l)
+    everything = np.ones_like(top, dtype=bool)
+    return _pair_set([t.key for t in turns], top, bottom, everything, everything, "task")
 
 
 def mine_expert_pairs(
@@ -154,9 +225,8 @@ def mine_expert_pairs(
     ``l`` as negatives."""
     turns = _sorted_turns(holdout)
     l = _effective_l(pairs_per_query, len(turns) - 1, "expert-aware")
-    result = PairSet()
     if l == 0:
-        return result
+        return PairSet()
     keys = [t.key for t in turns]
     labels = []
     for key in keys:
@@ -171,19 +241,10 @@ def mine_expert_pairs(
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = matrix / safe[:, None]
     scores = unit @ unit.T
-    for i in range(len(turns)):
-        scored = [(float(scores[i, j]), keys[j], labels[j]) for j in range(len(turns)) if j != i]
-        top = heapq.nsmallest(l, scored, key=lambda t: (-t[0], t[1]))
-        bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
-        for _, candidate, label in top:
-            if label == labels[i]:
-                result.positives.append((keys[i], candidate))
-                result.provenance[provenance_key(keys[i], candidate)] = "expert"
-        for _, candidate, label in bottom:
-            if label != labels[i]:
-                result.negatives.append((keys[i], candidate))
-                result.provenance.setdefault(provenance_key(keys[i], candidate), "expert")
-    return result
+    top, bottom = _extremes(lambda lo, hi: scores[lo:hi].copy(), len(turns), l)
+    code = np.unique(labels, return_inverse=True)[1]
+    same = code[:, None]
+    return _pair_set(keys, top, bottom, code[top] == same, code[bottom] != same, "expert")
 
 
 # --- training ---------------------------------------------------------------
@@ -217,18 +278,25 @@ def _embedding_dim(embeddings: Mapping[str, np.ndarray], key: str) -> int:
 
 @dataclass
 class _PairProblem:
-    """Pairs compiled to index arrays over a unique-key embedding matrix."""
+    """Pairs compiled to index arrays over a unique-key embedding matrix.
+
+    Pair ``i`` joins rows ``q[i]`` and ``c[i]``; the first ``n_pos`` pairs are
+    the positives, the rest the negatives. The gradient scatters every pair
+    twice, as (q, c) and as (c, q): ``by_row`` sorts those entries by row and
+    ``cells`` holds their row-major cell indices in that order."""
 
     base: np.ndarray  # (n_keys, dim) float64 base embeddings
-    pos_q: np.ndarray
-    pos_c: np.ndarray
-    neg_q: np.ndarray
-    neg_c: np.ndarray
+    q: np.ndarray
+    c: np.ndarray
+    n_pos: int
+    by_row: np.ndarray
+    cells: np.ndarray
 
     @classmethod
     def compile(cls, pairs: PairSet, embeddings: Mapping[str, np.ndarray]) -> "_PairProblem":
         order: dict[str, int] = {}
-        for query, candidate in [*pairs.positives, *pairs.negatives]:
+        pair_list = [*pairs.positives, *pairs.negatives]
+        for query, candidate in pair_list:
             for key in (query, candidate):
                 if key not in order:
                     order[key] = len(order)
@@ -242,92 +310,80 @@ class _PairProblem:
                     f"embedding for {key!r} has dim {vector.shape[0]}, expected {dim}"
                 )
             base[row] = vector
-        def indices(pair_list: list[Pair]) -> tuple[np.ndarray, np.ndarray]:
-            q = np.fromiter((order[a] for a, _ in pair_list), dtype=np.intp, count=len(pair_list))
-            c = np.fromiter((order[b] for _, b in pair_list), dtype=np.intp, count=len(pair_list))
-            return q, c
-        pos_q, pos_c = indices(pairs.positives)
-        neg_q, neg_c = indices(pairs.negatives)
-        return cls(base, pos_q, pos_c, neg_q, neg_c)
+        q = np.fromiter((order[a] for a, _ in pair_list), dtype=np.intp, count=len(pair_list))
+        c = np.fromiter((order[b] for _, b in pair_list), dtype=np.intp, count=len(pair_list))
+        rows, cols = np.concatenate([q, c]), np.concatenate([c, q])
+        by_row = np.argsort(rows, kind="stable")
+        cells = rows[by_row] * len(keys) + cols[by_row]
+        return cls(base, q, c, len(pairs.positives), by_row, cells)
 
 
+# The loss adds one partial sum per _CHUNK pairs of a polarity, an order fixed
+# for reproducible losses; cosines are taken _ROWS pairs at a time, so the two
+# gathered row blocks stay small (512 KB each at dim 256).
 _CHUNK = 16384
-_BLOCK = 1024
+_ROWS = 256
 
 
-def _tangent(
-    coeff: np.ndarray, a: np.ndarray, b: np.ndarray, s: np.ndarray, scale: np.ndarray
+def _gram_grad(
+    problem: _PairProblem, unit: np.ndarray, safe: np.ndarray, s: np.ndarray, coeff: np.ndarray
 ) -> np.ndarray:
-    """Rows of ``coeff * (a - s * b) / scale``, the same operations in the same
-    order, computed in place over blocks of rows that stay in cache."""
-    out = np.empty_like(a)
-    for lo in range(0, len(out), _BLOCK):
-        hi = lo + _BLOCK
-        block = out[lo:hi]
-        np.multiply(s[lo:hi, None], b[lo:hi], out=block)
-        np.subtract(a[lo:hi], block, out=block)
-        np.multiply(coeff[lo:hi, None], block, out=block)
-        np.divide(block, scale[lo:hi, None], out=block)
-    return out
+    """The gradient in Gram form: dU = C·U − r⊙U, dP = dU / norms and
+    grad = dPᵀ·base, where C holds each pair's coefficient at (q, c) and at
+    (c, q) and r is each row's sum of coeff·s. C is built with ``bincount``
+    and multiplied one block of at most ``_CELLS`` cells at a time."""
+    m = len(unit)
+    weighted = coeff * s
+    r = np.bincount(problem.q, weighted, minlength=m) + np.bincount(
+        problem.c, weighted, minlength=m
+    )
+    weights = np.concatenate([coeff, coeff])[problem.by_row]
+    step = max(1, _CELLS // m)
+    starts = np.arange(0, m, step)
+    bounds = np.searchsorted(problem.cells, np.append(starts, m) * m)
+    d_unit = np.empty_like(unit)
+    for lo, a, b in zip(starts.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        hi = min(lo + step, m)
+        block = np.bincount(problem.cells[a:b] - lo * m, weights[a:b], minlength=(hi - lo) * m)
+        d_unit[lo:hi] = block.reshape(hi - lo, m) @ unit
+    d_unit -= r[:, None] * unit
+    return (d_unit / safe[:, None]).T @ problem.base
 
 
-def _polarity_terms(
-    W: np.ndarray,
-    problem: _PairProblem,
-    q_idx: np.ndarray,
-    c_idx: np.ndarray,
-    positive: bool,
-    margin: float,
-    grad: np.ndarray | None,
-) -> float:
-    """Accumulate one polarity's loss (sum, not mean) and, if requested, its
-    gradient contribution scaled by 1/n into ``grad``."""
-    n = len(q_idx)
-    if n == 0:
-        return 0.0
+def _loss_and_grad(
+    W: np.ndarray, problem: _PairProblem, margin: float, with_grad: bool = True
+) -> tuple[float, np.ndarray | None]:
+    """Loss (mean over each polarity) and, if requested, its gradient. Every
+    cosine is a per-pair dot product of the gathered rows, never an entry of
+    U·Uᵀ, whose different rounding would flip hinges at s == margin."""
     projected = problem.base @ W.T
     norms = np.linalg.norm(projected, axis=1)
     ok_row = norms > 0.0
     safe = np.where(ok_row, norms, 1.0)
     unit = projected / safe[:, None]
     unit[~ok_row] = 0.0
-    total = 0.0
-    for start in range(0, n, _CHUNK):
-        q = q_idx[start : start + _CHUNK]
-        c = c_idx[start : start + _CHUNK]
-        uq, uc = unit[q], unit[c]
-        s = np.einsum("ij,ij->i", uq, uc)
-        ok = ok_row[q] & ok_row[c]
-        s = np.where(ok, s, 0.0)
-        if positive:
-            total += float(np.sum(1.0 - s))
-            coeff = np.where(ok, -1.0 / n, 0.0)
-        else:
-            hinge = np.maximum(0.0, s - margin)
-            total += float(np.sum(hinge))
-            coeff = np.where(ok & (s > margin), 1.0 / n, 0.0)
-        if grad is not None:
-            x = _tangent(coeff, uc, uq, s, safe[q])
-            y = _tangent(coeff, uq, uc, s, safe[c])
-            grad += x.T @ problem.base[q]
-            grad += y.T @ problem.base[c]
-    return total
-
-
-def _loss_and_grad(
-    W: np.ndarray, problem: _PairProblem, margin: float, with_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
-    grad = np.zeros_like(W) if with_grad else None
+    q, c = problem.q, problem.c
+    s = np.empty(len(q))
+    for lo in range(0, len(q), _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        s[rows] = np.einsum("ij,ij->i", unit[q[rows]], unit[c[rows]])
+    ok = ok_row[q] & ok_row[c]
+    coeff = np.zeros(len(q))
     loss = 0.0
-    if len(problem.pos_q):
-        loss += _polarity_terms(W, problem, problem.pos_q, problem.pos_c, True, margin, grad) / len(
-            problem.pos_q
-        )
-    if len(problem.neg_q):
-        loss += _polarity_terms(
-            W, problem, problem.neg_q, problem.neg_c, False, margin, grad
-        ) / len(problem.neg_q)
-    return loss, grad
+    for part, positive in ((slice(0, problem.n_pos), True), (slice(problem.n_pos, None), False)):
+        n = len(q[part])
+        if not n:
+            continue
+        if positive:
+            terms = 1.0 - s[part]
+            coeff[part] = np.where(ok[part], -1.0 / n, 0.0)
+        else:
+            terms = np.maximum(0.0, s[part] - margin)
+            coeff[part] = np.where(ok[part] & (s[part] > margin), 1.0 / n, 0.0)
+        loss += sum(float(np.sum(terms[lo : lo + _CHUNK])) for lo in range(0, n, _CHUNK)) / n
+    if not with_grad:
+        return loss, None
+    return loss, _gram_grad(problem, unit, safe, s, coeff)
 
 
 def contrastive_loss(

@@ -1,0 +1,152 @@
+"""Reference implementations that the vectorized supervision code must match.
+
+These are the straightforward versions: pair miners that score and rank every
+candidate of every query in Python, and a gradient accumulated pair by pair.
+They are slow and kept only as test oracles.
+"""
+
+import heapq
+
+import numpy as np
+
+from dialroute import PairSet, f1_sets
+from dialroute.supervision import (
+    _effective_l,
+    _sorted_turns,
+    _vector,
+    provenance_key,
+)
+
+
+def mine_task_pairs(holdout, pairs_per_query):
+    """Top and bottom ``l`` candidates by the combined turn similarity, ties by key."""
+    turns = _sorted_turns(holdout)
+    l = _effective_l(pairs_per_query, len(turns) - 1, "task-aware")
+    result = PairSet()
+    if l == 0:
+        return result
+    profiles = [
+        (
+            frozenset(t.prev_state.items()),
+            frozenset(t.prev_state.keys()),
+            frozenset(t.gold_tlb.items()),
+            frozenset(t.gold_tlb.keys()),
+        )
+        for t in turns
+    ]
+    keys = [t.key for t in turns]
+    for i in range(len(turns)):
+        si, ki, ti, gi = profiles[i]
+        scored = []
+        for j in range(len(turns)):
+            if j == i:
+                continue
+            sj, kj, tj, gj = profiles[j]
+            state_sim = f1_sets(si, sj) + f1_sets(ki, kj) - 1.0
+            tlb_sim = f1_sets(ti, tj) + f1_sets(gi, gj) - 1.0
+            scored.append((0.5 * state_sim + tlb_sim, keys[j]))
+        top = heapq.nsmallest(l, scored, key=lambda t: (-t[0], t[1]))
+        bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
+        for _, candidate in top:
+            result.positives.append((keys[i], candidate))
+            result.provenance[provenance_key(keys[i], candidate)] = "task"
+        for _, candidate in bottom:
+            result.negatives.append((keys[i], candidate))
+            result.provenance.setdefault(provenance_key(keys[i], candidate), "task")
+    return result
+
+
+def mine_expert_pairs(holdout, expert_labels, embeddings, pairs_per_query):
+    """Same-label turns among the top ``l`` by cosine, different-label turns
+    among the bottom ``l``."""
+    turns = _sorted_turns(holdout)
+    l = _effective_l(pairs_per_query, len(turns) - 1, "expert-aware")
+    result = PairSet()
+    if l == 0:
+        return result
+    keys = [t.key for t in turns]
+    labels = [expert_labels[key] for key in keys]
+    matrix = np.array([_vector(embeddings, key) for key in keys], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    unit = matrix / safe[:, None]
+    scores = unit @ unit.T
+    for i in range(len(turns)):
+        scored = [(float(scores[i, j]), keys[j], labels[j]) for j in range(len(turns)) if j != i]
+        top = heapq.nsmallest(l, scored, key=lambda t: (-t[0], t[1]))
+        bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
+        for _, candidate, label in top:
+            if label == labels[i]:
+                result.positives.append((keys[i], candidate))
+                result.provenance[provenance_key(keys[i], candidate)] = "expert"
+        for _, candidate, label in bottom:
+            if label != labels[i]:
+                result.negatives.append((keys[i], candidate))
+                result.provenance.setdefault(provenance_key(keys[i], candidate), "expert")
+    return result
+
+
+_CHUNK = 16384
+_BLOCK = 1024
+
+
+def _tangent(coeff, a, b, s, scale):
+    """Rows of ``coeff * (a - s * b) / scale``, in place over blocks of rows."""
+    out = np.empty_like(a)
+    for lo in range(0, len(out), _BLOCK):
+        hi = lo + _BLOCK
+        block = out[lo:hi]
+        np.multiply(s[lo:hi, None], b[lo:hi], out=block)
+        np.subtract(a[lo:hi], block, out=block)
+        np.multiply(coeff[lo:hi, None], block, out=block)
+        np.divide(block, scale[lo:hi, None], out=block)
+    return out
+
+
+def _polarity_terms(W, base, q_idx, c_idx, positive, margin, grad, magnitude):
+    n = len(q_idx)
+    projected = base @ W.T
+    norms = np.linalg.norm(projected, axis=1)
+    ok_row = norms > 0.0
+    safe = np.where(ok_row, norms, 1.0)
+    unit = projected / safe[:, None]
+    unit[~ok_row] = 0.0
+    total = 0.0
+    for start in range(0, n, _CHUNK):
+        q = q_idx[start : start + _CHUNK]
+        c = c_idx[start : start + _CHUNK]
+        uq, uc = unit[q], unit[c]
+        s = np.einsum("ij,ij->i", uq, uc)
+        ok = ok_row[q] & ok_row[c]
+        s = np.where(ok, s, 0.0)
+        if positive:
+            total += float(np.sum(1.0 - s))
+            coeff = np.where(ok, -1.0 / n, 0.0)
+        else:
+            hinge = np.maximum(0.0, s - margin)
+            total += float(np.sum(hinge))
+            coeff = np.where(ok & (s > margin), 1.0 / n, 0.0)
+        x = _tangent(coeff, uc, uq, s, safe[q])
+        y = _tangent(coeff, uq, uc, s, safe[c])
+        grad += x.T @ base[q]
+        grad += y.T @ base[c]
+        size = np.abs(coeff)[:, None] * (np.abs(uc) + np.abs(s)[:, None] * np.abs(uq))
+        magnitude += (size / safe[q][:, None]).T @ np.abs(base[q])
+        size = np.abs(coeff)[:, None] * (np.abs(uq) + np.abs(s)[:, None] * np.abs(uc))
+        magnitude += (size / safe[c][:, None]).T @ np.abs(base[c])
+    return total
+
+
+def loss_and_grad(W, problem, margin):
+    """Loss, gradient accumulated pair by pair, and the gradient's magnitude:
+    the same sum over |coeff|·(|a| + |s|·|b|) / norm ⊗ |base|, the operands
+    before cancellation, which is the scale rounding errors are relative to."""
+    grad = np.zeros_like(W)
+    magnitude = np.zeros_like(W)
+    loss = 0.0
+    for part, positive in ((slice(0, problem.n_pos), True), (slice(problem.n_pos, None), False)):
+        q, c = problem.q[part], problem.c[part]
+        if len(q):
+            total = _polarity_terms(W, problem.base, q, c, positive, margin, grad, magnitude)
+            loss += total / len(q)
+    return loss, grad, magnitude

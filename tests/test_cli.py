@@ -307,6 +307,15 @@ class TestExitCodes:
         assert main(["validate", "--config", config]) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_malformed_holdout_line_names_the_file(self, small_sim, tmp_path, capsys):
+        holdout = tmp_path / "holdout.jsonl"
+        first = (small_sim.out_dir / "corpus_holdout.jsonl").read_text().splitlines()[0]
+        holdout.write_text(first + "\n{not json\n")
+        config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", holdout=str(holdout))
+        assert main(["validate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert f"corpus {str(holdout)!r}: line 2:" in err
+
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
         proc = subprocess.run(

@@ -4,11 +4,16 @@ The gradient tests are the load-bearing ones: every analytic gradient is
 checked against central finite differences on small random instances.
 """
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from dialroute import (
     InputError,
     PairSet,
@@ -23,8 +28,13 @@ from dialroute import (
     project,
     train_adapter,
 )
+from dialroute import supervision
+from dialroute.cli import _expert_labels, embed_turns
 from dialroute.dialogue import LabeledTurn, Triplet
-from dialroute.supervision import _BLOCK, _tangent, load_pairs, save_pairs
+from dialroute.embedding import HashEmbedder
+from dialroute.seeding import subseed
+from dialroute.simulate import SimulationSpec, generate_corpus, make_experts
+from dialroute.supervision import _loss_and_grad, _PairProblem, load_pairs, save_pairs
 
 from conftest import cosine
 
@@ -181,16 +191,6 @@ class TestLossAndGradient:
         adapter = ProjectionAdapter(np.eye(dim) + 0.3 * rng.normal(size=(dim, dim)))
         assert grad_check(adapter, pairs, embeddings, margin=float(rng.uniform(0, 0.8))) < 1e-4
 
-    @pytest.mark.parametrize("rows", [1, _BLOCK, 2 * _BLOCK + 7])
-    def test_blocked_tangent_is_bit_identical_to_the_expression(self, rows):
-        rng = np.random.default_rng(rows)
-        a, b = rng.normal(size=(rows, 9)), rng.normal(size=(rows, 9))
-        s = rng.uniform(-1.0, 1.0, size=rows)
-        coeff = np.where(rng.random(rows) < 0.3, 0.0, 1.0 / rows)
-        scale = rng.uniform(0.1, 3.0, size=rows)
-        expected = coeff[:, None] * (a - s[:, None] * b) / scale[:, None]
-        assert _tangent(coeff, a, b, s, scale).tobytes() == expected.tobytes()
-
     def test_gradient_descent_direction(self):
         # one small step along -grad must not increase the loss
         rng = np.random.default_rng(42)
@@ -200,6 +200,140 @@ class TestLossAndGradient:
         stepped = ProjectionAdapter(adapter.matrix - 1e-3 * grad)
         after, _ = contrastive_loss(stepped, pairs, embeddings)
         assert after <= loss + 1e-12
+
+
+def saved(pairs, directory):
+    path = directory / "pairs.json"
+    save_pairs(pairs, str(path))
+    return path.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_holdout(holdout_dialogues):
+    """Hold-out turns, expert labels and hash embeddings of the default
+    synthetic spec, built as ``simulate`` builds them."""
+    spec = SimulationSpec(holdout_dialogues=holdout_dialogues)
+    corpus = generate_corpus(spec, spec.holdout_dialogues, "hld", "holdout")
+    turns = corpus.labeled()
+    experts = make_experts(spec, corpus.gold_tlbs())
+    beliefs = {e.id: {t.key: e.predict(t.triplet).tlb for t in turns} for e in experts}
+    store = embed_turns(HashEmbedder(spec.embedding_dim, subseed(spec.seed, "embedder")), turns)
+    return turns, _expert_labels(turns, beliefs), store, spec.pairs_per_query
+
+
+def assert_matches_reference(pairs, embeddings, W, margin):
+    """The Gram-form loss is bit-identical to the per-pair reference and its
+    gradient agrees within 1e-12 of the largest summed term magnitude."""
+    problem = _PairProblem.compile(pairs, embeddings)
+    loss, grad = _loss_and_grad(W, problem, margin)
+    ref_loss, ref_grad, magnitude = oracles.loss_and_grad(W, problem, margin)
+    assert loss.hex() == ref_loss.hex()
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(magnitude)
+
+
+@st.composite
+def integer_pair_problems(draw):
+    """Small integer problems. Zero base rows and singular matrices give
+    zero-norm projections; orthogonal rows give cosines of exactly 0, the
+    margin when it is 0; a pair may appear as (q, c) and (c, q), and in both
+    polarities."""
+    n_keys = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    keys = [f"k:{i}" for i in range(n_keys)]
+    embeddings = {key: np.array(draw(row), dtype=np.float64) for key in keys}
+    W = draw(
+        st.one_of(
+            st.just(np.eye(dim)),
+            st.lists(row, min_size=dim, max_size=dim).map(lambda m: np.array(m, dtype=np.float64)),
+        )
+    )
+    ordered = [(a, b) for a in keys for b in keys if a != b]
+    positives = draw(st.lists(st.sampled_from(ordered), unique=True, max_size=len(ordered)))
+    negatives = draw(
+        st.lists(
+            st.sampled_from(ordered),
+            unique=True,
+            min_size=0 if positives else 1,
+            max_size=len(ordered),
+        )
+    )
+    margin = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.9))
+    cells = draw(st.sampled_from([supervision._CELLS, 1, 2 * n_keys]))
+    return PairSet(positives, negatives), embeddings, W, margin, cells
+
+
+class TestGramGradient:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_pair_problems())
+    def test_matches_per_pair_reference(self, case):
+        pairs, embeddings, W, margin, cells = case
+        with mock.patch.object(supervision, "_CELLS", cells):
+            assert_matches_reference(pairs, embeddings, W, margin)
+
+    def test_matches_per_pair_reference_over_row_blocks(self):
+        rng = np.random.default_rng(11)
+        keys = [f"k:{i}" for i in range(7)]
+        embeddings = {key: rng.normal(size=4) for key in keys}
+        ordered = [(a, b) for a in keys for b in keys if a != b]
+        positives = [p for p in ordered if rng.random() < 0.5]
+        negatives = [p for p in ordered if rng.random() < 0.5]
+        W = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+        # 14 cells over 7 keys: blocks of 2 rows, so rows 0-1, 2-3, 4-5 and 6
+        with mock.patch.object(supervision, "_CELLS", 14):
+            assert_matches_reference(PairSet(positives, negatives), embeddings, W, 0.1)
+
+    def test_matches_per_pair_reference_over_several_loss_chunks(self):
+        # the benchmark CLI chain's hold-out: ~42k pairs a polarity, three partial sums each
+        turns, labels, store, l = synthetic_holdout(240)
+        pairs = merge_pairs(mine_task_pairs(turns, l), mine_expert_pairs(turns, labels, store, l))
+        assert len(pairs.negatives) > 2 * supervision._CHUNK
+        W = np.eye(store.dim) + 0.05 * np.random.default_rng(0).normal(size=(store.dim, store.dim))
+        assert_matches_reference(pairs, store, W, 0.0)
+
+
+@st.composite
+def tied_holdouts(draw):
+    """Hold-outs full of exact ties: beliefs and states drawn from two slots
+    and two values (often empty, often equal), embeddings from {-1, 0, 1}²
+    (zero vectors included), and ``l`` up to n + 1, past the n - 1 others."""
+    n = draw(st.integers(1, 12))
+    belief = st.dictionaries(st.sampled_from([AREA, DAY]), st.sampled_from(["a", "b"]))
+    turns = [
+        LabeledTurn(Triplet(f"d{i}", 0, draw(belief), "", "u"), draw(belief)) for i in range(n)
+    ]
+    vector = st.lists(st.integers(-1, 1), min_size=2, max_size=2)
+    embeddings = {t.key: np.array(draw(vector), dtype=np.float64) for t in turns}
+    labels = {t.key: draw(st.sampled_from(["slm", "llm"])) for t in turns}
+    l = draw(st.integers(1, n + 1))
+    cells = draw(st.sampled_from([supervision._CELLS, 1, 7]))
+    return turns, labels, embeddings, l, cells
+
+
+class TestMinersMatchReference:
+    @pytest.mark.parametrize("holdout_dialogues", [80, 240])
+    def test_synthetic_holdout(self, holdout_dialogues, tmp_path):
+        # 80 is the default spec (344 turns); 240 is the benchmark CLI chain's (~1,060 turns)
+        turns, labels, store, l = synthetic_holdout(holdout_dialogues)
+        assert saved(mine_task_pairs(turns, l), tmp_path) == saved(
+            oracles.mine_task_pairs(turns, l), tmp_path
+        )
+        assert saved(mine_expert_pairs(turns, labels, store, l), tmp_path) == saved(
+            oracles.mine_expert_pairs(turns, labels, store, l), tmp_path
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_holdouts())
+    def test_exact_ties(self, tmp_path_factory, case):
+        turns, labels, embeddings, l, cells = case
+        directory = tmp_path_factory.mktemp("pairs")
+        with mock.patch.object(supervision, "_CELLS", cells):
+            task = mine_task_pairs(turns, l)
+            expert = mine_expert_pairs(turns, labels, embeddings, l)
+        assert saved(task, directory) == saved(oracles.mine_task_pairs(turns, l), directory)
+        assert saved(expert, directory) == saved(
+            oracles.mine_expert_pairs(turns, labels, embeddings, l), directory
+        )
 
 
 class TestTraining:
