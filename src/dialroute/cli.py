@@ -11,19 +11,19 @@ The stage functions below hold the pipeline over in-memory objects: the
 commands wrap them in load and save, and ``simulate`` runs the same stages.
 
 Exit codes: 0 success, 1 bad input (including usage errors), 2 internal error.
-Set ``ORCHESTRA_LOG=debug|info|warning|error`` for stderr verbosity.
+Set ``DIALROUTE_LOG=debug|info|warning|error`` for stderr verbosity
+(``ORCHESTRA_LOG``, the older name, is read when ``DIALROUTE_LOG`` is unset).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .embedding import (
     save_store,
     serialize_triplet,
 )
-from .errors import InputError
+from .errors import InputError, write_json
 from .experts import (
     ExpertId,
     ExpertPool,
@@ -55,7 +55,7 @@ from .experts import (
     sample_pool,
     save_pool,
 )
-from .metrics import make_report, make_series, save_report, save_series
+from .metrics import Report, make_report, make_series, save_report, save_series
 from .routing import (
     CascadeRouter,
     ClassifierRouter,
@@ -122,9 +122,7 @@ def mine_pairs(
 def save_training(adapter: ProjectionAdapter, history: list[float], path: Path) -> None:
     """Write the adapter to ``path`` and its loss history beside it."""
     save_adapter(adapter, str(path))
-    with open(path.parent / "loss_history.json", "w", encoding="utf-8") as handle:
-        json.dump({"loss_history": history}, handle)
-        handle.write("\n")
+    write_json(path.parent / "loss_history.json", {"loss_history": history})
 
 
 def sampled_pools(
@@ -415,11 +413,20 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     corpus = _load_corpus(cfg, "corpus")
+    reports: dict[Path, Report] = {}
+
+    def report_of(path: str) -> Report:
+        """The report of the run file at ``path``, scored once per file."""
+        key = Path(path).resolve()
+        if key not in reports:
+            run = load_run(path)
+            reports[key] = make_report(run, corpus, cfg.costs, cfg.training_domains)
+        return reports[key]
+
     run_path = cfg.resolve_run()
     wrote_anything = False
     if run_path.exists():
-        run = load_run(str(run_path))
-        report = make_report(run, corpus, cfg.costs, cfg.training_domains)
+        report = report_of(str(run_path))
         out = cfg.resolve_report()
         out.parent.mkdir(parents=True, exist_ok=True)
         save_report(report, str(out))
@@ -429,11 +436,8 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         )
         wrote_anything = True
     if cfg.report_runs:
-        named = []
-        for name in sorted(cfg.report_runs):
-            named_run = load_run(cfg.report_runs[name])
-            named.append((name, make_report(named_run, corpus, cfg.costs, cfg.training_domains)))
-        series = make_series(named)
+        runs = cfg.report_runs
+        series = make_series([(name, report_of(runs[name])) for name in sorted(runs)])
         series_path = cfg.resolve_report().parent / "series.json"
         series_path.parent.mkdir(parents=True, exist_ok=True)
         save_series(series, str(series_path))
@@ -512,17 +516,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_LOG_LEVELS = {
+    "debug": logging.DEBUG,
+    "info": logging.INFO,
+    "warning": logging.WARNING,
+    "error": logging.ERROR,
+}
+
+
+def _log_level(environ: Mapping[str, str]) -> int:
+    """The level named by ``DIALROUTE_LOG`` or, when that is unset, by
+    ``ORCHESTRA_LOG`` (its older name); warning for a name that is not a level."""
+    wanted = environ.get("DIALROUTE_LOG", environ.get("ORCHESTRA_LOG", "warning"))
+    return _LOG_LEVELS.get(wanted.strip().lower(), logging.WARNING)
+
+
 def _configure_logging() -> None:
-    wanted = os.environ.get("ORCHESTRA_LOG", "warning").strip().lower()
-    levels = {
-        "debug": logging.DEBUG,
-        "info": logging.INFO,
-        "warning": logging.WARNING,
-        "error": logging.ERROR,
-    }
     logging.basicConfig(
         stream=sys.stderr,
-        level=levels.get(wanted, logging.WARNING),
+        level=_log_level(os.environ),
         format="%(levelname)s %(name)s: %(message)s",
     )
 

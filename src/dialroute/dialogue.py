@@ -21,12 +21,13 @@ Unknown fields are ignored so corpora can carry extra annotations.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, write_json_lines
 
 SEPARATOR = "-"
 NULL_VALUES = frozenset({"", "none"})
@@ -58,7 +59,11 @@ class SlotName:
                 )
 
     @classmethod
+    @functools.lru_cache(maxsize=4096)
     def parse(cls, text: str) -> "SlotName":
+        """The slot named by ``text``. Corpora repeat a few dozen names, so
+        each is parsed once; a name that fails is not cached and fails again
+        with the same message."""
         canon = canonicalize_value(text)
         domain, sep, slot = canon.partition(SEPARATOR)
         if not sep:
@@ -317,8 +322,8 @@ def parse_dialogues(lines: Iterable[str]) -> Corpus:
     return Corpus(tuple(dialogues), dropped)
 
 
-def dumps_dialogue(dialogue: Dialogue) -> str:
-    record = {
+def _dialogue_record(dialogue: Dialogue) -> dict:
+    return {
         "dialogue_id": dialogue.dialogue_id,
         "domains": sorted(dialogue.domains),
         "turns": [
@@ -331,7 +336,10 @@ def dumps_dialogue(dialogue: Dialogue) -> str:
             for turn in dialogue.turns
         ],
     }
-    return json.dumps(record, ensure_ascii=False)
+
+
+def dumps_dialogue(dialogue: Dialogue) -> str:
+    return json.dumps(_dialogue_record(dialogue), ensure_ascii=False)
 
 
 def write_corpus(corpus: Corpus, stream: io.TextIOBase) -> None:
@@ -354,5 +362,4 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_corpus(corpus, handle)
+    write_json_lines(path, map(_dialogue_record, corpus.dialogues))

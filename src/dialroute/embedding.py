@@ -11,7 +11,6 @@ vectors of a shared dimension.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -19,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .dialogue import Triplet
-from .errors import InputError, read_json, read_json_lines
+from .errors import InputError, read_json, read_json_lines, write_json, write_json_lines
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SIGN_BIT = 1 << 63
@@ -138,10 +137,7 @@ def project(adapter: ProjectionAdapter, vector: np.ndarray) -> np.ndarray:
 
 
 def save_adapter(adapter: ProjectionAdapter, path: str) -> None:
-    record = {"dim": adapter.dim, "matrix": [[float(x) for x in row] for row in adapter.matrix]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle)
-        handle.write("\n")
+    write_json(path, {"dim": adapter.dim, "matrix": adapter.matrix.tolist()})
 
 
 def load_adapter(path: str) -> ProjectionAdapter:
@@ -228,10 +224,10 @@ def load_store(path: str) -> EmbeddingStore:
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, vector in store.vectors.items():
-            record = {"key": key, "vector": [float(x) for x in vector]}
-            handle.write(json.dumps(record) + "\n")
+    write_json_lines(
+        path,
+        ({"key": key, "vector": vector.tolist()} for key, vector in store.vectors.items()),
+    )
 
 
 class HashEmbedder:

@@ -1,9 +1,13 @@
-"""Shared exception types, and the JSON readers that raise them."""
+"""Shared exception types, the JSON readers that raise them, and the two
+atomic JSON writers every artifact goes through."""
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Any, Iterator
+import os
+import secrets
+from typing import Any, Iterable, Iterator
 
 
 class InputError(Exception):
@@ -48,3 +52,34 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[int, dict]]:
                 yield lineno, record
         except UnicodeDecodeError as exc:
             raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_json(path: str | os.PathLike, record: Any) -> None:
+    """Write ``record`` to ``path`` as one line of JSON, atomically.
+
+    Both writers encode with :func:`json.dumps`, which uses CPython's C
+    encoder; :func:`json.dump` to a handle never does."""
+    _replace_with(path, json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_json_lines(path: str | os.PathLike, records: Iterable[Any]) -> None:
+    """Write each record to ``path`` as one JSON line, atomically: a record
+    that fails to encode leaves the file as it was."""
+    _replace_with(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+
+
+def _replace_with(path: str | os.PathLike, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` through a new temporary file
+    in the same directory, so that a reader never sees a half-written file
+    and a failed write leaves the old one in place."""
+    head, name = os.path.split(os.fspath(path))
+    temp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise

@@ -12,7 +12,6 @@ expert solved is excluded, so pools are disjoint.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -29,7 +28,7 @@ from .dialogue import (
     turn_key,
 )
 from .embedding import finite_vector, serialize_triplet
-from .errors import InputError, read_json, read_json_lines
+from .errors import InputError, read_json, read_json_lines, write_json, write_json_lines
 from .seeding import subseed
 from .similarity import tlb_similarity
 
@@ -315,29 +314,29 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
 
 
 def write_predictions(predictions: Sequence[ExpertPrediction], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pred in predictions:
-            record = {
+    write_json_lines(
+        path,
+        (
+            {
                 "dialogue_id": pred.dialogue_id,
                 "turn_id": pred.turn_id,
                 "expert": pred.expert,
                 "tlb": render_belief(pred.tlb),
                 "confidence": pred.confidence,
             }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            for pred in predictions
+        ),
+    )
 
 
 def save_pool(pool: ExpertPool, path: str) -> None:
     record = {
         "expert": pool.expert.name,
         "entries": [
-            {"key": e.key, "text": e.text, "vector": [float(x) for x in e.vector]}
-            for e in pool.entries
+            {"key": e.key, "text": e.text, "vector": e.vector.tolist()} for e in pool.entries
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, record)
 
 
 def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:

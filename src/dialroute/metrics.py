@@ -3,12 +3,11 @@ domain-shift categorization."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dialogue import Corpus, accumulate_dialogue, turn_key
-from .errors import InputError
+from .errors import InputError, write_json
 from .experts import judge_correct
 from .routing import RoutedRun
 
@@ -187,9 +186,7 @@ def make_report(
 
 
 def save_report(report: Report, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_record(), handle, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, report.to_record())
 
 
 def make_series(named_reports: Sequence[tuple[str, Report]]) -> list[dict]:
@@ -207,6 +204,4 @@ def make_series(named_reports: Sequence[tuple[str, Report]]) -> list[dict]:
 
 
 def save_series(series: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"series": series}, handle, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, {"series": series})

@@ -33,7 +33,7 @@ from .dialogue import (
     triplet_of_turn,
 )
 from .embedding import ProjectionAdapter, finite_vector, project, serialize_triplet
-from .errors import InputError, read_json_lines
+from .errors import InputError, read_json_lines, write_json_lines
 from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, validate_experts
 
 logger = logging.getLogger(__name__)
@@ -402,7 +402,8 @@ def run_pipeline(
 # --- file format ------------------------------------------------------------
 
 
-def write_run(run: RoutedRun, stream) -> None:
+def _run_lines(run: RoutedRun):
+    """The run file's records: one per turn, then the summary."""
     for record in run.records:
         decision = record.decision
         line = {
@@ -415,8 +416,8 @@ def write_run(run: RoutedRun, stream) -> None:
         }
         if decision.confidence is not None:
             line["confidence"] = decision.confidence
-        stream.write(json.dumps(line, ensure_ascii=False) + "\n")
-    summary = {
+        yield line
+    yield {
         "summary": {
             "experts": [
                 {"name": e.name, "priority_rank": e.priority_rank} for e in run.experts
@@ -425,12 +426,15 @@ def write_run(run: RoutedRun, stream) -> None:
             "turns": len(run.records),
         }
     }
-    stream.write(json.dumps(summary, ensure_ascii=False) + "\n")
+
+
+def write_run(run: RoutedRun, stream) -> None:
+    for line in _run_lines(run):
+        stream.write(json.dumps(line, ensure_ascii=False) + "\n")
 
 
 def save_run(run: RoutedRun, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        write_run(run, handle)
+    write_json_lines(path, _run_lines(run))
 
 
 def _is_int(value: object) -> bool:

@@ -19,7 +19,6 @@ verifiable against central finite differences via :func:`grad_check`.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, Mapping, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 
 from .dialogue import LabeledTurn
 from .embedding import ProjectionAdapter
-from .errors import InputError, read_json
+from .errors import InputError, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -101,9 +100,14 @@ def _effective_l(requested: int, available: int, what: str) -> int:
     return requested
 
 
-# Dense blocks (the miners' score rows, the trainer's coefficient matrix C) hold
-# at most this many cells: 8 MB of float64 each.
+# Blocks of the trainer's coefficient matrix C hold at most this many cells:
+# 8 MB of float64 each. Changing it changes the gradient's summation order.
 _CELLS = 1 << 20
+
+# Blocks of the miners' score rows hold at most this many cells: 1 MB of
+# float64, so the ~8 temporaries of a block stay in cache and off the heap's
+# high-water mark. Rows rank independently, so pairs do not depend on it.
+_MINE_CELLS = 1 << 17
 
 
 def _ranked(scores: np.ndarray, l: int) -> np.ndarray:
@@ -124,10 +128,10 @@ def _extremes(score_rows, n: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """For each row of an n×n score matrix, the ``l`` best other columns by
     (score desc, column asc) and the ``l`` worst by (score asc, column asc).
     ``score_rows(lo, hi)`` returns a fresh array of rows ``lo:hi``; rows are
-    taken in blocks of at most ``_CELLS`` cells."""
+    taken in blocks of at most ``_MINE_CELLS`` cells."""
     top = np.empty((n, l), dtype=np.intp)
     bottom = np.empty((n, l), dtype=np.intp)
-    step = max(1, _CELLS // n)
+    step = max(1, _MINE_CELLS // n)
     for lo in range(0, n, step):
         scores = score_rows(lo, min(lo + step, n))
         rows = np.arange(len(scores))
@@ -477,9 +481,7 @@ def save_pairs(pairs: PairSet, path: str) -> None:
         "negatives": [[q, c] for q, c in pairs.negatives],
         "provenance": pairs.provenance,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, ensure_ascii=False)
-        handle.write("\n")
+    write_json(path, record)
 
 
 def load_pairs(path: str) -> PairSet:

@@ -1,15 +1,18 @@
-"""Reference implementations that the vectorized supervision code must match.
+"""Reference implementations that the faster code must match.
 
 These are the straightforward versions: pair miners that score and rank every
-candidate of every query in Python, and a gradient accumulated pair by pair.
-They are slow and kept only as test oracles.
+candidate of every query in Python, a gradient accumulated pair by pair, and
+artifact writers that ``json.dump`` to a handle, float by float. They are slow
+and kept only as test oracles.
 """
 
 import heapq
+import json
 
 import numpy as np
 
 from dialroute import PairSet, f1_sets
+from dialroute.dialogue import render_belief
 from dialroute.supervision import (
     _effective_l,
     _sorted_turns,
@@ -150,3 +153,68 @@ def loss_and_grad(W, problem, margin):
             total = _polarity_terms(W, problem.base, q, c, positive, margin, grad, magnitude)
             loss += total / len(q)
     return loss, grad, magnitude
+
+
+# --- artifact writers -----------------------------------------------------------
+
+
+def _dump(record, path, **options):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, **options)
+        handle.write("\n")
+
+
+def save_pairs(pairs, path):
+    record = {
+        "positives": [[q, c] for q, c in pairs.positives],
+        "negatives": [[q, c] for q, c in pairs.negatives],
+        "provenance": pairs.provenance,
+    }
+    _dump(record, path, ensure_ascii=False)
+
+
+def save_pool(pool, path):
+    record = {
+        "expert": pool.expert.name,
+        "entries": [
+            {"key": e.key, "text": e.text, "vector": [float(x) for x in e.vector]}
+            for e in pool.entries
+        ],
+    }
+    _dump(record, path, ensure_ascii=False)
+
+
+def save_adapter(adapter, path):
+    _dump({"dim": adapter.dim, "matrix": [[float(x) for x in row] for row in adapter.matrix]}, path)
+
+
+def save_loss_history(history, path):
+    _dump({"loss_history": history}, path)
+
+
+def save_report(report, path):
+    _dump(report.to_record(), path, ensure_ascii=False)
+
+
+def save_series(series, path):
+    _dump({"series": series}, path, ensure_ascii=False)
+
+
+def save_store(store, path):
+    """Escapes non-ASCII keys (``ensure_ascii`` on), unlike the shared writer."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for key, vector in store.vectors.items():
+            handle.write(json.dumps({"key": key, "vector": [float(x) for x in vector]}) + "\n")
+
+
+def write_predictions(predictions, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        for pred in predictions:
+            record = {
+                "dialogue_id": pred.dialogue_id,
+                "turn_id": pred.turn_id,
+                "expert": pred.expert,
+                "tlb": render_belief(pred.tlb),
+                "confidence": pred.confidence,
+            }
+            handle.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -1,10 +1,13 @@
 """Command-line driver and its JSON run configuration."""
 
 import json
+import logging
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from dialroute import (
     load_run,
     load_store,
 )
-from dialroute.cli import main
+import dialroute.cli as cli_module
+from dialroute.cli import _log_level, main
 from dialroute.config import (
     EmbedderSpec,
     apply_overrides,
@@ -177,6 +181,29 @@ class TestPipelineArtifacts:
         series = json.loads((tmp_path / "out" / "series.json").read_text())["series"]
         assert [point["name"] for point in series] == ["oracle", "slm_only"]
 
+    def test_report_scores_each_run_file_once(self, small_sim, tmp_path, capsys):
+        """``run_path`` listed again in ``report_runs``, spelled differently:
+        each distinct file is loaded once, and both outputs are the bytes of
+        reporting the run alone and the series alone."""
+        sim = small_sim.out_dir
+        run_path = str(sim / "run_oracle.jsonl")
+        runs = {"oracle": run_path, "slm_only": str(sim / "run_slm_only.jsonl")}
+        respelled = {**runs, "oracle": f"{sim}/../{sim.name}/run_oracle.jsonl"}
+        alone = write_config(tmp_path / "a.json", small_sim, tmp_path / "a", run_path=run_path)
+        series_only = write_config(tmp_path / "b.json", small_sim, tmp_path / "b", report_runs=runs)
+        both = write_config(
+            tmp_path / "c.json", small_sim, tmp_path / "c", run_path=run_path, report_runs=respelled
+        )
+        assert main(["report", "--config", alone]) == 0
+        assert main(["report", "--config", series_only]) == 0
+        with mock.patch.object(cli_module, "load_run", wraps=cli_module.load_run) as loads:
+            assert main(["report", "--config", both]) == 0
+        loaded = [Path(call.args[0]).resolve() for call in loads.call_args_list]
+        assert sorted(loaded) == sorted({Path(p).resolve() for p in runs.values()})
+        for name, expected in (("report.json", "a"), ("series.json", "b")):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / expected / name).read_bytes()
+        capsys.readouterr()
+
 
 def test_cli_stages_reproduce_simulate_artifacts(small_sim, tmp_path):
     """The CLI, given what ``simulate`` wrote and the same settings, writes
@@ -251,6 +278,29 @@ class TestSimulate:
         assert "dialgues" in capsys.readouterr().err
 
 
+class TestLogLevel:
+    @pytest.mark.parametrize("name", ["DIALROUTE_LOG", "ORCHESTRA_LOG"])
+    def test_each_name_sets_the_level(self, name):
+        for value, level in (("debug", logging.DEBUG), (" Info ", logging.INFO), ("error", logging.ERROR)):
+            assert _log_level({name: value}) == level
+
+    def test_dialroute_log_wins_when_both_are_set(self):
+        assert _log_level({"DIALROUTE_LOG": "error", "ORCHESTRA_LOG": "debug"}) == logging.ERROR
+        assert _log_level({"DIALROUTE_LOG": "debug", "ORCHESTRA_LOG": "error"}) == logging.DEBUG
+
+    def test_unset_or_unknown_is_warning(self):
+        assert _log_level({}) == logging.WARNING
+        assert _log_level({"DIALROUTE_LOG": "loud"}) == logging.WARNING
+
+    def test_main_reads_the_environment(self, monkeypatch, capsys):
+        monkeypatch.delenv("ORCHESTRA_LOG", raising=False)
+        monkeypatch.setenv("DIALROUTE_LOG", "info")
+        with mock.patch.object(cli_module.logging, "basicConfig") as configure:
+            assert main(["validate"]) == 1
+        assert configure.call_args.kwargs["level"] == logging.INFO
+        capsys.readouterr()
+
+
 class TestExitCodes:
     def test_usage_error_is_input_error(self, capsys):
         assert main([]) == 1
@@ -269,8 +319,6 @@ class TestExitCodes:
         assert "malformed JSON" in capsys.readouterr().err
 
     def test_internal_error_exits_two(self, monkeypatch, capsys):
-        import dialroute.cli as cli_module
-
         def boom(cfg, args):
             raise RuntimeError("wires crossed")
 

@@ -50,6 +50,22 @@ class TestSlotName:
         with pytest.raises(InputError):
             SlotName("ho-tel", "area")
 
+    @pytest.mark.parametrize("bad", ["hotel-book-day", "hotelarea", "-area", "hotel-"])
+    def test_cached_parse_raises_the_same_error_every_time(self, bad):
+        uncached = SlotName.parse.__wrapped__
+        messages = []
+        for parse in (SlotName.parse, SlotName.parse, lambda text: uncached(SlotName, text)):
+            with pytest.raises(InputError) as caught:
+                parse(bad)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] == messages[2]
+
+    def test_cached_parse_gives_equal_slots(self):
+        first = [SlotName.parse(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
+        again = [SlotName.parse(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
+        assert first == again == [AREA, AREA, DAY]
+        assert len({first[0], again[1]}) == 1
+
 
 class TestCanonicalization:
     def test_lowercase_and_whitespace_collapse(self):
