@@ -11,7 +11,7 @@ vectors of a shared dimension.
 from __future__ import annotations
 
 import hashlib
-import re
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,8 +20,11 @@ import numpy as np
 from .dialogue import Triplet
 from .errors import InputError, read_json, read_json_lines, write_json, write_json_lines
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-_SIGN_BIT = 1 << 63
+# Maps every byte that is not [a-z0-9] to a space, so splitting the encoded
+# lowercased text yields the same words as the regex [a-z0-9]+ would: any
+# non-ASCII character encodes to bytes >= 0x80, which all become separators.
+_WORD_BYTES = frozenset(b"abcdefghijklmnopqrstuvwxyz0123456789")
+_SEPARATE = bytes(b if b in _WORD_BYTES else 0x20 for b in range(256))
 
 
 def serialize_triplet(triplet: Triplet) -> str:
@@ -39,51 +42,45 @@ def serialize_triplet(triplet: Triplet) -> str:
     return f"[state] {state} [system] {triplet.system_utterance} [user] {triplet.user_utterance}"
 
 
-def _check_dim(dim: int, error: type[Exception]) -> None:
+def _check_dim(dim: int) -> None:
     if dim < 16 or dim & (dim - 1):
-        raise error(f"embedding dim must be a power of two >= 16, got {dim}")
+        raise InputError(f"embedding dim must be a power of two >= 16, got {dim}")
 
 
-def _embed(text: str, dim: int, key: bytes, memo: dict[str, tuple[int, float]]) -> np.ndarray:
-    """The one hashing path: tokenize, look up or hash each feature's
-    (bucket, sign), and sum the signs per bucket. ``memo`` caches features
-    hashed under this (dim, key)."""
-    words = _TOKEN_RE.findall(text.lower())
-    features = words + [f"{left} {right}" for left, right in zip(words, words[1:])]
-    buckets: list[int] = []
-    signs: list[float] = []
-    for feature in features:
-        hit = memo.get(feature)
-        if hit is None:
-            h = int.from_bytes(
-                hashlib.blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest(),
-                "little",
-            )
-            hit = memo[feature] = (h & (dim - 1), 1.0 if h & _SIGN_BIT else -1.0)
-        buckets.append(hit[0])
-        signs.append(hit[1])
-    # The sums are small integers, so they are exact in any summation order.
-    acc = np.bincount(np.array(buckets, dtype=np.intp), weights=signs, minlength=dim)
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        return acc.astype(np.float32)
-    return (acc / norm).astype(np.float32)
+def _code(feature: bytes, dim: int, key: bytes) -> int:
+    """A feature's signed code: its bucket, plus ``dim`` when its sign is -1."""
+    h = int.from_bytes(hashlib.blake2b(feature, digest_size=8, key=key).digest(), "little")
+    return (h & (dim - 1)) + (0 if h >> 63 else dim)
+
+
+def _embed(
+    text: str, dim: int, key: bytes, memo: dict[bytes | tuple[bytes, bytes], int]
+) -> np.ndarray:
+    """The one hashing path. Lowercased word unigrams and adjacent bigrams
+    each hash (keyed by the seed) to a bucket and a sign in {-1, +1}; the
+    signs sum per bucket and the sum is L2-normalized. A text with no words
+    maps to the zero vector. ``memo`` caches each feature's signed code under
+    this (dim, key): a word under its bytes, a bigram under its word pair."""
+    words = text.lower().encode("utf-8", "surrogatepass").translate(_SEPARATE).split()
+    features = [*words, *zip(words, words[1:])]
+    try:
+        codes = list(map(memo.__getitem__, features))
+    except KeyError:
+        for feature in features:
+            if feature not in memo:
+                text_bytes = feature if isinstance(feature, bytes) else b" ".join(feature)
+                memo[feature] = _code(text_bytes, dim, key)
+        codes = list(map(memo.__getitem__, features))
+    # Integer sums of the +1 and -1 signs per bucket, and an integer squared
+    # norm: exact, so the float64 quotient has the bits of a float sum's.
+    counts = np.bincount(codes, minlength=2 * dim)
+    acc = counts[:dim] - counts[dim:]
+    norm = math.sqrt(acc @ acc)
+    return (acc if norm == 0.0 else acc / norm).astype(np.float32)
 
 
 def _seed_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-
-
-def hash_embed(text: str, dim: int, seed: int = 0) -> np.ndarray:
-    """Feature-hash a text into a signed, L2-normalized float32 vector.
-
-    Each lowercased word unigram and adjacent bigram hashes (keyed by the seed)
-    to a bucket index and a sign in {-1, +1}; contributions accumulate and the
-    sum is normalized. A text with no tokens maps to the zero vector, which is
-    left unnormalized. ``dim`` must be a power of two, at least 16.
-    """
-    _check_dim(dim, ValueError)
-    return _embed(text, dim, _seed_key(seed), {})
 
 
 def finite_vector(value: object, dtype: type) -> np.ndarray | None:
@@ -130,10 +127,11 @@ def project(adapter: ProjectionAdapter, vector: np.ndarray) -> np.ndarray:
     if v64.shape != (adapter.dim,):
         raise ValueError(f"vector dim {v64.shape} does not match adapter dim {adapter.dim}")
     out = adapter.matrix @ v64
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
-        return out.astype(np.float32)
-    return (out / norm).astype(np.float32)
+    # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
+    norm = math.sqrt(out @ out)
+    if norm != 0.0:
+        out /= norm
+    return out.astype(np.float32)
 
 
 def save_adapter(adapter: ProjectionAdapter, path: str) -> None:
@@ -232,15 +230,16 @@ def save_store(store: EmbeddingStore, path: str) -> None:
 
 class HashEmbedder:
     """Embeds triplet text with the hashing embedder; ignores the turn key.
-    Each feature's (bucket, sign) is hashed once per instance and then reused,
-    so the memo grows with the vocabulary the instance has seen."""
+    ``dim`` must be a power of two, at least 16. Each feature's signed code is
+    hashed once per instance and then reused, so the memo grows with the
+    vocabulary the instance has seen."""
 
     def __init__(self, dim: int, seed: int = 0) -> None:
-        _check_dim(dim, InputError)
+        _check_dim(dim)
         self.dim = dim
         self.seed = seed
         self._key = _seed_key(seed)
-        self._memo: dict[str, tuple[int, float]] = {}
+        self._memo: dict[bytes | tuple[bytes, bytes], int] = {}
 
     def embed(self, key: str, text: str) -> np.ndarray:
         return _embed(text, self.dim, self._key, self._memo)

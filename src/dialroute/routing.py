@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -78,61 +79,74 @@ class RetrievalRouter:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
         self.experts = validate_experts([pool.expert for pool in pools])
-        keys: list[str] = []
-        owners: list[ExpertId] = []
-        rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        for pool in pools:
-            for entry in pool.entries:
-                if entry.key in seen:
-                    raise InputError(f"pool entry {entry.key!r} appears in more than one pool")
-                seen.add(entry.key)
-                row = finite_vector(entry.vector, np.float64)
-                if row is None:
-                    raise InputError(f"pool entry {entry.key!r} is not a flat vector of finite numbers")
-                keys.append(entry.key)
-                owners.append(pool.expert)
-                rows.append(row)
-        if not rows:
+        entries = [entry for pool in pools for entry in pool.entries]
+        if not entries:
             raise InputError("all pools are empty; retrieval routing is impossible")
-        self._keys = keys
-        self._owners = owners
+        keys = [entry.key for entry in entries]
         try:
-            self._matrix = np.vstack(rows)
-        except ValueError:
-            raise InputError("pool entries do not share one vector dimension") from None
-        norms = np.linalg.norm(self._matrix, axis=1)
+            with np.errstate(over="ignore"):
+                matrix = np.array([entry.vector for entry in entries], dtype=np.float64)
+        except (TypeError, ValueError):
+            matrix = None
+        if (
+            matrix is None
+            or matrix.ndim != 2
+            or len(set(keys)) != len(keys)
+            or not np.isfinite(matrix).all()
+        ):
+            _reject_pools(pools)
+        self._keys = keys
+        self._matrix = matrix
+        self._dim = matrix.shape[1]
+        rank = {expert: i for i, expert in enumerate(self.experts)}
+        self._owners = np.array([rank[pool.expert] for pool in pools for _ in pool.entries])
+        norms = np.linalg.norm(matrix, axis=1)
         self._row_norms = np.where(norms == 0.0, np.inf, norms)
         # Position of each entry in ascending key order: the score tie-break.
         self._key_rank = np.empty(len(keys), dtype=np.intp)
         self._key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        self._k_eff = min(k, len(keys))
+        self._kth = len(keys) - self._k_eff
 
     def decide(self, ctx: TurnContext) -> RoutingDecision:
         if ctx.query_vector is None:
             raise ValueError("retrieval routing requires a query embedding")
         q = np.asarray(ctx.query_vector, dtype=np.float64)
-        if q.shape != (self._matrix.shape[1],):
-            raise ValueError(
-                f"query dim {q.shape} does not match pool dim {self._matrix.shape[1]}"
-            )
-        qnorm = float(np.linalg.norm(q))
+        if q.shape != (self._dim,):
+            raise ValueError(f"query dim {q.shape} does not match pool dim {self._dim}")
+        # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
+        qnorm = math.sqrt(q @ q)
         if qnorm == 0.0:
             scores = np.zeros(len(self._keys))
         else:
             scores = (self._matrix @ q) / (self._row_norms * qnorm)
         # Exact top-k: every entry scoring at least the k-th best score is a
         # candidate, and only the candidates are sorted by (score desc, key asc).
-        n = len(self._keys)
-        k_eff = min(self.k, n)
-        candidates = np.flatnonzero(scores >= np.partition(scores, n - k_eff)[n - k_eff])
+        candidates = np.flatnonzero(scores >= np.partition(scores, self._kth)[self._kth])
         order = np.lexsort((self._key_rank[candidates], -scores[candidates]))
-        ranked = candidates[order[:k_eff]].tolist()
-        votes: dict[ExpertId, int] = {expert: 0 for expert in self.experts}
-        for i in ranked:
-            votes[self._owners[i]] += 1
-        chosen = min(self.experts, key=lambda e: (-votes[e], e.priority_rank))
-        neighbors = tuple((self._keys[i], float(scores[i])) for i in ranked)
+        ranked = candidates[order[: self._k_eff]]
+        counts = np.bincount(self._owners[ranked], minlength=len(self.experts)).tolist()
+        # Experts are in priority order, so the first maximum wins vote ties.
+        chosen = self.experts[counts.index(max(counts))]
+        keys = self._keys
+        neighbors = tuple(zip([keys[i] for i in ranked.tolist()], scores[ranked].tolist()))
+        votes = dict(zip(self.experts, counts))
         return RoutingDecision(ctx.key, chosen, votes, neighbors, None, (chosen,))
+
+
+def _reject_pools(pools: Sequence[ExpertPool]) -> NoReturn:
+    """Raise the error that names the first entry, in pool order, that is a
+    duplicate key or not a flat vector of finite numbers; failing that, the
+    error for vectors of different dimensions."""
+    seen: set[str] = set()
+    for pool in pools:
+        for entry in pool.entries:
+            if entry.key in seen:
+                raise InputError(f"pool entry {entry.key!r} appears in more than one pool")
+            seen.add(entry.key)
+            if finite_vector(entry.vector, np.float64) is None:
+                raise InputError(f"pool entry {entry.key!r} is not a flat vector of finite numbers")
+    raise InputError("pool entries do not share one vector dimension")
 
 
 class OracleRouter:

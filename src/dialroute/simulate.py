@@ -4,10 +4,13 @@ Generates a seeded corpus whose turns fall into two latent clusters (hotel
 talk and restaurant talk) buried under shared filler vocabulary, plus two
 synthetic experts with complementary competence: the cheap one is accurate on
 hotel turns, the expensive one on restaurant turns. On top of that it runs
-the whole pipeline: hash-embed the hold-out, mine pairs, train the adapter,
-build pools, route the test corpus several ways, and report accuracy against
-cost, through the same stage functions as the CLI. Everything is a pure
-function of the spec's seed.
+the whole pipeline: predict every turn once with each expert, hash-embed the
+hold-out, mine pairs, train the adapter, build pools, route the test corpus
+several ways, and report accuracy against cost, through the same stage
+functions as the CLI. Routing replays the predictions written to the
+``predictions_*.jsonl`` files instead of asking the synthetic experts again,
+as the CLI's ``route`` replays them from those files; the runs are the same
+either way. Everything is a pure function of the spec's seed.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .embedding import HashEmbedder, ProjectionAdapter, save_store
 from .experts import (
     LLM,
     SLM,
+    ReplayExpert,
     SyntheticExpert,
     SyntheticProfile,
     save_pool,
@@ -231,10 +235,16 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     holdout_turns = holdout_corpus.labeled()
     test_turns = test_corpus.labeled()
     beliefs = {}
+    # Routing replays these predictions, as the CLI's ``route`` does from the
+    # same files. That is exact: a synthetic expert seeds on (seed, expert,
+    # turn key) and tests its competence on the user utterance alone, so the
+    # prior state a routed triplet carries cannot change its prediction.
+    replayed = []
     for expert in experts:
         preds = [expert.predict(t.triplet) for t in [*holdout_turns, *test_turns]]
         write_predictions(preds, str(out / f"predictions_{expert.id.name}.jsonl"))
         beliefs[expert.id] = {t.key: p.tlb for t, p in zip(holdout_turns, preds)}
+        replayed.append(ReplayExpert(expert.id, {p.key: p for p in preds}))
 
     embedder = HashEmbedder(spec.embedding_dim, subseed(spec.seed, "embedder"))
     store = embed_turns(embedder, holdout_turns)
@@ -265,7 +275,7 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     def execute(name: str, router, *, use_embedder: bool, active: ProjectionAdapter | None):
         run = run_pipeline(
             test_corpus,
-            experts,
+            replayed,
             router,
             embedder=embedder if use_embedder else None,
             adapter=active,

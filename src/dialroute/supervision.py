@@ -60,22 +60,28 @@ class PairSet:
 
 def merge_pairs(first: PairSet, second: PairSet) -> PairSet:
     """Concatenate two pair sets, dropping duplicate ordered pairs within each
-    polarity. The first occurrence wins, provenance included."""
-    positives: list[Pair] = []
-    negatives: list[Pair] = []
+    polarity. The first occurrence wins, provenance included: a pair's tag
+    comes from the first source that tags it, in the order first positives,
+    first negatives, then the second source's pairs new to their polarity."""
+    positives, new_positives = _union(first.positives, second.positives)
+    negatives, new_negatives = _union(first.negatives, second.negatives)
     provenance: dict[str, str] = {}
-    for source in (first, second):
-        for pool, merged in ((source.positives, positives), (source.negatives, negatives)):
-            seen = set(merged)
-            for pair in pool:
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                merged.append(pair)
-                key = provenance_key(*pair)
-                if key not in provenance and key in source.provenance:
-                    provenance[key] = source.provenance[key]
+    for tags, pairs in (
+        (first.provenance, first.positives),
+        (first.provenance, first.negatives),
+        (second.provenance, new_positives),
+        (second.provenance, new_negatives),
+    ):
+        keys = [provenance_key(query, candidate) for query, candidate in pairs]
+        provenance.update({key: tags[key] for key in keys if key in tags and key not in provenance})
     return PairSet(positives, negatives, provenance)
+
+
+def _union(ours: list[Pair], theirs: list[Pair]) -> tuple[list[Pair], list[Pair]]:
+    """``ours`` then ``theirs`` without repeats, and the part of it that only
+    ``theirs`` holds."""
+    merged = list(dict.fromkeys([*ours, *theirs]))
+    return merged, merged[len(set(ours)) :]
 
 
 def _sorted_turns(holdout: Sequence[LabeledTurn]) -> list[LabeledTurn]:

@@ -1,9 +1,9 @@
 """Reference implementations that the faster code must match.
 
-These are the straightforward versions: pair miners that score and rank every
-candidate of every query in Python, a gradient accumulated pair by pair, and
-artifact writers that ``json.dump`` to a handle, float by float. They are slow
-and kept only as test oracles.
+These are the straightforward versions: a pair merge that walks pair by pair,
+pair miners that score and rank every candidate of every query in Python, a
+gradient accumulated pair by pair, and artifact writers that ``json.dump`` to
+a handle, float by float. They are slow and kept only as test oracles.
 """
 
 import heapq
@@ -19,6 +19,24 @@ from dialroute.supervision import (
     _vector,
     provenance_key,
 )
+
+
+def merge_pairs(first, second):
+    """Pair by pair: skip a pair its polarity already holds, else append it
+    and copy its tag if no earlier pair took that key."""
+    positives, negatives, provenance = [], [], {}
+    for source in (first, second):
+        for pool, merged in ((source.positives, positives), (source.negatives, negatives)):
+            seen = set(merged)
+            for pair in pool:
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                merged.append(pair)
+                key = provenance_key(*pair)
+                if key not in provenance and key in source.provenance:
+                    provenance[key] = source.provenance[key]
+    return PairSet(positives, negatives, provenance)
 
 
 def mine_task_pairs(holdout, pairs_per_query):

@@ -1,5 +1,7 @@
 """Expert predictions, correctness judging, pool assignment, and sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from dialroute import (
     save_pool,
     write_predictions,
 )
+from dialroute import simulate
 from dialroute.dialogue import LabeledTurn, Triplet
 from dialroute.experts import ExpertPool, PoolEntry, validate_experts
+from dialroute.simulate import make_experts, run_simulation
 
 AREA = SlotName("hotel", "area")
 PRICE = SlotName("hotel", "price")
@@ -195,6 +199,29 @@ class TestSyntheticExpert:
         for i in range(30):
             t = Triplet("d", i, {}, "", "hotel x")
             assert a.predict(t) == b.predict(t)
+
+    def test_simulate_routes_the_same_on_replayed_predictions(self, small_sim, tmp_path):
+        """``run_simulation`` routes on replayed predictions; asking the
+        synthetic experts themselves on every routed turn, whose triplets
+        carry the predicted prior state, gives the same five runs and files."""
+        spec = small_sim.spec
+        gold = {**small_sim.holdout_corpus.gold_tlbs(), **small_sim.test_corpus.gold_tlbs()}
+        synthetic = {expert.id: expert for expert in make_experts(spec, gold)}
+        asked = []
+
+        def ask(expert_id, _predictions):
+            expert = synthetic[expert_id]
+            asked.append(expert_id)
+            return expert
+
+        with mock.patch.object(simulate, "ReplayExpert", ask):
+            direct = run_simulation(spec, tmp_path)
+        assert asked == [SLM, LLM]
+        assert len(direct.runs) == 5
+        for name, run in direct.runs.items():
+            assert run.records == small_sim.runs[name].records, name
+        for path in sorted(small_sim.out_dir.iterdir()):
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -202,6 +202,33 @@ class TestRetrievalRouter:
             np.float64(s).tobytes() for _, s in neighbors
         ]
 
+    @pytest.mark.parametrize("n", [1027, 8631])
+    def test_ragged_pool_with_exact_ties_matches_brute_force(self, n):
+        # n mod 4 != 0, so the mat-vec's last rows fall outside its 4-row
+        # blocks. Integer rows drawn from 12 distinct ones give exact dot
+        # products wherever a row sits, so the k-th score is tied many times.
+        rng = np.random.default_rng(n)
+        distinct = rng.integers(-3, 4, size=(12, 16))
+        rows = distinct[rng.integers(0, 12, size=n)]
+        owners = rng.choice([SLM, LLM, MID], size=n)
+        keys = [f"d{i:05d}:0" for i in rng.permutation(n)]
+        pools = [
+            ExpertPool(x, [entry(k, r) for k, r, o in zip(keys, rows, owners) if o == x])
+            for x in (SLM, LLM, MID)
+        ]
+        for k in (1, 10, 64):
+            router = RetrievalRouter(pools, k)
+            for query in [distinct[0], distinct[5], rng.integers(-3, 4, size=16)]:
+                decision = router.decide(ctx(query))
+                chosen, votes, neighbors = sorted_retrieval(pools, k, query)
+                assert decision.chosen == chosen
+                assert dict(decision.votes) == votes
+                assert list(decision.neighbors) == neighbors
+                assert len({score for _, score in neighbors}) < k or k == 1
+                winner, expected_keys = reference_retrieval(pools, k, query)
+                assert decision.chosen == winner
+                assert [key for key, _ in decision.neighbors] == expected_keys
+
     @pytest.mark.parametrize("vector", [[1.0, np.nan], [np.inf, 0.0], "abc", [[1.0, 2.0]]])
     def test_rejects_non_numeric_or_non_finite_vectors(self, vector):
         bad = PoolEntry("x:0", "text", vector)

@@ -151,6 +151,35 @@ class TestMerge:
         with pytest.raises(ValueError):
             PairSet([("x:0", "x:0")], [])
 
+    def test_matches_reference_on_cli_chain_holdout(self, tmp_path):
+        # the benchmark CLI chain's hold-out: ~85k task and expert pairs
+        turns, labels, store, l = synthetic_holdout(240)
+        task, expert = mine_task_pairs(turns, l), mine_expert_pairs(turns, labels, store, l)
+        for first, second in ((task, expert), (expert, task)):
+            assert saved(merge_pairs(first, second), tmp_path) == saved(
+                oracles.merge_pairs(first, second), tmp_path
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_shared_pairs(self, data):
+        """Few keys, so pairs recur across sources and across polarities, and
+        tags that are missing or differ between the sources."""
+        pair = st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")).filter(
+            lambda p: p[0] != p[1]
+        )
+
+        def pair_set(tag):
+            positives = data.draw(st.lists(pair, unique=True, max_size=8))
+            negatives = data.draw(st.lists(pair, unique=True, max_size=8))
+            tagged = data.draw(st.lists(st.sampled_from([*positives, *negatives] or [("a", "b")])))
+            return PairSet(positives, negatives, {f"{q}:{c}": tag for q, c in tagged})
+
+        first, second = pair_set("task"), pair_set("expert")
+        merged, reference = merge_pairs(first, second), oracles.merge_pairs(first, second)
+        assert merged == reference
+        assert list(merged.provenance) == list(reference.provenance)  # the order pairs.json keeps
+
 
 class TestLossAndGradient:
     def random_problem(self, rng, dim, n_keys=6):
