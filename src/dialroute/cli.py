@@ -463,7 +463,7 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
         settings.setdefault("seed", cfg.seed)
     try:
         spec = SimulationSpec(**settings)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InputError) as exc:
         raise InputError(f"bad simulation settings: {exc}") from None
     result = run_simulation(spec, cfg.out_dir)
     print(

@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import InputError, read_json
-from .experts import ExpertId
+from .embedding import check_dim
+from .errors import InputError, is_int, is_number, read_json
+from .experts import ExpertId, validate_experts
 from .metrics import CostTable
+from .supervision import TrainConfig
 
 ROUTERS = ("retrieval", "oracle", "cascade", "classifier")
 SUPERVISIONS = ("none", "task", "expert", "task+expert")
@@ -42,6 +44,8 @@ class EmbedderSpec:
             raise InputError(f"embedder kind must be 'hash' or 'store', got {self.kind!r}")
         if self.kind == "store" and not self.path:
             raise InputError("embedder kind 'store' requires a path")
+        if self.kind == "hash":
+            check_dim(self.dim)
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,15 @@ class RunConfig:
             raise InputError(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
+        if self.pairs_per_query < 1:
+            raise InputError(f"l (pairs per query) must be >= 1, got {self.pairs_per_query}")
+        sizes = self.pool_size.values() if isinstance(self.pool_size, dict) else [self.pool_size]
+        if not all(is_int(n) and n >= 1 for n in sizes):
+            raise InputError(
+                "pool_size must be an integer >= 1 or a map of expert name to such integers, "
+                f"got {self.pool_size!r}"
+            )
+        TrainConfig(self.margin, self.learning_rate, self.epochs)  # their range checks
 
     # Well-known artifact locations inside the output directory.
     def resolve_embeddings(self) -> Path:
@@ -110,18 +123,28 @@ class RunConfig:
     def pool_size_for(self, expert_name: str) -> int:
         if isinstance(self.pool_size, dict):
             try:
-                return int(self.pool_size[expert_name])
+                return self.pool_size[expert_name]
             except KeyError:
                 raise InputError(f"pool_size map lacks expert {expert_name!r}") from None
-        return int(self.pool_size)
+        return self.pool_size
+
+
+_KINDS = {
+    str: ("a string", lambda value: isinstance(value, str)),
+    int: ("an integer", is_int),
+    float: ("a number", is_number),
+}
 
 
 def _expect(record: dict, key: str, kind: type, default):
+    """``record[key]`` if it is a ``kind``, or ``default`` when it is absent.
+    No field takes a boolean, and a ``float`` field also takes an int."""
     value = record.get(key, default)
     if value is default:
         return default
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise InputError(f"config field {key!r} must be {kind.__name__}")
+    what, fits = _KINDS[kind]
+    if not fits(value):
+        raise InputError(f"config field {key!r} must be {what}, got {value!r}")
     return value
 
 
@@ -139,10 +162,11 @@ def parse_config(record: dict) -> RunConfig:
             if (
                 not isinstance(item, dict)
                 or not isinstance(item.get("name"), str)
-                or not isinstance(item.get("priority_rank"), int)
+                or not is_int(item.get("priority_rank"))
             ):
                 raise InputError(f"malformed expert entry {item!r}")
             parsed.append(ExpertId(item["name"], item["priority_rank"]))
+        validate_experts(parsed)
         experts = tuple(parsed)
     embedder = known.embedder
     if "embedder" in record:
@@ -151,8 +175,8 @@ def parse_config(record: dict) -> RunConfig:
             raise InputError("config embedder must be an object")
         embedder = EmbedderSpec(
             kind=raw.get("kind", "hash"),
-            dim=int(raw.get("dim", 256)),
-            path=raw.get("path"),
+            dim=_expect(raw, "dim", int, known.embedder.dim),
+            path=_expect(raw, "path", str, None),
         )
     costs = known.costs
     if "costs" in record:
@@ -177,9 +201,6 @@ def parse_config(record: dict) -> RunConfig:
         isinstance(k, str) and isinstance(v, str) for k, v in predictions.items()
     ):
         raise InputError("config predictions must map expert names to paths")
-    pool_size = hyper.get("pool_size", known.pool_size)
-    if not isinstance(pool_size, (int, dict)) or isinstance(pool_size, bool):
-        raise InputError("pool_size must be an integer or a map of expert name to integer")
     training_domains = record.get("training_domains")
     if training_domains is not None:
         if not isinstance(training_domains, list) or not all(
@@ -209,12 +230,12 @@ def parse_config(record: dict) -> RunConfig:
             pools_dir=_expect(record, "pools_dir", str, None),
             run_path=_expect(record, "run_path", str, None),
             report_path=_expect(record, "report_path", str, None),
-            k=int(hyper.get("k", known.k)),
-            pairs_per_query=int(hyper.get("l", known.pairs_per_query)),
-            pool_size=pool_size,
-            margin=float(hyper.get("margin", known.margin)),
-            learning_rate=float(hyper.get("learning_rate", known.learning_rate)),
-            epochs=int(hyper.get("epochs", known.epochs)),
+            k=_expect(hyper, "k", int, known.k),
+            pairs_per_query=_expect(hyper, "l", int, known.pairs_per_query),
+            pool_size=hyper.get("pool_size", known.pool_size),
+            margin=_expect(hyper, "margin", float, known.margin),
+            learning_rate=_expect(hyper, "learning_rate", float, known.learning_rate),
+            epochs=_expect(hyper, "epochs", int, known.epochs),
             costs=costs,
             seed=_expect(record, "seed", int, known.seed),
             router=_expect(record, "router", str, known.router),

@@ -22,12 +22,10 @@ Unknown fields are ignored so corpora can carry extra annotations.
 from __future__ import annotations
 
 import functools
-import io
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, write_json_lines
+from .errors import InputError, is_int, parse_json, write_json_lines
 
 SEPARATOR = "-"
 NULL_VALUES = frozenset({"", "none"})
@@ -263,7 +261,7 @@ def _parse_turn(raw: object, index: int, where: str) -> tuple[Turn, int]:
     if not isinstance(raw, dict):
         raise InputError(f"{where}: turn {index} is not an object")
     turn_id = raw.get("turn_id")
-    if not isinstance(turn_id, int) or isinstance(turn_id, bool) or turn_id != index:
+    if not is_int(turn_id) or turn_id != index:
         raise InputError(f"{where}: turn_id {turn_id!r} at position {index} (must be {index})")
     system = raw.get("system", "")
     user = raw.get("user")
@@ -293,10 +291,7 @@ def parse_dialogues(lines: Iterable[str]) -> Corpus:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"line {lineno}: malformed JSON ({exc.msg})") from None
+        raw = parse_json(line, f"line {lineno}")
         if not isinstance(raw, dict):
             raise InputError(f"line {lineno}: record is not an object")
         dialogue_id = raw.get("dialogue_id")
@@ -336,15 +331,6 @@ def _dialogue_record(dialogue: Dialogue) -> dict:
             for turn in dialogue.turns
         ],
     }
-
-
-def dumps_dialogue(dialogue: Dialogue) -> str:
-    return json.dumps(_dialogue_record(dialogue), ensure_ascii=False)
-
-
-def write_corpus(corpus: Corpus, stream: io.TextIOBase) -> None:
-    for dialogue in corpus.dialogues:
-        stream.write(dumps_dialogue(dialogue) + "\n")
 
 
 def load_corpus(path: str) -> Corpus:

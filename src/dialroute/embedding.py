@@ -42,7 +42,7 @@ def serialize_triplet(triplet: Triplet) -> str:
     return f"[state] {state} [system] {triplet.system_utterance} [user] {triplet.user_utterance}"
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     if dim < 16 or dim & (dim - 1):
         raise InputError(f"embedding dim must be a power of two >= 16, got {dim}")
 
@@ -235,7 +235,7 @@ class HashEmbedder:
     vocabulary the instance has seen."""
 
     def __init__(self, dim: int, seed: int = 0) -> None:
-        _check_dim(dim)
+        check_dim(dim)
         self.dim = dim
         self.seed = seed
         self._key = _seed_key(seed)

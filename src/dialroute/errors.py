@@ -1,5 +1,6 @@
-"""Shared exception types, the JSON readers that raise them, and the two
-atomic JSON writers every artifact goes through."""
+"""Shared exception types, the JSON readers that raise them, the type checks
+for values read from JSON, and the two atomic JSON writers every artifact
+goes through."""
 
 from __future__ import annotations
 
@@ -17,18 +18,38 @@ class InputError(Exception):
     """
 
 
+def is_int(value: object) -> bool:
+    """An int read from JSON, where ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """An int or a float read from JSON, booleans excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def parse_json(text: str, where: str) -> Any:
+    """``json.loads(text)``. Malformed JSON, numbers too long to convert and
+    nesting too deep to parse raise :class:`InputError` prefixed by ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}: malformed JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{where}: malformed JSON ({exc})") from None
+
+
 def read_json(path: str, what: str) -> Any:
     """The JSON document in the file at ``path``; unreadable, non-UTF-8 and
     malformed files raise :class:`InputError` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{what} {path!r}: malformed JSON ({exc.msg})") from None
+    return parse_json(text, f"{what} {path!r}")
 
 
 def read_json_lines(path: str, what: str) -> Iterator[tuple[int, dict]]:
@@ -43,10 +64,7 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[int, dict]]:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+                record = parse_json(line, f"{path}:{lineno}")
                 if not isinstance(record, dict):
                     raise InputError(f"{path}:{lineno}: record is not an object")
                 yield lineno, record

@@ -28,7 +28,8 @@ from .dialogue import (
     turn_key,
 )
 from .embedding import finite_vector, serialize_triplet
-from .errors import InputError, read_json, read_json_lines, write_json, write_json_lines
+from .errors import InputError, is_int, is_number, read_json, read_json_lines
+from .errors import write_json, write_json_lines
 from .seeding import subseed
 from .similarity import tlb_similarity
 
@@ -278,14 +279,13 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
         tlb_raw = record.get("tlb", {})
         if (
             not isinstance(dialogue_id, str)
-            or not isinstance(record_turn_id, int)
-            or isinstance(record_turn_id, bool)
+            or not is_int(record_turn_id)
             or not isinstance(expert, str)
             or not isinstance(tlb_raw, dict)
         ):
             raise InputError(f"{path}:{lineno}: malformed prediction record")
         confidence = record.get("confidence")
-        if confidence is not None and not isinstance(confidence, (int, float)):
+        if confidence is not None and not is_number(confidence):
             raise InputError(f"{path}:{lineno}: confidence must be a number or null")
         if confidence is not None and not 0.0 <= float(confidence) <= 1.0:
             raise InputError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")

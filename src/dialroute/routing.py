@@ -14,7 +14,6 @@ mode exists for diagnostics.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .dialogue import (
     triplet_of_turn,
 )
 from .embedding import ProjectionAdapter, finite_vector, project, serialize_triplet
-from .errors import InputError, read_json_lines, write_json_lines
+from .errors import InputError, is_int, is_number, read_json_lines, write_json_lines
 from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, validate_experts
 
 logger = logging.getLogger(__name__)
@@ -442,21 +441,8 @@ def _run_lines(run: RoutedRun):
     }
 
 
-def write_run(run: RoutedRun, stream) -> None:
-    for line in _run_lines(run):
-        stream.write(json.dumps(line, ensure_ascii=False) + "\n")
-
-
 def save_run(run: RoutedRun, path: str) -> None:
     write_json_lines(path, _run_lines(run))
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_run(path: str) -> RoutedRun:
@@ -479,7 +465,7 @@ def load_run(path: str) -> RoutedRun:
         raise InputError(f"run {path!r}: summary is not an object")
     experts_raw = summary.get("experts")
     if not isinstance(experts_raw, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_int(e.get("priority_rank"))
+        isinstance(e, dict) and isinstance(e.get("name"), str) and is_int(e.get("priority_rank"))
         for e in experts_raw
     ):
         raise InputError(f"run {path!r}: summary lacks a list of named, integer-ranked experts")
@@ -500,16 +486,16 @@ def load_run(path: str) -> RoutedRun:
             or not isinstance(name, str)
             or name not in by_name
             or not isinstance(votes_raw, dict)
-            or not all(_is_int(count) for count in votes_raw.values())
+            or not all(is_int(count) for count in votes_raw.values())
             or not isinstance(neighbors_raw, list)
             or not all(
-                isinstance(n, list) and len(n) == 2 and isinstance(n[0], str) and _is_number(n[1])
+                isinstance(n, list) and len(n) == 2 and isinstance(n[0], str) and is_number(n[1])
                 for n in neighbors_raw
             )
             or not isinstance(tlb_raw, dict)
             or not isinstance(invoked_raw, list)
             or not all(isinstance(n, str) and n in by_name for n in invoked_raw)
-            or not (confidence is None or _is_number(confidence))
+            or not (confidence is None or is_number(confidence))
         ):
             raise InputError(f"run {path!r}: malformed turn record {record!r}")
         votes = {}

@@ -15,7 +15,7 @@ either way. Everything is a pure function of the spec's seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +29,8 @@ from .dialogue import (
     Turn,
     save_corpus,
 )
-from .embedding import HashEmbedder, ProjectionAdapter, save_store
+from .embedding import HashEmbedder, ProjectionAdapter, check_dim, save_store
+from .errors import is_int, is_number
 from .experts import (
     LLM,
     SLM,
@@ -122,6 +123,32 @@ class SimulationSpec:
     llm_cost: float = 3000.0
     router_cost: float = 0.02
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject a spec the pipeline cannot run, before anything is written."""
+        for f in fields(self):
+            value, whole = getattr(self, f.name), isinstance(f.default, int)
+            if not (is_int(value) if whole else is_number(value)):
+                kind = "an integer" if whole else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        lows = {
+            "dialogues": 1, "holdout_dialogues": 1, "min_turns": 1, "max_turns": self.min_turns,
+            "noise_words": 0, "k": 1, "pool_size": 1, "pairs_per_query": 1,
+            "slm_cost": 0, "llm_cost": 0, "router_cost": 0,
+        }
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        shares = ["mixed_fraction"] + [
+            f"{expert}_{knob}"
+            for expert in ("slm", "llm")
+            for knob in ("accuracy_in", "accuracy_out", "confidence_correct", "confidence_wrong")
+        ]
+        for name in shares:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        check_dim(self.embedding_dim)
+        TrainConfig(self.margin, self.learning_rate, self.epochs)  # their range checks
 
 
 def _make_turns(

@@ -20,6 +20,7 @@ verifiable against central finite differences via :func:`grad_check`.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, Mapping, Sequence
 
@@ -34,54 +35,26 @@ logger = logging.getLogger(__name__)
 Pair = tuple[str, str]
 
 
-def provenance_key(query: str, candidate: str) -> str:
-    return f"{query}:{candidate}"
-
-
 @dataclass
 class PairSet:
-    """Mined (query key, candidate key) pairs with per-pair provenance tags."""
+    """Mined (query key, candidate key) pairs of each polarity, in mining
+    order, each mapped to the tag of the miner that produced it (``task`` or
+    ``expert``)."""
 
-    positives: list[Pair] = field(default_factory=list)
-    negatives: list[Pair] = field(default_factory=list)
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for polarity, pairs in (("positives", self.positives), ("negatives", self.negatives)):
-            if len(set(pairs)) != len(pairs):
-                raise ValueError(f"duplicate ordered pairs in {polarity}")
-            for query, candidate in pairs:
-                if query == candidate:
-                    raise ValueError(f"self-pair {query!r} in {polarity}")
+    positives: dict[Pair, str] = field(default_factory=dict)
+    negatives: dict[Pair, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.positives) + len(self.negatives)
 
 
 def merge_pairs(first: PairSet, second: PairSet) -> PairSet:
-    """Concatenate two pair sets, dropping duplicate ordered pairs within each
-    polarity. The first occurrence wins, provenance included: a pair's tag
-    comes from the first source that tags it, in the order first positives,
-    first negatives, then the second source's pairs new to their polarity."""
-    positives, new_positives = _union(first.positives, second.positives)
-    negatives, new_negatives = _union(first.negatives, second.negatives)
-    provenance: dict[str, str] = {}
-    for tags, pairs in (
-        (first.provenance, first.positives),
-        (first.provenance, first.negatives),
-        (second.provenance, new_positives),
-        (second.provenance, new_negatives),
-    ):
-        keys = [provenance_key(query, candidate) for query, candidate in pairs]
-        provenance.update({key: tags[key] for key in keys if key in tags and key not in provenance})
-    return PairSet(positives, negatives, provenance)
-
-
-def _union(ours: list[Pair], theirs: list[Pair]) -> tuple[list[Pair], list[Pair]]:
-    """``ours`` then ``theirs`` without repeats, and the part of it that only
-    ``theirs`` holds."""
-    merged = list(dict.fromkeys([*ours, *theirs]))
-    return merged, merged[len(set(ours)) :]
+    """Each polarity's pairs of ``first``, then the pairs of ``second`` that
+    ``first`` does not hold in that polarity; every pair keeps its tag."""
+    return PairSet(
+        first.positives | {p: t for p, t in second.positives.items() if p not in first.positives},
+        first.negatives | {p: t for p, t in second.negatives.items() if p not in first.negatives},
+    )
 
 
 def _sorted_turns(holdout: Sequence[LabeledTurn]) -> list[LabeledTurn]:
@@ -161,12 +134,10 @@ def _pair_set(
     ):
         for j, keep in zip(best, keep_best):
             if keep:
-                result.positives.append((query, keys[j]))
-                result.provenance[provenance_key(query, keys[j])] = tag
+                result.positives[query, keys[j]] = tag
         for j, keep in zip(worst, keep_worst):
             if keep:
-                result.negatives.append((query, keys[j]))
-                result.provenance[provenance_key(query, keys[j])] = tag
+                result.negatives[query, keys[j]] = tag
     return result
 
 
@@ -269,8 +240,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
@@ -363,9 +334,11 @@ def _gram_grad(
 def _loss_and_grad(
     W: np.ndarray, problem: _PairProblem, margin: float, with_grad: bool = True
 ) -> tuple[float, np.ndarray | None]:
-    """Loss (mean over each polarity) and, if requested, its gradient. Every
-    cosine is a per-pair dot product of the gathered rows, never an entry of
-    U·Uᵀ, whose different rounding would flip hinges at s == margin."""
+    """Loss (mean over each polarity) and, if requested, its gradient. An
+    empty polarity adds zero, and a pair with a zero-norm projection has
+    cosine 0 and no gradient. Every cosine is a per-pair dot product of the
+    gathered rows, never an entry of U·Uᵀ, whose different rounding would flip
+    hinges at s == margin."""
     projected = problem.base @ W.T
     norms = np.linalg.norm(projected, axis=1)
     ok_row = norms > 0.0
@@ -394,31 +367,6 @@ def _loss_and_grad(
     if not with_grad:
         return loss, None
     return loss, _gram_grad(problem, unit, safe, s, coeff)
-
-
-def contrastive_loss(
-    adapter: ProjectionAdapter,
-    pairs: PairSet,
-    embeddings: Mapping[str, np.ndarray],
-    margin: float = 0.2,
-) -> tuple[float, np.ndarray]:
-    """Loss and its exact gradient with respect to the adapter matrix.
-
-    Loss = mean over positives of (1 - cos) plus mean over negatives of
-    max(0, cos - margin), where cos is taken between projected, normalized
-    embeddings. An empty polarity contributes zero. Pairs whose projection
-    has zero norm contribute cosine 0 and no gradient.
-    """
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must be in [0, 1), got {margin}")
-    problem = _PairProblem.compile(pairs, embeddings)
-    if problem.base.shape[1] != adapter.dim:
-        raise ValueError(
-            f"embedding dim {problem.base.shape[1]} does not match adapter dim {adapter.dim}"
-        )
-    loss, grad = _loss_and_grad(adapter.matrix, problem, margin)
-    assert grad is not None
-    return loss, grad
 
 
 def train_adapter(
@@ -482,10 +430,10 @@ def grad_check(
 
 
 def save_pairs(pairs: PairSet, path: str) -> None:
+    """Write ``{"positives": [[query, candidate, tag], …], "negatives": […]}``."""
     record = {
-        "positives": [[q, c] for q, c in pairs.positives],
-        "negatives": [[q, c] for q, c in pairs.negatives],
-        "provenance": pairs.provenance,
+        "positives": [[q, c, tag] for (q, c), tag in pairs.positives.items()],
+        "negatives": [[q, c, tag] for (q, c), tag in pairs.negatives.items()],
     }
     write_json(path, record)
 
@@ -495,27 +443,24 @@ def load_pairs(path: str) -> PairSet:
     if not isinstance(record, dict):
         raise InputError(f"pairs {path!r}: expected an object")
 
-    def read(polarity: str) -> list[Pair]:
+    def read(polarity: str) -> dict[Pair, str]:
         raw = record.get(polarity, [])
         if not isinstance(raw, list):
             raise InputError(f"pairs {path!r}: {polarity} is not a list")
-        out: list[Pair] = []
+        out: dict[Pair, str] = {}
         for item in raw:
             if (
                 not isinstance(item, list)
-                or len(item) != 2
+                or len(item) != 3
                 or not all(isinstance(x, str) for x in item)
             ):
                 raise InputError(f"pairs {path!r}: malformed pair {item!r} in {polarity}")
-            out.append((item[0], item[1]))
+            query, candidate, tag = item
+            if query == candidate:
+                raise InputError(f"pairs {path!r}: self-pair {query!r} in {polarity}")
+            if (query, candidate) in out:
+                raise InputError(f"pairs {path!r}: duplicate pair {item[:2]!r} in {polarity}")
+            out[query, candidate] = tag
         return out
 
-    provenance = record.get("provenance", {})
-    if not isinstance(provenance, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in provenance.items()
-    ):
-        raise InputError(f"pairs {path!r}: malformed provenance map")
-    try:
-        return PairSet(read("positives"), read("negatives"), dict(provenance))
-    except ValueError as exc:
-        raise InputError(f"pairs {path!r}: {exc}") from None
+    return PairSet(read("positives"), read("negatives"))

@@ -13,30 +13,19 @@ import numpy as np
 
 from dialroute import PairSet, f1_sets
 from dialroute.dialogue import render_belief
-from dialroute.supervision import (
-    _effective_l,
-    _sorted_turns,
-    _vector,
-    provenance_key,
-)
+from dialroute.supervision import _effective_l, _sorted_turns, _vector
 
 
 def merge_pairs(first, second):
-    """Pair by pair: skip a pair its polarity already holds, else append it
-    and copy its tag if no earlier pair took that key."""
-    positives, negatives, provenance = [], [], {}
+    """Pair by pair: append each pair that its polarity does not hold yet,
+    with the tag its source gave it."""
+    merged = PairSet()
     for source in (first, second):
-        for pool, merged in ((source.positives, positives), (source.negatives, negatives)):
-            seen = set(merged)
-            for pair in pool:
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                merged.append(pair)
-                key = provenance_key(*pair)
-                if key not in provenance and key in source.provenance:
-                    provenance[key] = source.provenance[key]
-    return PairSet(positives, negatives, provenance)
+        for pool, into in ((source.positives, merged.positives), (source.negatives, merged.negatives)):
+            for pair, tag in pool.items():
+                if pair not in into:
+                    into[pair] = tag
+    return merged
 
 
 def mine_task_pairs(holdout, pairs_per_query):
@@ -69,11 +58,9 @@ def mine_task_pairs(holdout, pairs_per_query):
         top = heapq.nsmallest(l, scored, key=lambda t: (-t[0], t[1]))
         bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
         for _, candidate in top:
-            result.positives.append((keys[i], candidate))
-            result.provenance[provenance_key(keys[i], candidate)] = "task"
+            result.positives[keys[i], candidate] = "task"
         for _, candidate in bottom:
-            result.negatives.append((keys[i], candidate))
-            result.provenance.setdefault(provenance_key(keys[i], candidate), "task")
+            result.negatives[keys[i], candidate] = "task"
     return result
 
 
@@ -98,12 +85,10 @@ def mine_expert_pairs(holdout, expert_labels, embeddings, pairs_per_query):
         bottom = heapq.nsmallest(l, scored, key=lambda t: (t[0], t[1]))
         for _, candidate, label in top:
             if label == labels[i]:
-                result.positives.append((keys[i], candidate))
-                result.provenance[provenance_key(keys[i], candidate)] = "expert"
+                result.positives[keys[i], candidate] = "expert"
         for _, candidate, label in bottom:
             if label != labels[i]:
-                result.negatives.append((keys[i], candidate))
-                result.provenance.setdefault(provenance_key(keys[i], candidate), "expert")
+                result.negatives[keys[i], candidate] = "expert"
     return result
 
 
@@ -184,9 +169,8 @@ def _dump(record, path, **options):
 
 def save_pairs(pairs, path):
     record = {
-        "positives": [[q, c] for q, c in pairs.positives],
-        "negatives": [[q, c] for q, c in pairs.negatives],
-        "provenance": pairs.provenance,
+        "positives": [[q, c, tag] for (q, c), tag in pairs.positives.items()],
+        "negatives": [[q, c, tag] for (q, c), tag in pairs.negatives.items()],
     }
     _dump(record, path, ensure_ascii=False)
 

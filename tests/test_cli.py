@@ -375,6 +375,56 @@ class TestExitCodes:
         assert "coverage: ok" in proc.stdout
 
 
+BAD_SETTINGS = [
+    ("mine-and-train", {"hyperparameters": {"margin": 1.5}}, "margin"),
+    ("mine-and-train", {"hyperparameters": {"learning_rate": -1}}, "learning_rate"),
+    ("mine-and-train", {"hyperparameters": {"learning_rate": float("inf")}}, "learning_rate"),
+    ("mine-and-train", {"hyperparameters": {"epochs": -1}}, "epochs"),
+    ("mine-and-train", {"hyperparameters": {"epochs": 2.5}}, "'epochs'"),
+    ("mine-and-train", {"hyperparameters": {"l": 0}}, "l (pairs per query)"),
+    ("build-pools", {"hyperparameters": {"pool_size": -3}}, "pool_size"),
+    ("build-pools", {"hyperparameters": {"pool_size": {"slm": -3, "llm": 5}}}, "pool_size"),
+    ("build-pools", {"hyperparameters": {"pool_size": {"slm": "x", "llm": 5}}}, "pool_size"),
+    ("validate", {"embedder": {"kind": "hash", "dim": "abc"}}, "'dim'"),
+    ("validate", {"embedder": {"kind": "hash", "dim": 100}}, "embedding dim"),
+    ("route", {"hyperparameters": {"k": 1.5}}, "'k'"),
+    ("route", {"hyperparameters": {"k": True}}, "'k'"),
+    (
+        "route",
+        {"experts": [{"name": "slm", "priority_rank": False}, {"name": "llm", "priority_rank": True}]},
+        "priority_rank",
+    ),
+    ("simulate", {"simulation": {"k": 0}}, "k must be >= 1"),
+    ("simulate", {"simulation": {"epochs": -1}}, "epochs must be"),
+    ("simulate", {"simulation": {"pairs_per_query": 0}}, "pairs_per_query must be"),
+    ("simulate", {"simulation": {"slm_accuracy_in": 2.0}}, "slm_accuracy_in must be"),
+    ("simulate", {"simulation": {"min_turns": 3, "max_turns": 1}}, "max_turns must be"),
+    ("simulate", {"simulation": {"dialogues": 1.5}}, "dialogues must be an integer"),
+    ("simulate", {"simulation": {"embedding_dim": 24}}, "embedding dim"),
+]
+
+
+@pytest.mark.parametrize("command, settings, name", BAD_SETTINGS)
+def test_bad_setting_exits_one_naming_it(small_sim, tmp_path, capsys, command, settings, name):
+    """A setting out of its range or of the wrong type is bad input: exit 1,
+    a message that names it, and nothing written."""
+    config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", **settings)
+    assert main([command, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_route_then_report_accepts_the_experts_route_wrote(small_sim, tmp_path, capsys):
+    experts = [{"name": "slm", "priority_rank": 3}, {"name": "llm", "priority_rank": 7}]
+    config = write_config(
+        tmp_path / "c.json", small_sim, tmp_path / "out", experts=experts, router="oracle"
+    )
+    assert main(["route", "--config", config]) == 0
+    assert main(["report", "--config", config]) == 0
+    capsys.readouterr()
+
+
 LOADERS = {
     "adapter": load_adapter,
     "config": load_config,

@@ -1,21 +1,18 @@
 """Corpus model: canonicalization, accumulation, triplets, parsing, round-trips."""
 
-import io
 import json
 
 import pytest
 
-from dialroute import InputError, SlotName, aggregate_state, make_belief, turn_key
+from dialroute import InputError, SlotName, aggregate_state, make_belief, save_corpus, turn_key
 from dialroute.dialogue import (
     accumulate_dialogue,
     canonicalize_value,
-    dumps_dialogue,
     labeled_turns,
     parse_dialogues,
     render_belief,
     split_turn_key,
     triplet_of_turn,
-    write_corpus,
 )
 
 from conftest import corpus_of, dlg, trn
@@ -207,17 +204,20 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    def test_write_then_parse_is_identity(self):
+    def test_write_then_parse_is_identity(self, tmp_path):
         corpus = corpus_of(
             dlg("a", [trn(0, "Hi THERE", tlb={"Hotel-Area": "North"})], domains=["Hotel"]),
             dlg("b", [trn(0, "hello"), trn(1, "ok", "sys", {"train-day": "monday"})], ["train"]),
         )
-        buffer = io.StringIO()
-        write_corpus(corpus, buffer)
-        again = parse_dialogues(buffer.getvalue().splitlines())
+        save_corpus(corpus, str(tmp_path / "corpus.jsonl"))
+        again = parse_dialogues((tmp_path / "corpus.jsonl").read_text().splitlines())
         assert again.dialogues == corpus.dialogues
 
-    def test_dumps_is_deterministic(self):
-        d = corpus_of(dlg("a", [trn(0, "hi", tlb={"hotel-price": "cheap", "hotel-area": "north"})])).get("a")
-        assert dumps_dialogue(d) == dumps_dialogue(d)
-        assert '"hotel-area": "north", "hotel-price": "cheap"' in dumps_dialogue(d)
+    def test_dumps_is_deterministic(self, tmp_path):
+        corpus = corpus_of(dlg("a", [trn(0, "hi", tlb={"hotel-price": "cheap", "hotel-area": "north"})]))
+        texts = []
+        for name in ("first.jsonl", "second.jsonl"):
+            save_corpus(corpus, str(tmp_path / name))
+            texts.append((tmp_path / name).read_text())
+        assert texts[0] == texts[1]
+        assert '"hotel-area": "north", "hotel-price": "cheap"' in texts[0]

@@ -271,6 +271,16 @@ class TestPredictionsIO:
         with pytest.raises(InputError, match="confidence"):
             load_predictions(str(path))
 
+    @pytest.mark.parametrize("confidence", ["true", "false"])
+    def test_boolean_confidence_rejected(self, tmp_path, confidence):
+        path = tmp_path / "p.jsonl"
+        path.write_text(
+            '{"dialogue_id": "d", "turn_id": 0, "expert": "slm", "tlb": {}, '
+            f'"confidence": {confidence}}}\n'
+        )
+        with pytest.raises(InputError, match="confidence must be a number"):
+            load_predictions(str(path))
+
     def test_replay_expert(self, tmp_path):
         path = tmp_path / "p.jsonl"
         write_predictions(self.preds(), str(path))

@@ -5,8 +5,12 @@ checked against central finite differences on small random instances.
 """
 
 import functools
+import json
 import math
+import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +25,6 @@ from dialroute import (
     ProjectionAdapter,
     SlotName,
     TrainConfig,
-    contrastive_loss,
     grad_check,
     merge_pairs,
     mine_expert_pairs,
@@ -73,12 +76,13 @@ class TestTaskMining:
 
     def test_provenance_tagged(self):
         pairs = mine_task_pairs(self.holdout(), 1)
-        assert pairs.provenance["d:0:e:0"] == "task"
+        assert pairs.positives["d:0", "e:0"] == "task"
+        assert {*pairs.positives.values(), *pairs.negatives.values()} == {"task"}
 
     def test_l_shrinks_to_available(self, caplog):
         pairs = mine_task_pairs(self.holdout()[:2], 25)
-        assert pairs.positives == [("d:0", "e:0"), ("e:0", "d:0")]
-        assert pairs.negatives == [("d:0", "e:0"), ("e:0", "d:0")]
+        assert list(pairs.positives) == [("d:0", "e:0"), ("e:0", "d:0")]
+        assert list(pairs.negatives) == [("d:0", "e:0"), ("e:0", "d:0")]
 
     def test_single_turn_yields_nothing(self):
         pairs = mine_task_pairs(self.holdout()[:1], 5)
@@ -125,7 +129,8 @@ class TestExpertMining:
     def test_provenance_tagged(self):
         holdout, embeddings, labels = self.fixture()
         pairs = mine_expert_pairs(holdout, labels, embeddings, 2)
-        assert pairs.provenance["d:0:e:0"] == "expert"
+        assert pairs.positives["d:0", "e:0"] == "expert"
+        assert {*pairs.positives.values(), *pairs.negatives.values()} == {"expert"}
 
     def test_missing_label_rejected(self):
         holdout, embeddings, labels = self.fixture()
@@ -136,20 +141,37 @@ class TestExpertMining:
 
 class TestMerge:
     def test_dedup_keeps_first_provenance(self):
-        a = PairSet([("x:0", "y:0")], [], {"x:0:y:0": "task"})
-        b = PairSet([("x:0", "y:0"), ("y:0", "x:0")], [], {"x:0:y:0": "expert", "y:0:x:0": "expert"})
+        a = PairSet({("x:0", "y:0"): "task"})
+        b = PairSet({("x:0", "y:0"): "expert", ("y:0", "x:0"): "expert"})
         merged = merge_pairs(a, b)
-        assert merged.positives == [("x:0", "y:0"), ("y:0", "x:0")]
-        assert merged.provenance == {"x:0:y:0": "task", "y:0:x:0": "expert"}
+        assert list(merged.positives.items()) == [
+            (("x:0", "y:0"), "task"),
+            (("y:0", "x:0"), "expert"),
+        ]
 
     def test_polarities_dedup_independently(self):
-        a = PairSet([("x:0", "y:0")], [("x:0", "y:0")], {})
-        merged = merge_pairs(a, PairSet())
+        a = PairSet({("x:0", "y:0"): "task"}, {("x:0", "y:0"): "task"})
+        merged = merge_pairs(a, PairSet({("x:0", "y:0"): "expert"}, {("x:0", "y:0"): "expert"}))
         assert len(merged.positives) == 1 and len(merged.negatives) == 1
 
-    def test_self_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            PairSet([("x:0", "x:0")], [])
+    @pytest.mark.parametrize("task_first", [True, False])
+    def test_pair_in_both_polarities_keeps_each_tag(self, task_first):
+        """A task positive that is also an expert negative: each polarity
+        keeps the tag of the miner that put the pair there."""
+        task = PairSet({("x:0", "y:0"): "task"})
+        expert = PairSet({}, {("x:0", "y:0"): "expert"})
+        merged = merge_pairs(task, expert) if task_first else merge_pairs(expert, task)
+        assert merged.positives == {("x:0", "y:0"): "task"}
+        assert merged.negatives == {("x:0", "y:0"): "expert"}
+
+    def test_dialogue_ids_with_colons_keep_distinct_tags(self, tmp_path):
+        # ("d:1:0", "e:0") and ("d:1", "0:e:0") both read "d:1:0:e:0" when joined by ":"
+        task = PairSet({("d:1:0", "e:0"): "task"})
+        expert = PairSet({("d:1", "0:e:0"): "expert"})
+        merged = merge_pairs(task, expert)
+        assert merged.positives == {("d:1:0", "e:0"): "task", ("d:1", "0:e:0"): "expert"}
+        save_pairs(merged, str(tmp_path / "pairs.json"))
+        assert load_pairs(str(tmp_path / "pairs.json")) == merged
 
     def test_matches_reference_on_cli_chain_holdout(self, tmp_path):
         # the benchmark CLI chain's hold-out: ~85k task and expert pairs
@@ -169,16 +191,13 @@ class TestMerge:
             lambda p: p[0] != p[1]
         )
 
-        def pair_set(tag):
-            positives = data.draw(st.lists(pair, unique=True, max_size=8))
-            negatives = data.draw(st.lists(pair, unique=True, max_size=8))
-            tagged = data.draw(st.lists(st.sampled_from([*positives, *negatives] or [("a", "b")])))
-            return PairSet(positives, negatives, {f"{q}:{c}": tag for q, c in tagged})
-
-        first, second = pair_set("task"), pair_set("expert")
+        tagged = st.dictionaries(pair, st.sampled_from(["task", "expert"]), max_size=8)
+        first = PairSet(data.draw(tagged), data.draw(tagged))
+        second = PairSet(data.draw(tagged), data.draw(tagged))
         merged, reference = merge_pairs(first, second), oracles.merge_pairs(first, second)
-        assert merged == reference
-        assert list(merged.provenance) == list(reference.provenance)  # the order pairs.json keeps
+        for polarity in ("positives", "negatives"):  # in the order pairs.json keeps
+            ours, theirs = getattr(merged, polarity), getattr(reference, polarity)
+            assert list(ours.items()) == list(theirs.items())
 
 
 class TestLossAndGradient:
@@ -191,20 +210,19 @@ class TestLossAndGradient:
                 if i == j:
                     continue
                 (pos if rng.random() < 0.5 else neg).append((keys[i], keys[j]))
-        return PairSet(pos, neg), embeddings
+        return PairSet(dict.fromkeys(pos, "task"), dict.fromkeys(neg, "expert")), embeddings
 
     def test_identity_loss_matches_direct_cosines(self):
         embeddings = {"a:0": np.array([1.0, 0.0]), "b:0": np.array([1.0, 1.0])}
-        pairs = PairSet([("a:0", "b:0")], [("b:0", "a:0")])
-        adapter = ProjectionAdapter.identity(2)
-        loss, _ = contrastive_loss(adapter, pairs, embeddings, margin=0.2)
+        pairs = PairSet({("a:0", "b:0"): "task"}, {("b:0", "a:0"): "task"})
+        loss, _ = _loss_and_grad(np.eye(2), _PairProblem.compile(pairs, embeddings), 0.2)
         cos = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert math.isclose(loss, (1.0 - cos) + max(0.0, cos - 0.2), rel_tol=1e-12)
 
     def test_negative_below_margin_contributes_nothing(self):
         embeddings = {"a:0": np.array([1.0, 0.0]), "b:0": np.array([0.0, 1.0])}
-        pairs = PairSet([], [("a:0", "b:0")])
-        loss, grad = contrastive_loss(ProjectionAdapter.identity(2), pairs, embeddings)
+        pairs = PairSet({}, {("a:0", "b:0"): "task"})
+        loss, grad = _loss_and_grad(np.eye(2), _PairProblem.compile(pairs, embeddings), 0.2)
         assert loss == 0.0
         assert not grad.any()
 
@@ -225,10 +243,9 @@ class TestLossAndGradient:
         # one small step along -grad must not increase the loss
         rng = np.random.default_rng(42)
         pairs, embeddings = self.random_problem(rng, dim=4)
-        adapter = ProjectionAdapter.identity(4)
-        loss, grad = contrastive_loss(adapter, pairs, embeddings)
-        stepped = ProjectionAdapter(adapter.matrix - 1e-3 * grad)
-        after, _ = contrastive_loss(stepped, pairs, embeddings)
+        problem = _PairProblem.compile(pairs, embeddings)
+        loss, grad = _loss_and_grad(np.eye(4), problem, 0.2)
+        after, _ = _loss_and_grad(np.eye(4) - 1e-3 * grad, problem, 0.2)
         assert after <= loss + 1e-12
 
 
@@ -290,7 +307,8 @@ def integer_pair_problems(draw):
     )
     margin = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.9))
     cells = draw(st.sampled_from([supervision._CELLS, 1, 2 * n_keys]))
-    return PairSet(positives, negatives), embeddings, W, margin, cells
+    pairs = PairSet(dict.fromkeys(positives, "task"), dict.fromkeys(negatives, "expert"))
+    return pairs, embeddings, W, margin, cells
 
 
 class TestGramGradient:
@@ -311,7 +329,8 @@ class TestGramGradient:
         W = np.eye(4) + 0.3 * rng.normal(size=(4, 4))
         # 14 cells over 7 keys: blocks of 2 rows, so rows 0-1, 2-3, 4-5 and 6
         with mock.patch.object(supervision, "_CELLS", 14):
-            assert_matches_reference(PairSet(positives, negatives), embeddings, W, 0.1)
+            pairs = PairSet(dict.fromkeys(positives, "task"), dict.fromkeys(negatives, "task"))
+            assert_matches_reference(pairs, embeddings, W, 0.1)
 
     def test_matches_per_pair_reference_over_several_loss_chunks(self):
         # the benchmark CLI chain's hold-out: ~42k pairs a polarity, three partial sums each
@@ -389,8 +408,8 @@ class TestTraining:
             "b:1": np.array([-0.1, 1.0, 0.2]),
         }
         pairs = PairSet(
-            [("a:0", "a:1"), ("b:0", "b:1")],
-            [("a:0", "b:0"), ("a:1", "b:1"), ("b:0", "a:1")],
+            dict.fromkeys([("a:0", "a:1"), ("b:0", "b:1")], "task"),
+            dict.fromkeys([("a:0", "b:0"), ("a:1", "b:1"), ("b:0", "a:1")], "task"),
         )
         return pairs, embeddings
 
@@ -432,7 +451,7 @@ class TestTraining:
             train_adapter(PairSet(), {"a:0": np.ones(2)}, TrainConfig())
 
     def test_missing_embedding_rejected(self):
-        pairs = PairSet([("a:0", "b:0")], [])
+        pairs = PairSet({("a:0", "b:0"): "task"})
         with pytest.raises(InputError, match="b:0"):
             train_adapter(pairs, {"a:0": np.ones(2)}, TrainConfig())
 
@@ -446,23 +465,112 @@ class TestTraining:
 class TestPairsIO:
     def test_round_trip(self, tmp_path):
         pairs = PairSet(
-            [("a:0", "b:0")],
-            [("b:0", "c:0"), ("a:0", "c:0")],
-            {"a:0:b:0": "task", "b:0:c:0": "expert"},
+            {("a:0", "b:0"): "task"},
+            {("b:0", "c:0"): "expert", ("a:0", "c:0"): "task"},
         )
         path = tmp_path / "pairs.json"
         save_pairs(pairs, str(path))
+        assert json.loads(path.read_text()) == {
+            "positives": [["a:0", "b:0", "task"]],
+            "negatives": [["b:0", "c:0", "expert"], ["a:0", "c:0", "task"]],
+        }
         again = load_pairs(str(path))
         assert again == pairs
+        assert list(again.negatives) == list(pairs.negatives)
+
+    def load(self, tmp_path, record):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(InputError, match=re.escape(repr(str(path)))) as caught:
+            load_pairs(str(path))
+        return str(caught.value)
 
     def test_load_rejects_duplicates(self, tmp_path):
-        path = tmp_path / "pairs.json"
-        path.write_text('{"positives": [["a:0", "b:0"], ["a:0", "b:0"]], "negatives": []}')
-        with pytest.raises(InputError, match="duplicate"):
-            load_pairs(str(path))
+        twice = [["a:0", "b:0", "task"], ["a:0", "b:0", "expert"]]
+        assert "duplicate" in self.load(tmp_path, {"positives": twice, "negatives": []})
+        # one pair in both polarities is not a duplicate
+        once = {"positives": twice[:1], "negatives": twice[1:]}
+        (tmp_path / "ok.json").write_text(json.dumps(once))
+        assert len(load_pairs(str(tmp_path / "ok.json"))) == 2
 
     def test_load_rejects_malformed_pair(self, tmp_path):
-        path = tmp_path / "pairs.json"
-        path.write_text('{"positives": [["a:0"]], "negatives": []}')
-        with pytest.raises(InputError):
-            load_pairs(str(path))
+        for item in (["a:0", "b:0"], ["a:0"], ["a:0", "b:0", 1], ["a:0", 2, "task"], "a:0"):
+            assert "malformed pair" in self.load(tmp_path, {"positives": [], "negatives": [item]})
+
+    def test_load_rejects_self_pair(self, tmp_path):
+        message = self.load(tmp_path, {"positives": [["x:0", "x:0", "task"]]})
+        assert "self-pair" in message
+
+
+@functools.lru_cache(maxsize=1)
+def saved_pairs_bytes():
+    """The bytes of a small real ``pairs.json``: both miners on 4 synthetic
+    hold-out dialogues, merged."""
+    spec = SimulationSpec(holdout_dialogues=4)
+    turns = generate_corpus(spec, spec.holdout_dialogues, "hld", "holdout").labeled()
+    labels = {t.key: ("slm", "llm")[i % 2] for i, t in enumerate(turns)}
+    store = embed_turns(HashEmbedder(16, 0), turns)
+    pairs = merge_pairs(mine_task_pairs(turns, 3), mine_expert_pairs(turns, labels, store, 3))
+    with tempfile.TemporaryDirectory() as directory:
+        return saved(pairs, Path(directory))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_pairs_files(draw):
+    """A saved ``pairs.json`` with some bytes replaced, cut short, a deeply
+    nested list or a 5,000-digit number put before its first entry, or one
+    JSON-level edit: a top-level field, a polarity, an entry or an entry's
+    item set to an arbitrary JSON value, or an entry dropped or repeated."""
+    data = saved_pairs_bytes()
+    kind = draw(st.sampled_from(["bytes", "truncate", "raw", "json"]))
+    if kind == "bytes":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "raw":  # JSON that json.loads itself fails on in other ways than a syntax error
+        first = data.index(b"[[") + 1
+        fragment = draw(st.sampled_from([b"[" * 5000 + b"]" * 5000, b"9" * 5000]))
+        return data[:first] + fragment + b"," + data[first:]
+    record = json.loads(data)
+    polarity = draw(st.sampled_from(["positives", "negatives"]))
+    entries = record[polarity]
+    where = draw(st.integers(0, len(entries) - 1))
+    edit = draw(st.sampled_from(["field", "polarity", "entry", "item", "drop", "repeat"]))
+    if edit == "field":
+        record[draw(st.sampled_from(["positives", "negatives", "provenance", ""]))] = draw(JSON_VALUES)
+    elif edit == "polarity":
+        record[polarity] = draw(JSON_VALUES)
+    elif edit == "entry":
+        entries[where] = draw(JSON_VALUES)
+    elif edit == "item":
+        entries[where][draw(st.integers(0, 2))] = draw(JSON_VALUES)
+    elif edit == "drop":
+        del entries[where]
+    else:
+        entries.insert(draw(st.integers(0, len(entries))), list(entries[where]))
+    return json.dumps(record).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pairs_files())
+def test_load_pairs_fuzz_loads_or_raises_input_error(tmp_path_factory, data):
+    """A damaged ``pairs.json`` either loads or raises ``InputError``; no
+    other exception escapes the loader."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed_pairs.json"
+    path.write_bytes(data)
+    try:
+        pairs = load_pairs(str(path))
+    except InputError:
+        return
+    for polarity in (pairs.positives, pairs.negatives):
+        assert all(q != c and isinstance(tag, str) for (q, c), tag in polarity.items())
