@@ -19,6 +19,7 @@ directory so the commands compose without extra wiring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -148,6 +149,13 @@ def _expect(record: dict, key: str, kind: type, default):
     return value
 
 
+def _cost(value: object, name: str) -> float:
+    """A cost: a finite number >= 0, an int accepted, no boolean or string."""
+    if not is_number(value) or not 0.0 <= value < math.inf:
+        raise InputError(f"config field {name!r} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def parse_config(record: dict) -> RunConfig:
     if not isinstance(record, dict):
         raise InputError("config must be a JSON object")
@@ -186,13 +194,10 @@ def parse_config(record: dict) -> RunConfig:
             or not isinstance(raw.get("experts", {}), dict)
         ):
             raise InputError("config costs must be an object with an experts map")
-        try:
-            costs = CostTable(
-                {str(k): float(v) for k, v in raw.get("experts", {}).items()},
-                float(raw.get("router", 0.02)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed costs: {exc}") from None
+        costs = CostTable(
+            {k: _cost(v, f"costs.experts.{k}") for k, v in raw.get("experts", {}).items()},
+            _cost(raw.get("router", known.costs.router_cost), "costs.router"),
+        )
     hyper = record.get("hyperparameters", {})
     if not isinstance(hyper, dict):
         raise InputError("config hyperparameters must be an object")

@@ -85,11 +85,12 @@ def _seed_key(seed: int) -> bytes:
 
 def finite_vector(value: object, dtype: type) -> np.ndarray | None:
     """``value`` as a flat array of finite numbers, or None if it is not one.
-    Numbers that overflow ``dtype`` become infinite and are rejected."""
+    Numbers that overflow ``dtype`` become infinite and are rejected, and so
+    are ints too large for any float."""
     try:
         with np.errstate(over="ignore"):
             vector = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return None
     return vector if vector.ndim == 1 and np.all(np.isfinite(vector)) else None
 
@@ -145,7 +146,7 @@ def load_adapter(path: str) -> ProjectionAdapter:
     dim = record["dim"]
     try:
         matrix = np.asarray(record["matrix"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"adapter {path!r}: malformed matrix ({exc})") from None
     if matrix.shape != (dim, dim):
         raise InputError(f"adapter {path!r}: matrix shape {matrix.shape} does not match dim {dim}")

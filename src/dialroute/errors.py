@@ -23,9 +23,16 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The smallest int that float() rounds to infinity and so refuses (OverflowError).
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def is_number(value: object) -> bool:
-    """An int or a float read from JSON, booleans excluded."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that converts to one, read from JSON; booleans
+    excluded."""
+    if isinstance(value, float):
+        return True
+    return is_int(value) and -_FLOAT_OVERFLOW < value < _FLOAT_OVERFLOW
 
 
 def parse_json(text: str, where: str) -> Any:

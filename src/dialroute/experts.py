@@ -30,7 +30,7 @@ from .dialogue import (
 from .embedding import finite_vector, serialize_triplet
 from .errors import InputError, is_int, is_number, read_json, read_json_lines
 from .errors import write_json, write_json_lines
-from .seeding import subseed
+from .seeding import pcg64_first_draws, subseed
 from .similarity import tlb_similarity
 
 logger = logging.getLogger(__name__)
@@ -226,7 +226,16 @@ def _corrupt(gold: TurnBelief, rng: np.random.Generator) -> TurnBelief:
 class SyntheticExpert:
     """Emits the gold belief with profile-controlled probability, otherwise a
     deterministic corruption of it. Decisions depend only on (seed, turn key),
-    so reruns and prediction replays agree exactly."""
+    so reruns and prediction replays agree exactly.
+
+    A turn's draws are those of ``np.random.default_rng(subseed(seed,
+    f"{name}:{key}"))``: its first ``random()`` decides whether the answer is
+    correct, and a wrong answer's corruption draws on from there. The first
+    call derives that first draw and the generator state after it for every
+    gold key in one pass (:func:`pcg64_first_draws`), so a call is a lookup
+    and a comparison. Only a wrong answer loads its stored state into the one
+    generator this expert reuses, and numpy draws the corruption.
+    """
 
     def __init__(
         self,
@@ -239,23 +248,49 @@ class SyntheticExpert:
         self.profile = profile
         self._gold = gold
         self._seed = seed
+        self._rows: dict[str, int] = {}
+        self._draws: list[float] = []
+        self._states = self._incs = np.empty((0, 2), dtype=np.uint64)
+        self._rng = np.random.default_rng(0)  # its state is set before every use
+
+    def _derive_draws(self) -> None:
+        """Fill the table for every key the gold map holds now."""
+        keys = list(self._gold)
+        seeds = [subseed(self._seed, f"{self.id.name}:{key}") for key in keys]
+        draws, self._states, self._incs = pcg64_first_draws(seeds)
+        self._draws = draws.tolist()
+        self._rows = dict(zip(keys, range(len(keys))))
+
+    def _generator_after_first_draw(self, row: int) -> np.random.Generator:
+        state_hi, state_lo = self._states[row].tolist()
+        inc_hi, inc_lo = self._incs[row].tolist()
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._rng
 
     def predict(self, triplet: Triplet) -> ExpertPrediction:
+        key = triplet.key
         try:
-            gold = self._gold[triplet.key]
+            gold = self._gold[key]
         except KeyError:
             raise InputError(
-                f"synthetic expert {self.id.name!r} has no gold belief for {triplet.key!r}"
+                f"synthetic expert {self.id.name!r} has no gold belief for {key!r}"
             ) from None
-        rng = np.random.default_rng(subseed(self._seed, f"{self.id.name}:{triplet.key}"))
+        row = self._rows.get(key)
+        if row is None:  # the first call, or a key added to the gold map since
+            self._derive_draws()
+            row = self._rows[key]
         in_region = self.profile.competence_predicate(triplet)
         accuracy = self.profile.accuracy_in if in_region else self.profile.accuracy_out
-        correct = float(rng.random()) < accuracy
-        if correct:
+        if self._draws[row] < accuracy:
             tlb = dict(gold)
             confidence = self.profile.confidence_when_correct
         else:
-            tlb = _corrupt(gold, rng)
+            tlb = _corrupt(gold, self._generator_after_first_draw(row))
             confidence = self.profile.confidence_when_wrong
         return ExpertPrediction(triplet.dialogue_id, triplet.turn_id, self.id.name, tlb, confidence)
 

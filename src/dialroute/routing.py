@@ -448,7 +448,7 @@ def save_run(run: RoutedRun, path: str) -> None:
 def load_run(path: str) -> RoutedRun:
     """Reload a routed run; accumulated states are refolded from the recorded
     beliefs, so metrics computed from the file match the in-memory run."""
-    raw_records: list[dict] = []
+    raw_records: list[tuple[int, dict]] = []
     summary: dict | None = None
     for lineno, record in read_json_lines(path, "run"):
         if "summary" in record:
@@ -458,7 +458,7 @@ def load_run(path: str) -> RoutedRun:
         elif summary is not None:
             raise InputError(f"{path}:{lineno}: turn record after the summary")
         else:
-            raw_records.append(record)
+            raw_records.append((lineno, record))
     if summary is None:
         raise InputError(f"run {path!r} has no trailing summary record")
     if not isinstance(summary, dict):
@@ -473,7 +473,7 @@ def load_run(path: str) -> RoutedRun:
     by_name = {e.name: e for e in experts}
     records: list[TurnRecord] = []
     states: dict[str, dict] = {}
-    for record in raw_records:
+    for lineno, record in raw_records:
         key = record.get("key")
         name = record.get("expert")
         votes_raw = record.get("votes", {})
@@ -497,11 +497,11 @@ def load_run(path: str) -> RoutedRun:
             or not all(isinstance(n, str) and n in by_name for n in invoked_raw)
             or not (confidence is None or is_number(confidence))
         ):
-            raise InputError(f"run {path!r}: malformed turn record {record!r}")
+            raise InputError(f"{path}:{lineno}: malformed turn record {record!r}")
         votes = {}
         for vote_name, count in votes_raw.items():
             if vote_name not in by_name:
-                raise InputError(f"run {path!r}: vote for unknown expert {vote_name!r}")
+                raise InputError(f"{path}:{lineno}: vote for unknown expert {vote_name!r}")
             votes[by_name[vote_name]] = count
         neighbors = tuple((n[0], float(n[1])) for n in neighbors_raw)
         tlb, _ = make_belief(tlb_raw)

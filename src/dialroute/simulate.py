@@ -203,7 +203,7 @@ def generate_corpus(spec: SimulationSpec, count: int, prefix: str, stream: str) 
 
 def _mentions(vocabulary: Sequence[str]):
     vocab = frozenset(vocabulary)
-    return lambda triplet: bool(vocab & set(triplet.user_utterance.split()))
+    return lambda triplet: not vocab.isdisjoint(triplet.user_utterance.split())
 
 
 def make_experts(spec: SimulationSpec, gold: dict) -> tuple[SyntheticExpert, SyntheticExpert]:

@@ -456,6 +456,11 @@ def load_pairs(path: str) -> PairSet:
             ):
                 raise InputError(f"pairs {path!r}: malformed pair {item!r} in {polarity}")
             query, candidate, tag = item
+            if tag not in ("task", "expert"):
+                raise InputError(
+                    f"pairs {path!r}: pair {item[:2]!r} in {polarity} has tag {tag!r}, "
+                    "not 'task' or 'expert'"
+                )
             if query == candidate:
                 raise InputError(f"pairs {path!r}: self-pair {query!r} in {polarity}")
             if (query, candidate) in out:

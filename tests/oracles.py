@@ -2,8 +2,9 @@
 
 These are the straightforward versions: a pair merge that walks pair by pair,
 pair miners that score and rank every candidate of every query in Python, a
-gradient accumulated pair by pair, and artifact writers that ``json.dump`` to
-a handle, float by float. They are slow and kept only as test oracles.
+gradient accumulated pair by pair, artifact writers that ``json.dump`` to
+a handle, float by float, and a synthetic expert that seeds a fresh generator
+for every prediction. They are slow and kept only as test oracles.
 """
 
 import heapq
@@ -11,8 +12,10 @@ import json
 
 import numpy as np
 
-from dialroute import PairSet, f1_sets
+from dialroute import ExpertPrediction, PairSet, f1_sets
 from dialroute.dialogue import render_belief
+from dialroute.experts import _corrupt
+from dialroute.seeding import subseed
 from dialroute.supervision import _effective_l, _sorted_turns, _vector
 
 
@@ -220,3 +223,19 @@ def write_predictions(predictions, path):
                 "confidence": pred.confidence,
             }
             handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def synthetic_predict(expert, triplet):
+    """``SyntheticExpert.predict`` on a fresh ``default_rng`` seeded on (seed,
+    expert, turn key): its first ``random()`` below the accuracy means the gold
+    belief, otherwise ``_corrupt`` draws on from the same generator."""
+    gold = expert._gold[triplet.key]
+    rng = np.random.default_rng(subseed(expert._seed, f"{expert.id.name}:{triplet.key}"))
+    profile = expert.profile
+    in_region = profile.competence_predicate(triplet)
+    accuracy = profile.accuracy_in if in_region else profile.accuracy_out
+    if float(rng.random()) < accuracy:
+        tlb, confidence = dict(gold), profile.confidence_when_correct
+    else:
+        tlb, confidence = _corrupt(gold, rng), profile.confidence_when_wrong
+    return ExpertPrediction(triplet.dialogue_id, triplet.turn_id, expert.id.name, tlb, confidence)

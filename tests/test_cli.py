@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from dialroute.config import (
     load_config,
     parse_config,
 )
+from dialroute.errors import is_number
 from dialroute.supervision import load_pairs
 
 
@@ -348,6 +350,17 @@ class TestExitCodes:
         assert main(["report", "--config", config]) == 1
         assert "malformed turn record" in capsys.readouterr().err
 
+    def test_confidence_too_large_for_a_float_exits_one(self, small_sim, tmp_path, capsys):
+        predictions = tmp_path / "predictions_slm.jsonl"
+        lines = (small_sim.out_dir / "predictions_slm.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["confidence"] = 10**400
+        predictions.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+        paths = {"slm": str(predictions), "llm": str(small_sim.out_dir / "predictions_llm.jsonl")}
+        config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", predictions=paths)
+        assert main(["validate", "--config", config]) == 1
+        assert f"{predictions}:2: confidence must be a number" in capsys.readouterr().err
+
     def test_non_utf8_corpus_exits_one(self, small_sim, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_bytes((small_sim.out_dir / "corpus_test.jsonl").read_bytes() + b"\xff\n")
@@ -445,6 +458,42 @@ def test_loaders_reject_non_utf8(kind, tmp_path):
         LOADERS[kind](str(path))
 
 
+BIG = "9" * 401  # an integer too large for any float: float() raises OverflowError
+RUN_SUMMARY = '{"summary": {"experts": [{"name": "slm", "priority_rank": 0}], "config": {}}}\n'
+TOO_LARGE = {
+    "adapter": ('{"dim": 1, "matrix": [[%s]]}', "malformed matrix"),
+    "pool": ('{"expert": "slm", "entries": [{"key": "d:0", "vector": [1.0, %s]}]}', "'d:0'"),
+    "predictions": (
+        '{"dialogue_id": "d", "turn_id": 0, "expert": "slm", "tlb": {}, "confidence": %s}\n',
+        ":1: confidence must be a number",
+    ),
+    "run": (
+        '{"key": "d:0", "expert": "slm", "tlb": {}, "neighbors": [["h:0", %s]]}\n' + RUN_SUMMARY,
+        ":1: malformed turn record",
+    ),
+    "store": ('{"key": "a", "vector": [1.0, %s]}\n', ":1: vector for 'a'"),
+}
+
+
+def test_is_number_refuses_exactly_the_ints_float_refuses():
+    limit = 2**1024 - 2**970
+    assert float(limit - 1) == float(np.finfo(np.float64).max)
+    with pytest.raises(OverflowError):
+        float(limit)
+    assert all(is_number(v) for v in (limit - 1, 1 - limit, 3, 1e308, float("nan")))
+    assert not any(is_number(v) for v in (limit, -limit, int(BIG), True, "1", None))
+
+
+@pytest.mark.parametrize("kind", sorted(TOO_LARGE))
+def test_loaders_reject_numbers_too_large_for_a_float(kind, tmp_path):
+    template, message = TOO_LARGE[kind]
+    path = tmp_path / "input.json"
+    path.write_text(template % BIG)
+    with pytest.raises(InputError, match=re.escape(str(path))) as caught:
+        LOADERS[kind](str(path))
+    assert message in str(caught.value)
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config({})
@@ -508,6 +557,25 @@ class TestParseConfig:
     def test_rejects_malformed(self, record):
         with pytest.raises(InputError):
             parse_config(record)
+
+    @pytest.mark.parametrize(
+        "costs, name",
+        [
+            ({"experts": {"slm": "0.04", "llm": 3000.0}}, "costs.experts.slm"),
+            ({"experts": {"slm": 0.04, "llm": True}}, "costs.experts.llm"),
+            ({"experts": {"slm": 0.04}, "router": False}, "costs.router"),
+            ({"experts": {"slm": float("nan")}}, "costs.experts.slm"),
+            ({"experts": {"slm": float("inf")}}, "costs.experts.slm"),
+            ({"experts": {}, "router": -0.5}, "costs.router"),
+            ({"experts": {"llm": 10**400}}, "costs.experts.llm"),
+            ({"experts": {"llm": None}}, "costs.experts.llm"),
+        ],
+    )
+    def test_costs_are_finite_numbers_at_least_zero(self, tmp_path, capsys, costs, name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"corpus": "corpus.jsonl", "costs": costs}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"config field {name!r} must be a finite number >= 0" in capsys.readouterr().err
 
     def test_embedder_store_requires_path(self):
         spec = EmbedderSpec(kind="store", path="emb.jsonl")

@@ -1,10 +1,12 @@
 """Expert predictions, correctness judging, pool assignment, and sampling."""
 
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import oracles
 from dialroute import (
     LLM,
     SLM,
@@ -32,6 +34,7 @@ from dialroute.simulate import make_experts, run_simulation
 
 AREA = SlotName("hotel", "area")
 PRICE = SlotName("hotel", "price")
+NOISE = SlotName("noise", "slot")
 
 
 def lt(key_num, gold, state=None):
@@ -222,6 +225,44 @@ class TestSyntheticExpert:
             assert run.records == small_sim.runs[name].records, name
         for path in sorted(small_sim.out_dir.iterdir()):
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("accuracy_in, accuracy_out", [(0.0, 0.0), (1.0, 1.0), (0.95, 0.3)])
+    def test_matches_a_fresh_generator_per_call(self, accuracy_in, accuracy_out):
+        """Both experts of a small spec, on every gold key, every third gold
+        belief emptied (a wrong answer then adds the noise slot)."""
+        spec = simulate.SimulationSpec(
+            dialogues=8,
+            holdout_dialogues=8,
+            slm_accuracy_in=accuracy_in,
+            slm_accuracy_out=accuracy_out,
+            llm_accuracy_in=accuracy_in,
+            llm_accuracy_out=accuracy_out,
+        )
+        turns = simulate.generate_corpus(spec, spec.dialogues, "dlg", "test").labeled()
+        gold = {t.key: ({} if i % 3 == 0 else t.gold_tlb) for i, t in enumerate(turns)}
+        noisy = 0
+        for expert in make_experts(spec, gold):
+            for turn in turns:
+                prediction = expert.predict(turn.triplet)
+                assert prediction == oracles.synthetic_predict(expert, turn.triplet), turn.key
+                noisy += NOISE in prediction.tlb
+        assert (noisy > 0) == (accuracy_in < 1.0)
+
+    def test_key_added_to_gold_after_the_first_call(self):
+        gold = {"d:0": {AREA: "north"}}
+        expert = SyntheticExpert(SLM, self.profile(0.5, 0.5), gold, seed=5)
+        expert.predict(Triplet("d", 0, {}, "", "hotel"))
+        gold["d:1"] = {}
+        late = Triplet("d", 1, {}, "", "hotel")
+        assert expert.predict(late) == oracles.synthetic_predict(expert, late)
+
+    def test_key_missing_from_gold_is_an_input_error(self):
+        expert = SyntheticExpert(SLM, self.profile(), {"d:0": {AREA: "north"}}, seed=0)
+        message = "synthetic expert 'slm' has no gold belief for 'd:9'"
+        for _ in range(2):  # before the first call derives the draws, and after
+            with pytest.raises(InputError, match=re.escape(message)):
+                expert.predict(Triplet("d", 9, {}, "", "hotel"))
+            expert.predict(Triplet("d", 0, {}, "", "hotel"))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

@@ -501,6 +501,11 @@ class TestPairsIO:
         message = self.load(tmp_path, {"positives": [["x:0", "x:0", "task"]]})
         assert "self-pair" in message
 
+    @pytest.mark.parametrize("tag", ["", "Task", "task+expert", "none"])
+    def test_load_rejects_unknown_tag(self, tmp_path, tag):
+        message = self.load(tmp_path, {"negatives": [["a:0", "b:0", "task"], ["a:0", "c:0", tag]]})
+        assert f"pair ['a:0', 'c:0'] in negatives has tag {tag!r}" in message
+
 
 @functools.lru_cache(maxsize=1)
 def saved_pairs_bytes():
@@ -573,4 +578,4 @@ def test_load_pairs_fuzz_loads_or_raises_input_error(tmp_path_factory, data):
     except InputError:
         return
     for polarity in (pairs.positives, pairs.negatives):
-        assert all(q != c and isinstance(tag, str) for (q, c), tag in polarity.items())
+        assert all(q != c and tag in ("task", "expert") for (q, c), tag in polarity.items())
