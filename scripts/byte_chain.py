@@ -6,6 +6,10 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
 ``OPENBLAS_NUM_THREADS=1``, from inside OUT_DIR, which must be new or empty:
 
 - ``simulate --seed 0`` and ``--seed 3`` into ``sim0/`` and ``sim3/``;
+- ``simulate --seed 0`` with 1,000 hold-out dialogues, ``pool_size`` 5000
+  and 2 epochs into ``sim_large/``: its pools hold ~4,300 entries, enough
+  for the retrieval router's two-stage search, which the other steps' pools
+  (at most ~600 entries) never reach;
 - on seed 3's corpora and predictions, once per supervision kind (``none``,
   ``task``, ``expert``, ``task+expert``) into ``cli/<kind>/``: ``validate``,
   ``embed``, ``mine-and-train``, ``build-pools``, ``route`` with each router
@@ -41,6 +45,9 @@ SIM3 = {
     "training_domains": ["hotel"],
     "seed": 3,
 }
+
+# Pools large enough for RetrievalRouter's two stages.
+LARGE = {"holdout_dialogues": 1000, "pool_size": 5000, "epochs": 2}
 
 
 class Chain:
@@ -133,6 +140,8 @@ def main(argv: list[str]) -> int:
     for seed in (0, 3):
         config = chain.config(f"sim{seed}", {"out_dir": f"sim{seed}"})
         chain.run(f"simulate_seed{seed}", "simulate", "--config", config, "--seed", str(seed))
+    config = chain.config("sim_large", {"out_dir": "sim_large", "simulation": LARGE})
+    chain.run("simulate_large", "simulate", "--config", config, "--seed", "0")
     for supervision in SUPERVISIONS:
         supervision_chain(chain, supervision)
     store_chain(chain)

@@ -135,7 +135,7 @@ def sampled_pools(
 ) -> dict[ExpertId, tuple[ExpertPool, ExpertPool]]:
     """Each expert's pool of projected hold-out turns and its seeded sample of
     ``sizes[expert]`` entries, in priority order."""
-    projected = {t.key: project(adapter, store.lookup(t.key)) for t in turns}
+    projected = {t.key: project(adapter, store.lookup(t.key), t.key) for t in turns}
     pools = build_pools(turns, beliefs, projected)
     return {
         e: (pool, sample_pool(pool, sizes[e], subseed(seed, f"pool:{e.name}")))

@@ -122,14 +122,19 @@ class ProjectionAdapter:
         return int(self.matrix.shape[0])
 
 
-def project(adapter: ProjectionAdapter, vector: np.ndarray) -> np.ndarray:
-    """Apply the adapter and L2-normalize. A zero product stays zero."""
+def project(adapter: ProjectionAdapter, vector: np.ndarray, key: str | None = None) -> np.ndarray:
+    """Apply the adapter and L2-normalize. A zero product stays zero. A
+    product that is not finite, or whose norm overflows, raises
+    :class:`InputError` naming the turn ``key``."""
     v64 = np.asarray(vector, dtype=np.float64)
     if v64.shape != (adapter.dim,):
         raise ValueError(f"vector dim {v64.shape} does not match adapter dim {adapter.dim}")
     out = adapter.matrix @ v64
     # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
+    # It is NaN or infinite when out is not finite or too long.
     norm = math.sqrt(out @ out)
+    if not math.isfinite(norm):
+        raise InputError(f"turn {key!r}: the adapter maps its embedding out of float64 range")
     if norm != 0.0:
         out /= norm
     return out.astype(np.float32)

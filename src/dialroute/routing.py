@@ -63,11 +63,50 @@ class TurnContext:
     predict: Callable[[ExpertId], ExpertPrediction]
 
 
+# Pools of at least this many entries are searched in two stages (see
+# ``RetrievalRouter``). Below it one float64 product is faster: at dim 256 the
+# crossover lies between 600 and 1,000 entries.
+_TWO_STAGE_ENTRIES = 800
+
+# Two stages need float32 products that neither overflow nor lose a row to
+# underflow, and a rounding bound well below 1: nonzero row norms in
+# [2**-60, 2**60], and at most 2**20 dimensions.
+_NORM_RANGE = (2.0**-60, 2.0**60)
+_MAX_DIM = 1 << 20
+
+
 class RetrievalRouter:
     """Majority vote over the k nearest pool entries by cosine.
 
     Entries are ranked by (score desc, turn key asc); vote ties go to the
     lower priority rank. With fewer than k entries in total, all of them vote.
+
+    A score is ``(M @ q) / (row_norms * qnorm)`` in float64, and the search
+    is exact. A pool of at least ``_TWO_STAGE_ENTRIES`` float32 vectors is
+    stored as float32 and searched in two stages:
+
+    1. One float32 product of the pool with the unit query, divided by the
+       row norms, gives every entry an approximate score within
+       ``E = 2(d+2)u`` of its score (u = 2**-24, d the dim). The float32 dot
+       product errs by at most ``γ_d = du/(1-du)`` times ``‖m‖·‖q̂‖``
+       (Higham, Accuracy and Stability of Numerical Algorithms, §3.1),
+       rounding the unit query to float32 adds u, and the float64 score's own
+       rounding and float32 underflow, for norms in ``_NORM_RANGE``, add less
+       than 2**-30. Let s_k be the k-th best score and a_k the k-th best
+       approximation. Only entries scoring above s_k can have an
+       approximation above ``s_k + E``, and there are fewer than k of them, so
+       ``a_k <= s_k + E``. Every entry scoring at least s_k thus has an
+       approximation of at least ``s_k - E >= a_k - 2E``, and keeping every
+       entry within 2E of a_k keeps the top k and all ties with the k-th.
+    2. The shortlist is rescored in float64 with the bits of the full
+       product. OpenBLAS's mat-vec sums an aligned group of 4 rows the same
+       wherever the group sits, and the last ``n mod 4`` rows the same when
+       they follow one full group. So the product is taken over the
+       shortlist's whole 4-row groups, with the tail after the last full
+       group of the pool.
+
+    A query of norm below 2**-60 takes the single product, because its
+    squared norm may have lost bits to underflow.
     """
 
     kind = "retrieval"
@@ -82,9 +121,12 @@ class RetrievalRouter:
         if not entries:
             raise InputError("all pools are empty; retrieval routing is impossible")
         keys = [entry.key for entry in entries]
+        vectors = [entry.vector for entry in entries]
+        # Float32 vectors are stored as float32, which loses nothing.
+        single = all(isinstance(v, np.ndarray) and v.dtype == np.float32 for v in vectors)
         try:
             with np.errstate(over="ignore"):
-                matrix = np.array([entry.vector for entry in entries], dtype=np.float64)
+                matrix = np.array(vectors, dtype=np.float32 if single else np.float64)
         except (TypeError, ValueError):
             matrix = None
         if (
@@ -95,17 +137,33 @@ class RetrievalRouter:
         ):
             _reject_pools(pools)
         self._keys = keys
-        self._matrix = matrix
-        self._dim = matrix.shape[1]
+        n, self._dim = matrix.shape
         rank = {expert: i for i, expert in enumerate(self.experts)}
         self._owners = np.array([rank[pool.expert] for pool in pools for _ in pool.entries])
-        norms = np.linalg.norm(matrix, axis=1)
+        # np.linalg.norm of the float64 rows, converted a block at a time.
+        blocks = (matrix[i : i + 1024].astype(np.float64) for i in range(0, n, 1024))
+        norms = np.concatenate([np.linalg.norm(block, axis=1) for block in blocks])
         self._row_norms = np.where(norms == 0.0, np.inf, norms)
-        # Position of each entry in ascending key order: the score tie-break.
-        self._key_rank = np.empty(len(keys), dtype=np.intp)
-        self._key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-        self._k_eff = min(k, len(keys))
-        self._kth = len(keys) - self._k_eff
+        low, high = _NORM_RANGE
+        self._two_stage = bool(
+            single
+            and n >= _TWO_STAGE_ENTRIES
+            and self._dim <= _MAX_DIM
+            and np.all((norms == 0.0) | ((norms >= low) & (norms <= high)))
+        )
+        self._matrix = matrix if self._two_stage else matrix.astype(np.float64, copy=False)
+        # E of the class docstring, and the first row that stage 2 takes
+        # only together with the rest of the pool: the last full 4-row group
+        # before a tail of n mod 4 rows (n when there is no tail).
+        self._bound = 2 * (self._dim + 2) * 2.0**-24
+        self._tail_start = max(n - n % 4 - 4, 0) if n % 4 else n
+        # Entries in ascending key order, and each entry's place in it: the
+        # score tie-break.
+        self._by_key = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
+        self._key_rank = np.empty(n, dtype=np.intp)
+        self._key_rank[self._by_key] = np.arange(n)
+        self._k_eff = min(k, n)
+        self._kth = n - self._k_eff
 
     def decide(self, ctx: TurnContext) -> RoutingDecision:
         if ctx.query_vector is None:
@@ -114,23 +172,48 @@ class RetrievalRouter:
         if q.shape != (self._dim,):
             raise ValueError(f"query dim {q.shape} does not match pool dim {self._dim}")
         # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
+        # It is NaN or infinite when q is not finite or its norm overflows.
         qnorm = math.sqrt(q @ q)
+        if not math.isfinite(qnorm):
+            raise ValueError("query vector is not finite or its norm overflows")
         if qnorm == 0.0:
-            scores = np.zeros(len(self._keys))
+            # Every score is 0: the first k entries by key.
+            rows = self._by_key[: self._k_eff]
+            scores = np.zeros(self._k_eff)
+        elif self._two_stage and qnorm >= _NORM_RANGE[0]:
+            rows = self._shortlist(q, qnorm)
+            scores = self._product(rows, q) / (self._row_norms[rows] * qnorm)
         else:
-            scores = (self._matrix @ q) / (self._row_norms * qnorm)
-        # Exact top-k: every entry scoring at least the k-th best score is a
-        # candidate, and only the candidates are sorted by (score desc, key asc).
-        candidates = np.flatnonzero(scores >= np.partition(scores, self._kth)[self._kth])
-        order = np.lexsort((self._key_rank[candidates], -scores[candidates]))
-        ranked = candidates[order[: self._k_eff]]
+            full = (self._matrix @ q) / (self._row_norms * qnorm)
+            # Every entry scoring at least the k-th best score is a candidate.
+            rows = np.flatnonzero(full >= np.partition(full, self._kth)[self._kth])
+            scores = full[rows]
+        order = np.lexsort((self._key_rank[rows], -scores))[: self._k_eff]
+        ranked = rows[order]
         counts = np.bincount(self._owners[ranked], minlength=len(self.experts)).tolist()
         # Experts are in priority order, so the first maximum wins vote ties.
         chosen = self.experts[counts.index(max(counts))]
         keys = self._keys
-        neighbors = tuple(zip([keys[i] for i in ranked.tolist()], scores[ranked].tolist()))
+        neighbors = tuple(zip([keys[i] for i in ranked.tolist()], scores[order].tolist()))
         votes = dict(zip(self.experts, counts))
         return RoutingDecision(ctx.key, chosen, votes, neighbors, None, (chosen,))
+
+    def _shortlist(self, q: np.ndarray, qnorm: float) -> np.ndarray:
+        """Stage 1: every entry whose float32 score is within 2E of the k-th."""
+        approx = (self._matrix @ (q / qnorm).astype(np.float32)) / self._row_norms
+        cut = np.partition(approx, self._kth)[self._kth] - 2.0 * self._bound
+        return np.flatnonzero(approx >= cut)
+
+    def _product(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Stage 2: ``(M @ q)[rows]`` with the bits of the full product, for
+        ``rows`` in ascending order."""
+        start = self._tail_start
+        groups = np.unique(rows[rows < start] >> 2)
+        picked = (groups[:, None] * 4 + np.arange(4)).ravel()
+        if rows[-1] >= start:
+            picked = np.concatenate([picked, np.arange(start, len(self._keys))])
+        product = self._matrix[picked].astype(np.float64) @ q
+        return product[np.searchsorted(picked, rows)]
 
 
 def _reject_pools(pools: Sequence[ExpertPool]) -> NoReturn:
@@ -387,7 +470,7 @@ def run_pipeline(
             query_vector = None
             if embedder is not None:
                 base = embedder.embed(triplet.key, serialize_triplet(triplet))
-                query_vector = project(adapter, base) if adapter is not None else base
+                query_vector = project(adapter, base, triplet.key) if adapter is not None else base
             memo: dict[ExpertId, ExpertPrediction] = {}
 
             def predict(expert_id: ExpertId, _triplet: Triplet = triplet) -> ExpertPrediction:

@@ -15,6 +15,7 @@ either way. Everything is a pure function of the spec's seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -139,6 +140,9 @@ class SimulationSpec:
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("slm_cost", "llm_cost", "router_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         shares = ["mixed_fraction"] + [
             f"{expert}_{knob}"
             for expert in ("slm", "llm")

@@ -414,6 +414,11 @@ BAD_SETTINGS = [
     ("simulate", {"simulation": {"min_turns": 3, "max_turns": 1}}, "max_turns must be"),
     ("simulate", {"simulation": {"dialogues": 1.5}}, "dialogues must be an integer"),
     ("simulate", {"simulation": {"embedding_dim": 24}}, "embedding dim"),
+    *(
+        ("simulate", {"simulation": {cost: value}}, f"{cost} must be a finite number")
+        for cost in ("slm_cost", "llm_cost", "router_cost")
+        for value in (float("nan"), float("inf"))
+    ),
 ]
 
 

@@ -142,6 +142,19 @@ class TestAdapter:
         adapter = ProjectionAdapter(np.zeros((4, 4)))
         assert not project(adapter, np.ones(4)).any()
 
+    @pytest.mark.parametrize(
+        "matrix, vector",
+        [
+            (np.full((4, 4), 1e308), np.full(4, 10.0)),  # the product overflows
+            (np.full((4, 4), 1e200), np.full(4, 1e10)),  # its squared norm overflows
+            (np.array([[1e308, 1e308], [0.0, 1.0]]), np.array([1e308, -1e308])),  # inf - inf
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_overflow_is_an_input_error_naming_the_turn(self, matrix, vector):
+        with pytest.raises(InputError, match="'d1:3'"):
+            project(ProjectionAdapter(matrix), vector, "d1:3")
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             ProjectionAdapter(np.zeros((3, 4)))

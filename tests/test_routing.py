@@ -1,6 +1,7 @@
 """Routers against exhaustive references, threshold tuning, and run files."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from dialroute import (
     train_classifier_router,
     tune_cascade_threshold,
 )
+from dialroute import routing
 from dialroute.experts import ExpertPool, PoolEntry
 from dialroute.routing import LogisticModel
 
@@ -36,8 +38,8 @@ from conftest import corpus_of, cosine, dlg, trn
 AREA = SlotName("hotel", "area")
 
 
-def entry(key, vector):
-    return PoolEntry(key, f"text {key}", np.asarray(vector, dtype=np.float64))
+def entry(key, vector, dtype=np.float64):
+    return PoolEntry(key, f"text {key}", np.asarray(vector, dtype=dtype))
 
 
 def ctx(query, key="q:0", gold=None, predict=None):
@@ -89,6 +91,55 @@ def sorted_retrieval(pools, k, query):
 
 
 MID = ExpertId("mid", 2)
+
+
+def two_stage_router(pools, k):
+    """A retrieval router over ``pools``' vectors as float32, which holds
+    their small integers exactly, that searches in two stages at any size."""
+    single = [
+        ExpertPool(p.expert, [entry(e.key, e.vector, np.float32) for e in p.entries]) for p in pools
+    ]
+    with mock.patch.object(routing, "_TWO_STAGE_ENTRIES", 1):
+        router = RetrievalRouter(single, k)
+    assert router._matrix.dtype == np.float32
+    return router
+
+
+def assert_matches_full_sort(router, pools, k, query):
+    """The decision equals the full sort's, neighbour scores bit for bit."""
+    decision = router.decide(ctx(query))
+    chosen, votes, neighbors = sorted_retrieval(pools, k, query)
+    assert decision.chosen == chosen
+    assert dict(decision.votes) == votes
+    assert [key for key, _ in decision.neighbors] == [key for key, _ in neighbors]
+    assert [np.float64(s).tobytes() for _, s in decision.neighbors] == [
+        np.float64(s).tobytes() for _, s in neighbors
+    ]
+
+
+def assert_ragged_pool_matches_brute_force(n, dtype):
+    rng = np.random.default_rng(n)
+    distinct = rng.integers(-3, 4, size=(12, 16))
+    rows = distinct[rng.integers(0, 12, size=n)]
+    owners = rng.choice([SLM, LLM, MID], size=n)
+    keys = [f"d{i:05d}:0" for i in rng.permutation(n)]
+    pools = [
+        ExpertPool(x, [entry(k, r, dtype) for k, r, o in zip(keys, rows, owners) if o == x])
+        for x in (SLM, LLM, MID)
+    ]
+    for k in (1, 10, 64):
+        router = RetrievalRouter(pools, k)
+        assert router._matrix.dtype == dtype
+        for query in [distinct[0], distinct[5], rng.integers(-3, 4, size=16)]:
+            decision = router.decide(ctx(query))
+            chosen, votes, neighbors = sorted_retrieval(pools, k, query)
+            assert decision.chosen == chosen
+            assert dict(decision.votes) == votes
+            assert list(decision.neighbors) == neighbors
+            assert len({score for _, score in neighbors}) < k or k == 1
+            winner, expected_keys = reference_retrieval(pools, k, query)
+            assert decision.chosen == winner
+            assert [key for key, _ in decision.neighbors] == expected_keys
 
 
 @st.composite
@@ -185,6 +236,19 @@ class TestRetrievalRouter:
                 [ExpertPool(SLM, [entry("x:0", v)]), ExpertPool(LLM, [entry("x:0", v)])], 1
             )
 
+    @pytest.mark.parametrize(
+        "query", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [1e300, 1e300], [1e155, 1e155]]
+    )
+    @pytest.mark.parametrize("limit", [1, None])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_query_that_is_not_finite_or_overflows_is_rejected(self, query, limit):
+        pools = [ExpertPool(SLM, [entry(f"s:{i}", [i, 1.0], np.float32) for i in range(5)])]
+        with mock.patch.object(routing, "_TWO_STAGE_ENTRIES", limit or routing._TWO_STAGE_ENTRIES):
+            router = RetrievalRouter(pools, 3)
+        assert router._two_stage == (limit == 1)
+        with pytest.raises(ValueError, match="not finite or its norm overflows"):
+            router.decide(ctx(query))
+
     def test_missing_query_vector(self):
         with pytest.raises(ValueError):
             RetrievalRouter(self.two_pools(), 3).decide(ctx(None))
@@ -193,41 +257,94 @@ class TestRetrievalRouter:
     @given(retrieval_cases())
     def test_partial_selection_matches_full_sort(self, case):
         pools, k, query = case
-        decision = RetrievalRouter(pools, k).decide(ctx(query))
-        chosen, votes, neighbors = sorted_retrieval(pools, k, query)
-        assert decision.chosen == chosen
-        assert dict(decision.votes) == votes
-        assert [key for key, _ in decision.neighbors] == [key for key, _ in neighbors]
-        assert [np.float64(s).tobytes() for _, s in decision.neighbors] == [
-            np.float64(s).tobytes() for _, s in neighbors
-        ]
+        assert_matches_full_sort(RetrievalRouter(pools, k), pools, k, query)
+
+    @settings(max_examples=300, deadline=None)
+    @given(retrieval_cases())
+    def test_partial_selection_matches_full_sort_in_two_stages(self, case):
+        pools, k, query = case
+        router = two_stage_router(pools, k)
+        assert_matches_full_sort(router, pools, k, query)
 
     @pytest.mark.parametrize("n", [1027, 8631])
     def test_ragged_pool_with_exact_ties_matches_brute_force(self, n):
         # n mod 4 != 0, so the mat-vec's last rows fall outside its 4-row
         # blocks. Integer rows drawn from 12 distinct ones give exact dot
         # products wherever a row sits, so the k-th score is tied many times.
+        # Float64 vectors take the single product.
+        assert_ragged_pool_matches_brute_force(n, np.float64)
+
+    @pytest.mark.parametrize("n", [1027, 8631])
+    def test_ragged_pool_with_exact_ties_matches_brute_force_in_two_stages(self, n):
+        assert_ragged_pool_matches_brute_force(n, np.float32)
+
+    @pytest.mark.parametrize("n", [800, 801, 802, 803])
+    def test_two_stages_give_the_full_products_bits(self, n):
+        """At dim 256, for every n mod 4, with zero and duplicate rows, float32
+        and float64 queries, a zero query and one below the two stages'
+        norm range: the neighbours' scores have the full expression's bits."""
         rng = np.random.default_rng(n)
-        distinct = rng.integers(-3, 4, size=(12, 16))
-        rows = distinct[rng.integers(0, 12, size=n)]
+        rows = rng.normal(size=(n, 256)).astype(np.float32)
+        rows[rng.choice(n, 5, replace=False)] = 0.0
+        rows[rng.choice(n, 40)] = rows[rng.choice(n, 40)]
+        keys = [f"d{i:04d}:0" for i in rng.permutation(n)]
         owners = rng.choice([SLM, LLM, MID], size=n)
-        keys = [f"d{i:05d}:0" for i in rng.permutation(n)]
         pools = [
-            ExpertPool(x, [entry(k, r) for k, r, o in zip(keys, rows, owners) if o == x])
+            ExpertPool(
+                x, [entry(k, r, np.float32) for k, r, o in zip(keys, rows, owners) if o == x]
+            )
             for x in (SLM, LLM, MID)
         ]
-        for k in (1, 10, 64):
+        near = rows[rng.integers(n)].astype(np.float64)
+        queries = [
+            rng.normal(size=256),
+            rng.normal(size=256).astype(np.float32),
+            near + rng.normal(size=256) * 1e-3,
+            pools[-1].entries[-1].vector,  # the pool's last row: the tail when n mod 4 > 0
+            np.zeros(256),
+            rng.normal(size=256) * 1e-30,
+            rng.normal(size=256) * 1e-160,  # its squared norm is subnormal
+        ]
+        for k in (1, 10, n):
             router = RetrievalRouter(pools, k)
-            for query in [distinct[0], distinct[5], rng.integers(-3, 4, size=16)]:
-                decision = router.decide(ctx(query))
-                chosen, votes, neighbors = sorted_retrieval(pools, k, query)
-                assert decision.chosen == chosen
-                assert dict(decision.votes) == votes
-                assert list(decision.neighbors) == neighbors
-                assert len({score for _, score in neighbors}) < k or k == 1
-                winner, expected_keys = reference_retrieval(pools, k, query)
-                assert decision.chosen == winner
-                assert [key for key, _ in decision.neighbors] == expected_keys
+            assert router._matrix.dtype == np.float32
+            for query in queries:
+                assert_matches_full_sort(router, pools, k, query)
+
+    @pytest.mark.parametrize(
+        "scale, last", [(1.0, np.float64), (2.0**64, np.float32), (2.0**-64, np.float32)]
+    )
+    def test_pools_outside_the_two_stage_domain_keep_one_product(self, scale, last):
+        """A vector that is not float32, or norms past 2**60 or under 2**-60,
+        keep the pool in float64 and on the single product."""
+        rng = np.random.default_rng(1)
+        rows = rng.normal(size=(801, 256)).astype(np.float32) * np.float32(scale)
+        keys = [f"d{i:04d}:0" for i in range(801)]
+        entries = [entry(k, r, np.float32) for k, r in zip(keys, rows)]
+        entries[-1] = entry(keys[-1], rows[-1], last)
+        pools = [ExpertPool(SLM, entries[::2]), ExpertPool(LLM, entries[1::2])]
+        router = RetrievalRouter(pools, 10)
+        assert router._matrix.dtype == np.float64
+        for query in (rng.normal(size=256), rows[-1]):
+            assert_matches_full_sort(router, pools, 10, query)
+
+    def test_near_tie_needs_the_rounding_bound(self):
+        """Twelve rows share one cosine with the query up to float64
+        rounding, more than k = 10 of them. The float32 scores order them
+        differently, so a shortlist cut at the k-th float32 score without the
+        bound drops some of the true top k."""
+        rng = np.random.default_rng(0)
+        rows = rng.normal(size=(900, 256)).astype(np.float32)
+        tied = rows[:12].astype(np.float64)
+        query = tied.T @ np.linalg.solve(tied @ tied.T, np.linalg.norm(tied, axis=1))
+        keys = [f"d{i:04d}:0" for i in rng.permutation(900)]
+        entries = [entry(k, r, np.float32) for k, r in zip(keys, rows)]
+        pools = [ExpertPool(SLM, entries[::2]), ExpertPool(LLM, entries[1::2])]
+        router = RetrievalRouter(pools, 10)
+        assert_matches_full_sort(router, pools, 10, query)
+        router._bound = 0.0
+        _, _, neighbors = sorted_retrieval(pools, 10, query)
+        assert list(router.decide(ctx(query)).neighbors) != neighbors
 
     @pytest.mark.parametrize("vector", [[1.0, np.nan], [np.inf, 0.0], "abc", [[1.0, 2.0]]])
     def test_rejects_non_numeric_or_non_finite_vectors(self, vector):
