@@ -19,12 +19,19 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
 - the store-embedder chain in ``store/``: ``embed`` the test and hold-out
   corpora with the hash embedder, join the two files into ``store.jsonl``,
   then ``embed``, ``mine-and-train``, ``build-pools``, ``route`` and
-  ``report`` with ``{"kind": "store"}``.
+  ``report`` with ``{"kind": "store"}``;
+- the error cases in ``errors/``: a 128-dim ``embed``, ``mine-and-train``
+  and ``build-pools`` into ``errors/dim128/``, then one command per damaged
+  input (one or two per loader, written to ``errors/inputs/`` from the
+  artifacts above) and per pair of artifacts that do not fit each other in
+  dim. Each case's exit code and standard error go to
+  ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
 compare with ``diff -r``. The script stops with exit status 1 at the first
-command that fails.
+command of the chain that fails, and once every error case has run, exits 1
+if any of them did not exit 1.
 """
 
 from __future__ import annotations
@@ -44,6 +51,22 @@ SIM3 = {
     "predictions": {"slm": "sim3/predictions_slm.jsonl", "llm": "sim3/predictions_llm.jsonl"},
     "training_domains": ["hotel"],
     "seed": 3,
+}
+
+# Every error case reads seed 3's inputs and the task+expert chain's
+# artifacts, damaged or not, and writes to errors/out: a case that exits 0
+# changes no artifact another step reads.
+CHAIN = "cli/task_expert"
+SOURCES = {
+    "embeddings_path": f"{CHAIN}/embeddings.jsonl",
+    "adapter_path": f"{CHAIN}/adapter.json",
+    "run_path": f"{CHAIN}/run_retrieval.jsonl",
+}
+ERRORS = {**SIM3, "out_dir": "errors/out", **SOURCES, "pools_dir": CHAIN}
+WRITES = {
+    "mine-and-train": {"adapter_path": "errors/out/adapter.json"},
+    "build-pools": {"pools_dir": "errors/out"},
+    "route": {"run_path": "errors/out/run.jsonl"},
 }
 
 # Pools large enough for RetrievalRouter's two stages.
@@ -78,6 +101,21 @@ class Chain:
             raise SystemExit(
                 f"error: step {self.steps} ({' '.join(args)}) exited {done.returncode}"
             )
+
+    def case(self, label: str, command: str, record: dict) -> bool:
+        """Run one error case; keep its exit code and stderr, and say whether it exited 1."""
+        config = self.config(f"errors_{label}", {**ERRORS, **record, **WRITES.get(command, {})})
+        done = subprocess.run(
+            [sys.executable, "-m", "dialroute", command, "--config", config],
+            cwd=self.out,
+            env=self.env,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        result = f"exit {done.returncode}\n{done.stderr}"
+        (self.out / "errors" / f"{label}.txt").write_text(result, encoding="utf-8")
+        return done.returncode == 1
 
 
 def check_program(env: dict) -> None:
@@ -125,6 +163,81 @@ def store_chain(chain: Chain) -> None:
         chain.run(f"store_{command}", command, "--config", config)
 
 
+def damaged(chain: Chain, source: str, name: str, edit) -> str:
+    """Write ``errors/inputs/<name>``: the JSON records of ``source``, one
+    per line, after ``edit`` changed that list in place."""
+    text = (chain.out / source).read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()]
+    edit(records)
+    path = Path("errors") / "inputs" / name
+    (chain.out / path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def empty_vectors(records: list[dict]) -> None:
+    for record in records:
+        record["vector"] = []
+
+
+def error_cases(chain: Chain) -> list[str]:
+    """Run every error case; the labels of those that did not exit 1."""
+    inputs = chain.out / "errors" / "inputs"
+    inputs.mkdir(parents=True)
+    dim128 = {**SIM3, "out_dir": "errors/dim128", "embedder": {"kind": "hash", "dim": 128}}
+    config = chain.config("errors_dim128", {**dim128, "supervision": "none"})
+    for command in ("embed", "mine-and-train", "build-pools"):
+        chain.run(f"errors_dim128_{command}", command, "--config", config)
+
+    def corpus(name, edit):
+        return {"holdout": damaged(chain, SIM3["holdout"], name, edit)}
+
+    def predictions(name, edit):
+        slm = damaged(chain, SIM3["predictions"]["slm"], name, edit)
+        return {"predictions": {**SIM3["predictions"], "slm": slm}}
+
+    def artifact(key, name, edit):
+        return {key: damaged(chain, SOURCES[key], name, edit)}
+
+    def pools(name, edit):
+        (inputs / name).mkdir()
+        damaged(chain, f"{CHAIN}/pool_slm.json", f"{name}/pool_slm.json", edit)
+        damaged(chain, f"{CHAIN}/pool_llm.json", f"{name}/pool_llm.json", lambda records: None)
+        return {"pools_dir": f"errors/inputs/{name}"}
+
+    def overflow(records):
+        dim = records[0]["dim"]
+        records[0]["matrix"] = [[1e300] * dim] * dim
+
+    def first(**change):
+        return lambda records: records[0].update(change)
+
+    def first_turn(**change):
+        return lambda records: records[0]["turns"][-1].update(change)
+
+    dim128_store = "errors/dim128/embeddings.jsonl"
+    cases = [  # label, command, config settings
+        ("config_k", "validate", {"hyperparameters": {"k": "x"}}),
+        ("config_cost", "validate", {"costs": {"experts": {"slm": "free", "llm": 1.0}}}),
+        ("corpus_turn_id", "validate", corpus("turn_id.jsonl", first_turn(turn_id=9))),
+        ("corpus_user", "validate", corpus("user.jsonl", first_turn(user=""))),
+        ("predictions_confidence", "validate", predictions("conf.jsonl", first(confidence=True))),
+        ("predictions_tlb", "validate", predictions("tlb.jsonl", first(tlb=["x"]))),
+        ("store_empty", "mine-and-train", artifact("embeddings_path", "empty.jsonl", empty_vectors)),
+        ("store_value", "mine-and-train", artifact("embeddings_path", "value.jsonl", first(vector=["x"]))),
+        ("adapter_overflow", "build-pools", artifact("adapter_path", "overflow.json", overflow)),
+        ("adapter_shape", "build-pools", artifact("adapter_path", "shape.json", first(dim=3))),
+        ("pool_vector", "route", pools("pool_vector", lambda r: r[0]["entries"][0].update(vector="abc"))),
+        ("pool_expert", "route", pools("pool_expert", first(expert="ghost"))),
+        ("run_votes", "report", artifact("run_path", "votes.jsonl", first(votes={"slm": "x"}))),
+        ("run_summary", "report", artifact("run_path", "summary.jsonl", lambda r: r.pop())),
+        ("dim_pools_vs_adapter", "route", {"pools_dir": "errors/dim128"}),
+        ("dim_store_vs_adapter", "build-pools", {"embeddings_path": dim128_store}),
+        ("dim_store_vs_query_embedder", "route", {"embeddings_path": dim128_store, "router": "classifier"}),
+        ("dim_adapter_vs_query_embedder", "route", {"adapter_path": "errors/dim128/adapter.json"}),
+    ]
+    return [label for label, command, record in cases if not chain.case(label, command, record)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -145,7 +258,11 @@ def main(argv: list[str]) -> int:
     for supervision in SUPERVISIONS:
         supervision_chain(chain, supervision)
     store_chain(chain)
+    failed = error_cases(chain)
     print(f"{chain.steps} commands ran; artifacts and stdout in {out}")
+    if failed:
+        print(f"error: error cases that did not exit 1: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

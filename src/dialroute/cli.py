@@ -204,10 +204,23 @@ def _beliefs(
     return {e: {t.key: predictions[e.name][t.key].tlb for t in turns} for e in cfg.experts}
 
 
-def _make_query_embedder(cfg: RunConfig):
+def _make_query_embedder(cfg: RunConfig) -> tuple[object, tuple[str, int]]:
+    """The embedder of test-time queries, with the name and dim :func:`_fit`
+    gives it."""
     if cfg.embedder.kind == "hash":
-        return HashEmbedder(cfg.embedder.dim, subseed(cfg.seed, "embedder"))
-    return StoreEmbedder(load_store(str(cfg.embedder.path)))
+        embedder = HashEmbedder(cfg.embedder.dim, subseed(cfg.seed, "embedder"))
+        return embedder, ("the hash embedder (config embedder dim)", cfg.embedder.dim)
+    store = load_store(str(cfg.embedder.path))
+    return StoreEmbedder(store), (f"embedding store {cfg.embedder.path}", store.dim)
+
+
+def _fit(*artifacts: tuple[str, int]) -> None:
+    """Raise, naming both, for the first of the (name, dim) artifacts a
+    command combines whose dim differs from the first one's."""
+    (first, dim), *rest = artifacts
+    for name, other in rest:
+        if other != dim:
+            raise InputError(f"{name} has dim {other}, but {first} has dim {dim}")
 
 
 def _replay_experts(
@@ -245,7 +258,7 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def _cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
     turns = _load_corpus(cfg, "holdout").labeled()
-    embedder = _make_query_embedder(cfg)
+    embedder, _ = _make_query_embedder(cfg)
     if cfg.embedder.kind == "store":
         missing = [t.key for t in turns if t.key not in embedder.store]
         if missing:
@@ -301,7 +314,8 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
 def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
     turns = _load_corpus(cfg, "holdout").labeled()
     beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
-    store = load_store(str(cfg.resolve_embeddings()))
+    store_path = cfg.resolve_embeddings()
+    store = load_store(str(store_path))
     adapter_path = cfg.resolve_adapter()
     if not adapter_path.exists():
         raise InputError(
@@ -309,6 +323,7 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
             "(supervision 'none' writes the identity adapter)"
         )
     adapter = load_adapter(str(adapter_path))
+    _fit((f"adapter {adapter_path}", adapter.dim), (f"embedding store {store_path}", store.dim))
     sizes = {e: cfg.pool_size_for(e.name) for e in cfg.experts}
     pools = sampled_pools(turns, beliefs, store, adapter, sizes, cfg.seed)
     cfg.resolve_pools_dir().mkdir(parents=True, exist_ok=True)
@@ -333,19 +348,24 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.router == "retrieval":
         by_name = {e.name: e for e in cfg.experts}
         pools = []
+        dims = []
         for expert in cfg.experts:
             path = cfg.pool_path(expert.name)
             if not path.exists():
                 raise InputError(f"pool file {path} does not exist; run build-pools first")
-            pools.append(load_pool(str(path), by_name))
-        router = RetrievalRouter(pools, cfg.k)
+            pool = load_pool(str(path), by_name)
+            pools.append(pool)
+            if pool.entries:
+                dims.append((f"pool {path}", len(pool.entries[0].vector)))
         adapter_path = cfg.resolve_adapter()
         if not adapter_path.exists():
             raise InputError(
                 f"adapter file {adapter_path} does not exist; run mine-and-train first"
             )
         adapter = load_adapter(str(adapter_path))
-        embedder = _make_query_embedder(cfg)
+        embedder, query = _make_query_embedder(cfg)
+        _fit((f"adapter {adapter_path}", adapter.dim), query, *dims)
+        router = RetrievalRouter(pools, cfg.k)
         snapshot.update({"k": cfg.k, "supervision": cfg.supervision})
     elif cfg.router == "oracle":
         router = OracleRouter(cfg.experts)
@@ -379,7 +399,10 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
     else:  # classifier
         holdout_turns = _load_corpus(cfg, "holdout").labeled()
         beliefs = _beliefs(cfg, predictions, holdout_turns)
-        store = load_store(str(cfg.resolve_embeddings()))
+        store_path = cfg.resolve_embeddings()
+        store = load_store(str(store_path))
+        embedder, query = _make_query_embedder(cfg)
+        _fit(query, (f"embedding store {store_path}", store.dim))
         labels = _expert_labels(holdout_turns, beliefs)
         if len(cfg.experts) != 2:
             raise InputError("classifier routing supports exactly two experts")
@@ -389,7 +412,6 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         y = np.array([1.0 if labels[key] == high.name else 0.0 for key in keys])
         model = train_classifier_router(X, y)
         router = ClassifierRouter(model, cfg.experts)
-        embedder = _make_query_embedder(cfg)
 
     run = run_pipeline(
         corpus,
@@ -552,7 +574,11 @@ def main(argv: list[str] | None = None) -> int:
             router=args.router,
             supervision=args.supervision,
         )
-        args.handler(cfg, args)
+        # Overflow is caught where it matters (a non-finite projection is
+        # bad input), so numpy's warnings about it are noise, or under
+        # ``-W error`` an exception that would exit 2.
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.handler(cfg, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,13 +19,14 @@ directory so the commands compose without extra wiring.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .embedding import check_dim
-from .errors import InputError, is_int, is_number, read_json
-from .experts import ExpertId, validate_experts
+from .errors import InputError, field, is_int, is_number, read_json
+from .experts import ExpertId, parse_experts
 from .metrics import CostTable
 from .supervision import TrainConfig
 
@@ -53,7 +54,7 @@ class EmbedderSpec:
 class RunConfig:
     corpus: str | None = None
     holdout: str | None = None
-    predictions: dict[str, str] = field(default_factory=dict)
+    predictions: dict[str, str] = dataclasses.field(default_factory=dict)
     experts: tuple[ExpertId, ...] = (ExpertId("slm", 0), ExpertId("llm", 1))
     embedder: EmbedderSpec = EmbedderSpec()
     out_dir: str = "out"
@@ -69,14 +70,16 @@ class RunConfig:
     margin: float = 0.2
     learning_rate: float = 0.01
     epochs: int = 30
-    costs: CostTable = field(default_factory=lambda: CostTable({"slm": 0.04, "llm": 3000.0}))
+    costs: CostTable = dataclasses.field(
+        default_factory=lambda: CostTable({"slm": 0.04, "llm": 3000.0})
+    )
     seed: int = 0
     router: str = "retrieval"
     supervision: str = "task+expert"
     prior_mode: str = "predicted"
     training_domains: tuple[str, ...] | None = None
-    report_runs: dict[str, str] = field(default_factory=dict)
-    simulation: dict = field(default_factory=dict)
+    report_runs: dict[str, str] = dataclasses.field(default_factory=dict)
+    simulation: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.router not in ROUTERS:
@@ -130,25 +133,6 @@ class RunConfig:
         return self.pool_size
 
 
-_KINDS = {
-    str: ("a string", lambda value: isinstance(value, str)),
-    int: ("an integer", is_int),
-    float: ("a number", is_number),
-}
-
-
-def _expect(record: dict, key: str, kind: type, default):
-    """``record[key]`` if it is a ``kind``, or ``default`` when it is absent.
-    No field takes a boolean, and a ``float`` field also takes an int."""
-    value = record.get(key, default)
-    if value is default:
-        return default
-    what, fits = _KINDS[kind]
-    if not fits(value):
-        raise InputError(f"config field {key!r} must be {what}, got {value!r}")
-    return value
-
-
 def _cost(value: object, name: str) -> float:
     """A cost: a finite number >= 0, an int accepted, no boolean or string."""
     if not is_number(value) or not 0.0 <= value < math.inf:
@@ -160,95 +144,65 @@ def parse_config(record: dict) -> RunConfig:
     if not isinstance(record, dict):
         raise InputError("config must be a JSON object")
     known = RunConfig()
+    where = "config field"
     experts = known.experts
     if "experts" in record:
-        raw = record["experts"]
-        if not isinstance(raw, list) or not raw:
-            raise InputError("config experts must be a non-empty list")
-        parsed = []
-        for item in raw:
-            if (
-                not isinstance(item, dict)
-                or not isinstance(item.get("name"), str)
-                or not is_int(item.get("priority_rank"))
-            ):
-                raise InputError(f"malformed expert entry {item!r}")
-            parsed.append(ExpertId(item["name"], item["priority_rank"]))
-        validate_experts(parsed)
-        experts = tuple(parsed)
+        experts = tuple(parse_experts(record["experts"], "config"))
     embedder = known.embedder
-    if "embedder" in record:
-        raw = record["embedder"]
-        if not isinstance(raw, dict):
-            raise InputError("config embedder must be an object")
+    raw = field(record, "embedder", dict, where, None)
+    if raw is not None:
         embedder = EmbedderSpec(
-            kind=raw.get("kind", "hash"),
-            dim=_expect(raw, "dim", int, known.embedder.dim),
-            path=_expect(raw, "path", str, None),
+            kind=field(raw, "kind", str, where, known.embedder.kind),
+            dim=field(raw, "dim", int, where, known.embedder.dim),
+            path=field(raw, "path", str, where, None),
         )
     costs = known.costs
-    if "costs" in record:
-        raw = record["costs"]
-        if (
-            not isinstance(raw, dict)
-            or not isinstance(raw.get("experts", {}), dict)
-        ):
-            raise InputError("config costs must be an object with an experts map")
+    raw = field(record, "costs", dict, where, None)
+    if raw is not None:
+        expert_costs = field(raw, "experts", dict, where, {})
         costs = CostTable(
-            {k: _cost(v, f"costs.experts.{k}") for k, v in raw.get("experts", {}).items()},
+            {k: _cost(v, f"costs.experts.{k}") for k, v in expert_costs.items()},
             _cost(raw.get("router", known.costs.router_cost), "costs.router"),
         )
-    hyper = record.get("hyperparameters", {})
-    if not isinstance(hyper, dict):
-        raise InputError("config hyperparameters must be an object")
-    predictions = record.get("predictions", {})
-    if not isinstance(predictions, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in predictions.items()
+    hyper = field(record, "hyperparameters", dict, where, {})
+    predictions = field(record, "predictions", dict, where, {})
+    report_runs = field(record, "report_runs", dict, where, {})
+    training_domains = field(record, "training_domains", list, where, None)
+    for name, strings in (
+        ("predictions", [*predictions, *predictions.values()]),
+        ("report_runs", [*report_runs, *report_runs.values()]),
+        ("training_domains", training_domains or []),
     ):
-        raise InputError("config predictions must map expert names to paths")
-    training_domains = record.get("training_domains")
-    if training_domains is not None:
-        if not isinstance(training_domains, list) or not all(
-            isinstance(x, str) for x in training_domains
-        ):
-            raise InputError("training_domains must be a list of strings")
-        training_domains = tuple(training_domains)
-    report_runs = record.get("report_runs", {})
-    if not isinstance(report_runs, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in report_runs.items()
-    ):
-        raise InputError("report_runs must map run names to paths")
-    simulation = record.get("simulation", {})
-    if not isinstance(simulation, dict):
-        raise InputError("config simulation must be an object")
+        if not all(type(x) is str for x in strings):
+            raise InputError(f"{where} {name!r} must hold only strings")
     try:
         return RunConfig(
-            corpus=_expect(record, "corpus", str, None),
-            holdout=_expect(record, "holdout", str, None),
+            corpus=field(record, "corpus", str, where, None),
+            holdout=field(record, "holdout", str, where, None),
             predictions=dict(predictions),
             experts=experts,
             embedder=embedder,
-            out_dir=_expect(record, "out_dir", str, known.out_dir),
-            embeddings_path=_expect(record, "embeddings_path", str, None),
-            adapter_path=_expect(record, "adapter_path", str, None),
-            pairs_path=_expect(record, "pairs_path", str, None),
-            pools_dir=_expect(record, "pools_dir", str, None),
-            run_path=_expect(record, "run_path", str, None),
-            report_path=_expect(record, "report_path", str, None),
-            k=_expect(hyper, "k", int, known.k),
-            pairs_per_query=_expect(hyper, "l", int, known.pairs_per_query),
+            out_dir=field(record, "out_dir", str, where, known.out_dir),
+            embeddings_path=field(record, "embeddings_path", str, where, None),
+            adapter_path=field(record, "adapter_path", str, where, None),
+            pairs_path=field(record, "pairs_path", str, where, None),
+            pools_dir=field(record, "pools_dir", str, where, None),
+            run_path=field(record, "run_path", str, where, None),
+            report_path=field(record, "report_path", str, where, None),
+            k=field(hyper, "k", int, where, known.k),
+            pairs_per_query=field(hyper, "l", int, where, known.pairs_per_query),
             pool_size=hyper.get("pool_size", known.pool_size),
-            margin=_expect(hyper, "margin", float, known.margin),
-            learning_rate=_expect(hyper, "learning_rate", float, known.learning_rate),
-            epochs=_expect(hyper, "epochs", int, known.epochs),
+            margin=field(hyper, "margin", float, where, known.margin),
+            learning_rate=field(hyper, "learning_rate", float, where, known.learning_rate),
+            epochs=field(hyper, "epochs", int, where, known.epochs),
             costs=costs,
-            seed=_expect(record, "seed", int, known.seed),
-            router=_expect(record, "router", str, known.router),
-            supervision=_expect(record, "supervision", str, known.supervision),
-            prior_mode=_expect(record, "prior_mode", str, known.prior_mode),
-            training_domains=training_domains,
+            seed=field(record, "seed", int, where, known.seed),
+            router=field(record, "router", str, where, known.router),
+            supervision=field(record, "supervision", str, where, known.supervision),
+            prior_mode=field(record, "prior_mode", str, where, known.prior_mode),
+            training_domains=None if training_domains is None else tuple(training_domains),
             report_runs=dict(report_runs),
-            simulation=dict(simulation),
+            simulation=dict(field(record, "simulation", dict, where, {})),
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed config: {exc}") from None

@@ -21,11 +21,12 @@ Unknown fields are ignored so corpora can carry extra annotations.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, is_int, parse_json, write_json_lines
+from .errors import InputError, field, parse_json, write_json_lines
 
 SEPARATOR = "-"
 NULL_VALUES = frozenset({"", "none"})
@@ -78,22 +79,26 @@ TurnBelief = dict[SlotName, str]
 DialogueState = dict[SlotName, str]
 
 
-def make_belief(raw: Mapping[str, str]) -> tuple[TurnBelief, int]:
+def make_belief(raw: Mapping[str, str], where: str = "belief:") -> tuple[TurnBelief, int]:
     """Canonicalize a raw slot->value map into a belief.
 
     Returns the belief and the number of entries dropped for carrying a null
-    value ("" or "none" after canonicalization).
+    value ("" or "none" after canonicalization). A bad entry raises
+    :class:`InputError` after ``where``.
     """
     belief: TurnBelief = {}
     dropped = 0
     for name, value in raw.items():
         if not isinstance(name, str) or not isinstance(value, str):
-            raise InputError(f"belief entry {name!r}: {value!r} is not a string pair")
+            raise InputError(f"{where} entry {name!r}: {value!r} is not a string pair")
         canon = canonicalize_value(value)
         if canon in NULL_VALUES:
             dropped += 1
             continue
-        belief[SlotName.parse(name)] = canon
+        try:
+            belief[SlotName.parse(name)] = canon
+        except InputError as exc:
+            raise InputError(f"{where} {exc}") from None
     return belief, dropped
 
 
@@ -221,7 +226,7 @@ class Corpus:
 
     dialogues: tuple[Dialogue, ...]
     dropped_values: int = 0
-    _by_id: dict[str, Dialogue] = field(init=False, repr=False)
+    _by_id: dict[str, Dialogue] = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._by_id = {d.dialogue_id: d for d in self.dialogues}
@@ -257,26 +262,18 @@ class Corpus:
         return out
 
 
-def _parse_turn(raw: object, index: int, where: str) -> tuple[Turn, int]:
-    if not isinstance(raw, dict):
-        raise InputError(f"{where}: turn {index} is not an object")
-    turn_id = raw.get("turn_id")
-    if not is_int(turn_id) or turn_id != index:
-        raise InputError(f"{where}: turn_id {turn_id!r} at position {index} (must be {index})")
-    system = raw.get("system", "")
-    user = raw.get("user")
-    if not isinstance(system, str):
-        raise InputError(f"{where}: turn {index} system utterance is not a string")
-    if not isinstance(user, str) or not user:
-        raise InputError(f"{where}: turn {index} user utterance is missing or empty")
-    gold_raw = raw.get("gold_tlb", {})
-    if not isinstance(gold_raw, dict):
-        raise InputError(f"{where}: turn {index} gold_tlb is not an object")
-    try:
-        gold, dropped = make_belief(gold_raw)
-    except InputError as exc:
-        raise InputError(f"{where}: turn {index}: {exc}") from None
-    return Turn(turn_id, system, user, gold), dropped
+def _parse_turn(raw: object, index: int) -> tuple[Turn, int]:
+    """The turn at ``index`` of a dialogue record; errors do not say where."""
+    if type(raw) is not dict:
+        raise InputError("not an object")
+    turn_id = field(raw, "turn_id", int, "field")
+    if turn_id != index:
+        raise InputError(f"turn_id {turn_id} at position {index} (must be {index})")
+    user = field(raw, "user", str, "field")
+    if not user:
+        raise InputError("user utterance is empty")
+    gold, dropped = make_belief(field(raw, "gold_tlb", dict, "field", {}), "gold_tlb:")
+    return Turn(turn_id, field(raw, "system", str, "field", ""), user, gold), dropped
 
 
 def parse_dialogues(lines: Iterable[str]) -> Corpus:
@@ -291,28 +288,30 @@ def parse_dialogues(lines: Iterable[str]) -> Corpus:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        raw = parse_json(line, f"line {lineno}")
-        if not isinstance(raw, dict):
-            raise InputError(f"line {lineno}: record is not an object")
-        dialogue_id = raw.get("dialogue_id")
-        if not isinstance(dialogue_id, str) or not dialogue_id:
-            raise InputError(f"line {lineno}: missing or empty dialogue_id")
-        where = f"line {lineno} (dialogue {dialogue_id!r})"
-        if dialogue_id in seen:
-            raise InputError(f"{where}: duplicate dialogue_id")
+        at = f"line {lineno}:"
+        raw = parse_json(line, at)
+        if type(raw) is not dict:
+            raise InputError(f"{at} record is not an object")
+        dialogue_id = field(raw, "dialogue_id", str, at)
+        where = f"line {lineno} (dialogue {dialogue_id!r}):"
+        if not dialogue_id or dialogue_id in seen:
+            raise InputError(f"{where} empty or duplicate dialogue_id")
         seen.add(dialogue_id)
-        domains_raw = raw.get("domains", [])
-        if not isinstance(domains_raw, list) or not all(isinstance(x, str) for x in domains_raw):
-            raise InputError(f"{where}: domains is not a list of strings")
-        domains = frozenset(canonicalize_value(x) for x in domains_raw)
-        turns_raw = raw.get("turns")
-        if not isinstance(turns_raw, list) or not turns_raw:
-            raise InputError(f"{where}: turns is missing or empty")
+        domains_raw = field(raw, "domains", list, where, [])
+        if not all(type(x) is str for x in domains_raw):
+            raise InputError(f"{where} domains is not a list of strings")
+        turns_raw = field(raw, "turns", list, where)
+        if not turns_raw:
+            raise InputError(f"{where} turns is empty")
         turns: list[Turn] = []
         for index, turn_raw in enumerate(turns_raw):
-            turn, turn_dropped = _parse_turn(turn_raw, index, where)
+            try:
+                turn, turn_dropped = _parse_turn(turn_raw, index)
+            except InputError as exc:
+                raise InputError(f"{where} turn {index}: {exc}") from None
             dropped += turn_dropped
             turns.append(turn)
+        domains = frozenset(canonicalize_value(x) for x in domains_raw)
         dialogues.append(Dialogue(dialogue_id, domains, tuple(turns)))
     return Corpus(tuple(dialogues), dropped)
 

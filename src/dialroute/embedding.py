@@ -10,6 +10,7 @@ vectors of a shared dimension.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from typing import Iterable
 import numpy as np
 
 from .dialogue import Triplet
-from .errors import InputError, read_json, read_json_lines, write_json, write_json_lines
+from .errors import InputError, field, read_json, read_json_lines, vector_rows
+from .errors import write_json, write_json_lines
 
 # Maps every byte that is not [a-z0-9] to a space, so splitting the encoded
 # lowercased text yields the same words as the regex [a-z0-9]+ would: any
@@ -83,18 +85,6 @@ def _seed_key(seed: int) -> bytes:
     return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
 
-def finite_vector(value: object, dtype: type) -> np.ndarray | None:
-    """``value`` as a flat array of finite numbers, or None if it is not one.
-    Numbers that overflow ``dtype`` become infinite and are rejected, and so
-    are ints too large for any float."""
-    try:
-        with np.errstate(over="ignore"):
-            vector = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return vector if vector.ndim == 1 and np.all(np.isfinite(vector)) else None
-
-
 @dataclass
 class ProjectionAdapter:
     """A trainable square matrix applied to base embeddings before scoring.
@@ -145,18 +135,19 @@ def save_adapter(adapter: ProjectionAdapter, path: str) -> None:
 
 
 def load_adapter(path: str) -> ProjectionAdapter:
+    where = f"adapter {path!r}:"
     record = read_json(path, "adapter")
-    if not isinstance(record, dict) or "dim" not in record or "matrix" not in record:
-        raise InputError(f"adapter {path!r}: expected an object with dim and matrix")
-    dim = record["dim"]
+    if type(record) is not dict:
+        raise InputError(f"{where} expected an object with dim and matrix")
+    dim = field(record, "dim", int, where)
     try:
-        matrix = np.asarray(record["matrix"], dtype=np.float64)
+        matrix = np.asarray(field(record, "matrix", list, where), dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"adapter {path!r}: malformed matrix ({exc})") from None
+        raise InputError(f"{where} malformed matrix ({exc})") from None
     if matrix.shape != (dim, dim):
-        raise InputError(f"adapter {path!r}: matrix shape {matrix.shape} does not match dim {dim}")
+        raise InputError(f"{where} matrix shape {matrix.shape} does not match dim {dim}")
     if not np.all(np.isfinite(matrix)):
-        raise InputError(f"adapter {path!r}: matrix has non-finite entries")
+        raise InputError(f"{where} matrix has non-finite entries")
     return ProjectionAdapter(matrix)
 
 
@@ -184,47 +175,36 @@ class EmbeddingStore:
 
     @classmethod
     def build(cls, items: Iterable[tuple[str, np.ndarray]]) -> "EmbeddingStore":
-        vectors: dict[str, np.ndarray] = {}
-        dim: int | None = None
+        keys: list[str] = []
+        vectors: list[np.ndarray] = []
         for key, vector in items:
-            arr = np.asarray(vector, dtype=np.float32)
-            if key in vectors:
-                raise InputError(f"duplicate embedding key {key!r}")
-            if dim is None:
-                dim = int(arr.shape[0])
-            elif arr.shape != (dim,):
-                raise InputError(
-                    f"embedding for key {key!r} has dim {arr.shape[0]}, expected {dim}"
-                )
-            vectors[key] = arr
-        return cls(vectors, dim or 0)
+            keys.append(key)
+            vectors.append(vector)
+        return cls.of_rows(keys, vector_rows(keys, vectors, "embeddings:"))
+
+    @classmethod
+    def of_rows(cls, keys: list[str], matrix: np.ndarray) -> "EmbeddingStore":
+        """The store whose vector for ``keys[i]`` is row i of ``matrix``."""
+        return cls(dict(zip(keys, matrix)), int(matrix.shape[1]))
 
 
 def load_store(path: str) -> EmbeddingStore:
     """Load a JSON Lines embedding store: ``{"key": …, "vector": […]}`` per line."""
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, record in read_json_lines(path, "embedding store"):
-        record_key = record.get("key")
-        vector = record.get("vector")
-        if not isinstance(record_key, str) or not isinstance(vector, list):
-            raise InputError(f"{path}:{lineno}: expected string key and vector list")
-        if record_key in vectors:
-            raise InputError(f"{path}:{lineno}: duplicate key {record_key!r}")
-        arr = finite_vector(vector, np.float32)
-        if arr is None:
-            raise InputError(
-                f"{path}:{lineno}: vector for {record_key!r} is not a flat vector of finite numbers"
-            )
-        if dim is None:
-            dim = int(arr.shape[0])
-        elif arr.shape[0] != dim:
-            raise InputError(
-                f"{path}:{lineno}: vector for key {record_key!r} has dim "
-                f"{arr.shape[0]}, expected {dim}"
-            )
-        vectors[record_key] = arr
-    return EmbeddingStore(vectors, dim or 0)
+    keys: list[str] = []
+    vectors: list[object] = []
+    wheres: list[str] = []
+    with np.errstate(over="ignore"):
+        for where, record in read_json_lines(path, "embedding store"):
+            keys.append(field(record, "key", str, where))
+            vector = record.get("vector")
+            # Each line's numbers are packed at once, so the store never holds
+            # its lists of Python floats (8x the memory); vector_rows still
+            # checks what the packing made, or what it could not pack.
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                vector = np.asarray(vector, dtype=np.float32)
+            vectors.append(vector)
+            wheres.append(where)
+    return EmbeddingStore.of_rows(keys, vector_rows(keys, vectors, wheres))
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:

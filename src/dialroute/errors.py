@@ -1,6 +1,6 @@
-"""Shared exception types, the JSON readers that raise them, the type checks
-for values read from JSON, and the two atomic JSON writers every artifact
-goes through."""
+"""Shared exception types, the JSON readers that raise them, the checks every
+loader reads its records through, and the two atomic JSON writers every
+artifact goes through."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ import contextlib
 import json
 import os
 import secrets
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class InputError(Exception):
@@ -35,15 +37,90 @@ def is_number(value: object) -> bool:
     return is_int(value) and -_FLOAT_OVERFLOW < value < _FLOAT_OVERFLOW
 
 
+# Each kind a field can have, named as a message says what it must be.
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def field(record: dict, key: str, kind: type, where: str, default: Any = _REQUIRED) -> Any:
+    """``record[key]`` if it is a ``kind`` (str, int, float, list or dict),
+    or ``default`` when the key is absent (or null, where the default is
+    None). No kind takes a boolean, and ``float`` also takes an int that
+    converts to one. Otherwise :class:`InputError`: ``where``, the key, and
+    what it must be. The key follows bare after a ``where`` that ends in a
+    colon (``"file:3: confidence must be …"``), quoted after any other
+    (``"config field 'k' must be …"``)."""
+    value = record.get(key, default)
+    if type(value) is kind or value is default is not _REQUIRED:
+        return value
+    if kind is float and is_number(value):
+        return value
+    name = key if where.endswith(":") else repr(key)
+    if value is _REQUIRED:
+        raise InputError(f"{where} {name} is missing")
+    raise InputError(f"{where} {name} must be {_KINDS[kind]}, got {value!r}")
+
+
+def vector_rows(
+    keys: Sequence[str],
+    vectors: Sequence[object],
+    where: str | Sequence[str],
+    dtype: type = np.float32,
+) -> np.ndarray:
+    """The vectors as the rows of one ``dtype`` matrix, ``(0, 0)`` when there
+    are none. Keys must be unique, and the vectors non-empty flat lists of
+    finite numbers of one dim; numbers that overflow ``dtype`` are not
+    finite. Otherwise :class:`InputError` names the first key, in order,
+    that breaks a rule, after ``where``: one prefix, or one per key."""
+    if not keys:
+        return np.empty((0, 0), dtype=dtype)
+    try:
+        with np.errstate(over="ignore"):
+            matrix = np.array(vectors, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        matrix = None
+    if (
+        matrix is not None
+        and matrix.ndim == 2
+        and matrix.shape[1]
+        and np.isfinite(matrix).all()
+        and len(set(keys)) == len(keys)
+    ):
+        return matrix
+    seen: set[str] = set()
+    dim = None
+    for i, (key, vector) in enumerate(zip(keys, vectors)):
+        prefix = where if isinstance(where, str) else where[i]
+        if key in seen:
+            raise InputError(f"{prefix} duplicate key {key!r}")
+        seen.add(key)
+        try:
+            with np.errstate(over="ignore"):
+                row = np.asarray(vector, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            row = None
+        if row is None or row.ndim != 1 or not row.size or not np.isfinite(row).all():
+            raise InputError(
+                f"{prefix} vector for {key!r} is not a non-empty flat list of finite numbers"
+            )
+        dim = dim or row.size
+        if row.size != dim:
+            raise InputError(
+                f"{prefix} vector for {key!r} has dimension {row.size}, expected {dim}"
+            )
+    raise AssertionError("vector_rows found no fault in vectors it could not stack")
+
+
 def parse_json(text: str, where: str) -> Any:
     """``json.loads(text)``. Malformed JSON, numbers too long to convert and
-    nesting too deep to parse raise :class:`InputError` prefixed by ``where``."""
+    nesting too deep to parse raise :class:`InputError` prefixed by ``where``
+    (which ends in a colon)."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{where}: malformed JSON ({exc.msg})") from None
+        raise InputError(f"{where} malformed JSON ({exc.msg})") from None
     except (ValueError, RecursionError) as exc:
-        raise InputError(f"{where}: malformed JSON ({exc})") from None
+        raise InputError(f"{where} malformed JSON ({exc})") from None
 
 
 def read_json(path: str, what: str) -> Any:
@@ -56,12 +133,13 @@ def read_json(path: str, what: str) -> Any:
         raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
-    return parse_json(text, f"{what} {path!r}")
+    return parse_json(text, f"{what} {path!r}:")
 
 
-def read_json_lines(path: str, what: str) -> Iterator[tuple[int, dict]]:
-    """(line number, object) for each non-blank line of a JSON Lines file;
-    errors as in :func:`read_json`, and a line that is not an object too."""
+def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
+    """(``"path:line:"``, object) for each non-blank line of a JSON Lines
+    file; errors as in :func:`read_json`, and a line that is not an object
+    too."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -71,10 +149,11 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[int, dict]]:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                record = parse_json(line, f"{path}:{lineno}")
-                if not isinstance(record, dict):
-                    raise InputError(f"{path}:{lineno}: record is not an object")
-                yield lineno, record
+                where = f"{path}:{lineno}:"
+                record = parse_json(line, where)
+                if type(record) is not dict:
+                    raise InputError(f"{where} record is not an object")
+                yield where, record
         except UnicodeDecodeError as exc:
             raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
 

@@ -27,8 +27,8 @@ from .dialogue import (
     render_belief,
     turn_key,
 )
-from .embedding import finite_vector, serialize_triplet
-from .errors import InputError, is_int, is_number, read_json, read_json_lines
+from .embedding import serialize_triplet
+from .errors import InputError, field, read_json, read_json_lines, vector_rows
 from .errors import write_json, write_json_lines
 from .seeding import pcg64_first_draws, subseed
 from .similarity import tlb_similarity
@@ -59,6 +59,21 @@ def validate_experts(experts: Sequence[ExpertId]) -> list[ExpertId]:
     if len(set(ranks)) != len(ranks):
         raise InputError(f"duplicate expert priority ranks: {ranks}")
     return sorted(experts, key=lambda e: e.priority_rank)
+
+
+def parse_experts(raw: object, where: str) -> list[ExpertId]:
+    """The experts of a JSON list of ``{"name", "priority_rank"}`` objects,
+    in list order, each name and rank used once."""
+    what = f"{where} needs a non-empty list of named, integer-ranked experts"
+    if type(raw) is not list or not raw or not all(type(item) is dict for item in raw):
+        raise InputError(f"{what}, got {raw!r}")
+    where = f"{what}:"
+    experts = [
+        ExpertId(field(item, "name", str, where), field(item, "priority_rank", int, where))
+        for item in raw
+    ]
+    validate_experts(experts)
+    return experts
 
 
 @dataclass(frozen=True)
@@ -307,39 +322,22 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
     """
     grouped: dict[str, dict[str, ExpertPrediction]] = {}
     dropped = 0
-    for lineno, record in read_json_lines(path, "predictions"):
-        dialogue_id = record.get("dialogue_id")
-        record_turn_id = record.get("turn_id")
-        expert = record.get("expert")
-        tlb_raw = record.get("tlb", {})
-        if (
-            not isinstance(dialogue_id, str)
-            or not is_int(record_turn_id)
-            or not isinstance(expert, str)
-            or not isinstance(tlb_raw, dict)
-        ):
-            raise InputError(f"{path}:{lineno}: malformed prediction record")
-        confidence = record.get("confidence")
-        if confidence is not None and not is_number(confidence):
-            raise InputError(f"{path}:{lineno}: confidence must be a number or null")
-        if confidence is not None and not 0.0 <= float(confidence) <= 1.0:
-            raise InputError(f"{path}:{lineno}: confidence {confidence} outside [0, 1]")
-        try:
-            tlb, tlb_dropped = make_belief(tlb_raw)
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+    for where, record in read_json_lines(path, "predictions"):
+        dialogue_id = field(record, "dialogue_id", str, where)
+        turn_id = field(record, "turn_id", int, where)
+        expert = field(record, "expert", str, where)
+        tlb, tlb_dropped = make_belief(field(record, "tlb", dict, where, {}), where)
+        confidence = field(record, "confidence", float, where, None)
+        if confidence is not None and not 0.0 <= confidence <= 1.0:
+            raise InputError(f"{where} confidence {confidence} outside [0, 1]")
         dropped += tlb_dropped
         prediction = ExpertPrediction(
-            dialogue_id,
-            record_turn_id,
-            expert,
-            tlb,
-            None if confidence is None else float(confidence),
+            dialogue_id, turn_id, expert, tlb, None if confidence is None else float(confidence)
         )
         by_key = grouped.setdefault(expert, {})
         if prediction.key in by_key:
             raise InputError(
-                f"{path}:{lineno}: duplicate prediction for expert {expert!r}, "
+                f"{where} duplicate prediction for expert {expert!r}, "
                 f"turn {prediction.key!r}"
             )
         by_key[prediction.key] = prediction
@@ -375,29 +373,21 @@ def save_pool(pool: ExpertPool, path: str) -> None:
 
 
 def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:
+    where = f"pool {path!r}:"
     record = read_json(path, "pool")
-    if not isinstance(record, dict) or "expert" not in record or "entries" not in record:
-        raise InputError(f"pool {path!r}: expected an object with expert and entries")
-    name = record["expert"]
-    if not isinstance(name, str) or name not in experts:
+    if type(record) is not dict:
+        raise InputError(f"{where} expected an object with expert and entries")
+    name = field(record, "expert", str, where)
+    if name not in experts:
         raise InputError(f"pool {path!r} belongs to unknown expert {name!r}")
-    if not isinstance(record["entries"], list):
-        raise InputError(f"pool {path!r}: entries is not a list")
-    entries: list[PoolEntry] = []
-    dim: int | None = None
-    for i, raw in enumerate(record["entries"]):
-        if not isinstance(raw, dict) or not isinstance(raw.get("key"), str):
-            raise InputError(f"pool {path!r}: entry {i} is malformed")
-        vector = finite_vector(raw.get("vector", []), np.float32)
-        if vector is None:
-            raise InputError(
-                f"pool {path!r}: entry {raw['key']!r} is not a flat vector of finite numbers"
-            )
-        if dim is None:
-            dim = int(vector.shape[0])
-        elif vector.shape[0] != dim:
-            raise InputError(
-                f"pool {path!r}: entry {raw['key']!r} has dim {vector.shape[0]}, expected {dim}"
-            )
-        entries.append(PoolEntry(raw["key"], raw.get("text", ""), vector))
-    return ExpertPool(experts[name], entries)
+    keys: list[str] = []
+    texts: list[str] = []
+    vectors: list[object] = []
+    for i, raw in enumerate(field(record, "entries", list, where)):
+        if type(raw) is not dict:
+            raise InputError(f"{where} entry {i} is not an object")
+        keys.append(field(raw, "key", str, f"{where} entry {i}:"))
+        texts.append(field(raw, "text", str, f"{where} entry {i}:", ""))
+        vectors.append(raw.get("vector"))
+    entries = map(PoolEntry, keys, texts, vector_rows(keys, vectors, where))
+    return ExpertPool(experts[name], list(entries))

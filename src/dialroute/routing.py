@@ -14,10 +14,11 @@ mode exists for diagnostics.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NoReturn, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from .dialogue import (
     split_turn_key,
     triplet_of_turn,
 )
-from .embedding import ProjectionAdapter, finite_vector, project, serialize_triplet
-from .errors import InputError, is_int, is_number, read_json_lines, write_json_lines
-from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, validate_experts
+from .embedding import ProjectionAdapter, project, serialize_triplet
+from .errors import InputError, field, is_int, is_number, read_json_lines, vector_rows
+from .errors import write_json_lines
+from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, parse_experts
+from .experts import validate_experts
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +46,7 @@ logger = logging.getLogger(__name__)
 class RoutingDecision:
     key: str
     chosen: ExpertId
-    votes: Mapping[ExpertId, int] = field(default_factory=dict)
+    votes: Mapping[ExpertId, int] = dataclasses.field(default_factory=dict)
     neighbors: tuple[tuple[str, float], ...] = ()
     confidence: float | None = None
     # Experts whose inference this turn actually paid for. The cascade pays
@@ -124,18 +127,7 @@ class RetrievalRouter:
         vectors = [entry.vector for entry in entries]
         # Float32 vectors are stored as float32, which loses nothing.
         single = all(isinstance(v, np.ndarray) and v.dtype == np.float32 for v in vectors)
-        try:
-            with np.errstate(over="ignore"):
-                matrix = np.array(vectors, dtype=np.float32 if single else np.float64)
-        except (TypeError, ValueError):
-            matrix = None
-        if (
-            matrix is None
-            or matrix.ndim != 2
-            or len(set(keys)) != len(keys)
-            or not np.isfinite(matrix).all()
-        ):
-            _reject_pools(pools)
+        matrix = vector_rows(keys, vectors, "pools:", np.float32 if single else np.float64)
         self._keys = keys
         n, self._dim = matrix.shape
         rank = {expert: i for i, expert in enumerate(self.experts)}
@@ -214,21 +206,6 @@ class RetrievalRouter:
             picked = np.concatenate([picked, np.arange(start, len(self._keys))])
         product = self._matrix[picked].astype(np.float64) @ q
         return product[np.searchsorted(picked, rows)]
-
-
-def _reject_pools(pools: Sequence[ExpertPool]) -> NoReturn:
-    """Raise the error that names the first entry, in pool order, that is a
-    duplicate key or not a flat vector of finite numbers; failing that, the
-    error for vectors of different dimensions."""
-    seen: set[str] = set()
-    for pool in pools:
-        for entry in pool.entries:
-            if entry.key in seen:
-                raise InputError(f"pool entry {entry.key!r} appears in more than one pool")
-            seen.add(entry.key)
-            if finite_vector(entry.vector, np.float64) is None:
-                raise InputError(f"pool entry {entry.key!r} is not a flat vector of finite numbers")
-    raise InputError("pool entries do not share one vector dimension")
 
 
 class OracleRouter:
@@ -531,77 +508,53 @@ def save_run(run: RoutedRun, path: str) -> None:
 def load_run(path: str) -> RoutedRun:
     """Reload a routed run; accumulated states are refolded from the recorded
     beliefs, so metrics computed from the file match the in-memory run."""
-    raw_records: list[tuple[int, dict]] = []
+    raw_records: list[tuple[str, dict]] = []
     summary: dict | None = None
-    for lineno, record in read_json_lines(path, "run"):
+    for where, record in read_json_lines(path, "run"):
         if "summary" in record:
             if summary is not None:
-                raise InputError(f"{path}:{lineno}: multiple summary records")
-            summary = record["summary"]
+                raise InputError(f"{where} multiple summary records")
+            summary = field(record, "summary", dict, f"run {path!r}:")
         elif summary is not None:
-            raise InputError(f"{path}:{lineno}: turn record after the summary")
+            raise InputError(f"{where} turn record after the summary")
         else:
-            raw_records.append((lineno, record))
+            raw_records.append((where, record))
     if summary is None:
         raise InputError(f"run {path!r} has no trailing summary record")
-    if not isinstance(summary, dict):
-        raise InputError(f"run {path!r}: summary is not an object")
-    experts_raw = summary.get("experts")
-    if not isinstance(experts_raw, list) or not all(
-        isinstance(e, dict) and isinstance(e.get("name"), str) and is_int(e.get("priority_rank"))
-        for e in experts_raw
-    ):
-        raise InputError(f"run {path!r}: summary lacks a list of named, integer-ranked experts")
-    experts = validate_experts([ExpertId(e["name"], e["priority_rank"]) for e in experts_raw])
+    experts = validate_experts(parse_experts(summary.get("experts"), f"run {path!r}: summary"))
     by_name = {e.name: e for e in experts}
     records: list[TurnRecord] = []
     states: dict[str, dict] = {}
-    for lineno, record in raw_records:
-        key = record.get("key")
-        name = record.get("expert")
-        votes_raw = record.get("votes", {})
-        neighbors_raw = record.get("neighbors", [])
-        tlb_raw = record.get("tlb", {})
-        invoked_raw = record.get("invoked", [name])
-        confidence = record.get("confidence")
+    for at, record in raw_records:
+        where = f"{at} malformed turn record:"
+        key = field(record, "key", str, where)
+        name = field(record, "expert", str, where)
+        votes_raw = field(record, "votes", dict, where, {})
+        neighbors_raw = field(record, "neighbors", list, where, [])
+        invoked_raw = field(record, "invoked", list, where, [name])
+        confidence = field(record, "confidence", float, where, None)
         if (
-            not isinstance(key, str)
-            or not isinstance(name, str)
-            or name not in by_name
-            or not isinstance(votes_raw, dict)
-            or not all(is_int(count) for count in votes_raw.values())
-            or not isinstance(neighbors_raw, list)
+            name not in by_name
+            or not all(vote in by_name and is_int(count) for vote, count in votes_raw.items())
             or not all(
-                isinstance(n, list) and len(n) == 2 and isinstance(n[0], str) and is_number(n[1])
+                type(n) is list and len(n) == 2 and type(n[0]) is str and is_number(n[1])
                 for n in neighbors_raw
             )
-            or not isinstance(tlb_raw, dict)
-            or not isinstance(invoked_raw, list)
-            or not all(isinstance(n, str) and n in by_name for n in invoked_raw)
-            or not (confidence is None or is_number(confidence))
+            or not all(type(n) is str and n in by_name for n in invoked_raw)
         ):
-            raise InputError(f"{path}:{lineno}: malformed turn record {record!r}")
-        votes = {}
-        for vote_name, count in votes_raw.items():
-            if vote_name not in by_name:
-                raise InputError(f"{path}:{lineno}: vote for unknown expert {vote_name!r}")
-            votes[by_name[vote_name]] = count
-        neighbors = tuple((n[0], float(n[1])) for n in neighbors_raw)
-        tlb, _ = make_belief(tlb_raw)
-        invoked = tuple(by_name[n] for n in invoked_raw)
+            raise InputError(f"{where} {record!r}")
+        tlb, _ = make_belief(field(record, "tlb", dict, where, {}), where)
         decision = RoutingDecision(
             key,
             by_name[name],
-            votes,
-            neighbors,
+            {by_name[vote]: count for vote, count in votes_raw.items()},
+            tuple((n[0], float(n[1])) for n in neighbors_raw),
             None if confidence is None else float(confidence),
-            invoked,
+            tuple(by_name[n] for n in invoked_raw),
         )
         dialogue_id, _ = split_turn_key(key)
         state = aggregate_state(states.get(dialogue_id, {}), tlb)
         states[dialogue_id] = state
         records.append(TurnRecord(decision, tlb, state))
-    config = summary.get("config", {})
-    if not isinstance(config, dict):
-        raise InputError(f"run {path!r}: summary config is not an object")
+    config = field(summary, "config", dict, f"run {path!r}: summary", {})
     return RoutedRun(records, tuple(experts), config)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dialogue import LabeledTurn
 from .embedding import ProjectionAdapter
-from .errors import InputError, read_json, write_json
+from .errors import InputError, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -436,36 +436,3 @@ def save_pairs(pairs: PairSet, path: str) -> None:
         "negatives": [[q, c, tag] for (q, c), tag in pairs.negatives.items()],
     }
     write_json(path, record)
-
-
-def load_pairs(path: str) -> PairSet:
-    record = read_json(path, "pairs")
-    if not isinstance(record, dict):
-        raise InputError(f"pairs {path!r}: expected an object")
-
-    def read(polarity: str) -> dict[Pair, str]:
-        raw = record.get(polarity, [])
-        if not isinstance(raw, list):
-            raise InputError(f"pairs {path!r}: {polarity} is not a list")
-        out: dict[Pair, str] = {}
-        for item in raw:
-            if (
-                not isinstance(item, list)
-                or len(item) != 3
-                or not all(isinstance(x, str) for x in item)
-            ):
-                raise InputError(f"pairs {path!r}: malformed pair {item!r} in {polarity}")
-            query, candidate, tag = item
-            if tag not in ("task", "expert"):
-                raise InputError(
-                    f"pairs {path!r}: pair {item[:2]!r} in {polarity} has tag {tag!r}, "
-                    "not 'task' or 'expert'"
-                )
-            if query == candidate:
-                raise InputError(f"pairs {path!r}: self-pair {query!r} in {polarity}")
-            if (query, candidate) in out:
-                raise InputError(f"pairs {path!r}: duplicate pair {item[:2]!r} in {polarity}")
-            out[query, candidate] = tag
-        return out
-
-    return PairSet(read("positives"), read("negatives"))

@@ -1,5 +1,6 @@
 """Command-line driver and its JSON run configuration."""
 
+import copy
 import json
 import logging
 import re
@@ -12,6 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialroute import (
     SLM,
@@ -33,7 +36,6 @@ from dialroute.config import (
     parse_config,
 )
 from dialroute.errors import is_number
-from dialroute.supervision import load_pairs
 
 
 def write_config(path, sim, out_dir, **extra):
@@ -388,6 +390,88 @@ class TestExitCodes:
         assert "coverage: ok" in proc.stdout
 
 
+def edit_records(path, edit):
+    """Rewrite each JSON record of ``path``, one per line, through ``edit``."""
+    records = [edit(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+
+def cut_vectors(n):
+    """An edit that keeps the first ``n`` numbers of a store line's or a pool's vectors."""
+
+    def edit(record):
+        for entry in record.get("entries", [record]):
+            entry["vector"] = entry["vector"][:n]
+        return record
+
+    return edit
+
+
+def identity_adapter(dim):
+    return lambda record: {"dim": dim, "matrix": np.eye(dim).tolist()}
+
+
+# command, its extra arguments, the artifacts damaged, the edit, and what the
+# error must say: artifacts that do not fit each other, and vectors of no numbers
+MISFITS = {
+    "pools_vs_adapter": (
+        "route", [], ["pool_slm.json", "pool_llm.json"], cut_vectors(32),
+        ["pool_slm.json has dim 32", "adapter.json has dim 64"],
+    ),
+    "store_vs_adapter": (
+        "build-pools", [], ["embeddings.jsonl"], cut_vectors(32),
+        ["embeddings.jsonl has dim 32", "adapter.json has dim 64"],
+    ),
+    "store_vs_query_embedder": (
+        "route", ["--router", "classifier"], ["embeddings.jsonl"], cut_vectors(32),
+        ["embeddings.jsonl has dim 32", "hash embedder (config embedder dim) has dim 64"],
+    ),
+    "adapter_vs_query_embedder": (
+        "route", [], ["adapter.json"], identity_adapter(32),
+        ["adapter.json has dim 32", "hash embedder (config embedder dim) has dim 64"],
+    ),
+    "empty_store_vectors": (
+        "mine-and-train", [], ["embeddings.jsonl"], cut_vectors(0),
+        ["embeddings.jsonl:1: vector for", "not a non-empty flat list"],
+    ),
+    "empty_pool_vectors": (
+        "route", [], ["pool_slm.json", "pool_llm.json"], cut_vectors(0),
+        ["pool_slm.json", "not a non-empty flat list"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFITS))
+def test_artifacts_that_do_not_fit_exit_one_naming_them(pipeline, tmp_path, capsys, case):
+    command, extra, names, edit, expected = MISFITS[case]
+    out = tmp_path / "work"
+    shutil.copytree(pipeline.out, out)
+    config = write_config(tmp_path / "c.json", pipeline.sim, out)
+    for name in names:
+        edit_records(out / name, edit)
+    assert main([command, "--config", config, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(text in err for text in expected), err
+
+
+def test_overflowing_adapter_exits_one_without_a_numpy_warning(pipeline, tmp_path):
+    """Every projection of a finite adapter of 1e300 entries overflows: bad
+    input, which even ``-W error`` must not turn into an exit 2."""
+    out = tmp_path / "work"
+    shutil.copytree(pipeline.out, out)
+    config = write_config(tmp_path / "c.json", pipeline.sim, out)
+    edit_records(out / "adapter.json", lambda r: {**r, "matrix": np.full((r["dim"],) * 2, 1e300).tolist()})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dialroute", "build-pools", "--config", config],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "out of float64 range" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 BAD_SETTINGS = [
     ("mine-and-train", {"hyperparameters": {"margin": 1.5}}, "margin"),
     ("mine-and-train", {"hyperparameters": {"learning_rate": -1}}, "learning_rate"),
@@ -447,7 +531,6 @@ LOADERS = {
     "adapter": load_adapter,
     "config": load_config,
     "corpus": load_corpus,
-    "pairs": load_pairs,
     "pool": lambda path: load_pool(path, {"slm": SLM}),
     "predictions": load_predictions,
     "run": load_run,
@@ -461,6 +544,80 @@ def test_loaders_reject_non_utf8(kind, tmp_path):
     path.write_bytes(b'{"key": "caf\xff"}\n')
     with pytest.raises(InputError, match="not UTF-8"):
         LOADERS[kind](str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def damaged_files(draw, data):
+    """``data``, a valid file of JSON objects one per line, with some bytes
+    replaced, cut short, a deeply nested list or a 5,000-digit number put in
+    its first record, or, half the time, one JSON-level edit: a value at a
+    depth of 0 to 4 in one record set to an arbitrary JSON value, dropped,
+    or repeated."""
+    kind = draw(st.sampled_from(["bytes", "truncate", "raw", "json", "json", "json"]))
+    if kind == "bytes":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "raw":  # JSON that json.loads itself fails on in other ways than a syntax error
+        fragment = draw(st.sampled_from([b"[" * 5000 + b"]" * 5000, b"9" * 5000]))
+        return b'{"_": ' + fragment + b", " + data[1:]
+    records = [json.loads(line) for line in data.splitlines()]
+    node, key = records, draw(st.integers(0, len(records) - 1))
+    for _ in range(draw(st.integers(0, 4))):
+        if not isinstance(node[key], (dict, list)) or not node[key]:
+            break
+        node = node[key]
+        key = draw(st.sampled_from(sorted(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1))
+    edit = draw(st.sampled_from(["set", "set", "drop", "repeat"]))
+    if edit == "set":
+        node[key] = draw(JSON_VALUES)
+    elif edit == "drop":
+        del node[key]
+    elif isinstance(node, list):
+        node.insert(key, copy.deepcopy(node[key]))
+    else:
+        node[draw(st.text(max_size=6))] = copy.deepcopy(node[key])
+    return "".join(json.dumps(record) + "\n" for record in records).encode()
+
+
+@pytest.fixture(scope="module")
+def valid_files(small_sim, tmp_path_factory):
+    """A valid input of each loader's: a file the small simulation wrote, or a config."""
+    names = {
+        "adapter": "adapter.json",
+        "corpus": "corpus_holdout.jsonl",
+        "pool": "pool_trained_slm.json",
+        "predictions": "predictions_slm.jsonl",
+        "run": "run_retrieval_trained.jsonl",
+        "store": "embeddings_holdout.jsonl",
+    }
+    files = {kind: (small_sim.out_dir / name).read_bytes() for kind, name in names.items()}
+    config = write_config(tmp_path_factory.mktemp("fuzz") / "c.json", small_sim, "out")
+    files["config"] = Path(config).read_bytes()
+    return files
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_or_raises_input_error(valid_files, tmp_path_factory, kind, data):
+    """No exception but ``InputError`` escapes a loader, whatever the damage."""
+    path = tmp_path_factory.getbasetemp() / f"damaged_{kind}"
+    path.write_bytes(data.draw(damaged_files(valid_files[kind])))
+    try:
+        LOADERS[kind](str(path))
+    except InputError:
+        pass
 
 
 BIG = "9" * 401  # an integer too large for any float: float() raises OverflowError

@@ -34,7 +34,7 @@ from dialroute import (
 )
 from dialroute.cli import save_training
 from dialroute.errors import write_json, write_json_lines
-from dialroute.supervision import load_pairs, save_pairs
+from dialroute.supervision import save_pairs
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -116,7 +116,9 @@ class TestWritersMatchJsonDump:
         assert (tmp_path / "ours").read_bytes() == (tmp_path / "reference").read_bytes()
 
     def test_pairs(self, small_sim, tmp_path):
-        simulated = load_pairs(str(small_sim.out_dir / "pairs.json"))
+        record = json.loads((small_sim.out_dir / "pairs.json").read_text(encoding="utf-8"))
+        positives, negatives = ({(q, c): tag for q, c, tag in record[p]} for p in ("positives", "negatives"))
+        simulated = PairSet(positives, negatives)
         accented = PairSet({("é:0", "ü:1"): "tâche"}, {("é:0", "東京:2"): "expert"})
         for pairs in (simulated, accented):
             self.same_bytes(tmp_path, save_pairs, oracles.save_pairs, pairs)

@@ -7,10 +7,7 @@ checked against central finite differences on small random instances.
 import functools
 import json
 import math
-import re
-import tempfile
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,7 +35,7 @@ from dialroute.dialogue import LabeledTurn, Triplet
 from dialroute.embedding import HashEmbedder
 from dialroute.seeding import subseed
 from dialroute.simulate import SimulationSpec, generate_corpus, make_experts
-from dialroute.supervision import _loss_and_grad, _PairProblem, load_pairs, save_pairs
+from dialroute.supervision import _loss_and_grad, _PairProblem, save_pairs
 
 from conftest import cosine
 
@@ -171,7 +168,8 @@ class TestMerge:
         merged = merge_pairs(task, expert)
         assert merged.positives == {("d:1:0", "e:0"): "task", ("d:1", "0:e:0"): "expert"}
         save_pairs(merged, str(tmp_path / "pairs.json"))
-        assert load_pairs(str(tmp_path / "pairs.json")) == merged
+        saved = json.loads((tmp_path / "pairs.json").read_text())
+        assert saved["positives"] == [["d:1:0", "e:0", "task"], ["d:1", "0:e:0", "expert"]]
 
     def test_matches_reference_on_cli_chain_holdout(self, tmp_path):
         # the benchmark CLI chain's hold-out: ~85k task and expert pairs
@@ -463,7 +461,7 @@ class TestTraining:
 
 
 class TestPairsIO:
-    def test_round_trip(self, tmp_path):
+    def test_saved_format(self, tmp_path):
         pairs = PairSet(
             {("a:0", "b:0"): "task"},
             {("b:0", "c:0"): "expert", ("a:0", "c:0"): "task"},
@@ -474,108 +472,3 @@ class TestPairsIO:
             "positives": [["a:0", "b:0", "task"]],
             "negatives": [["b:0", "c:0", "expert"], ["a:0", "c:0", "task"]],
         }
-        again = load_pairs(str(path))
-        assert again == pairs
-        assert list(again.negatives) == list(pairs.negatives)
-
-    def load(self, tmp_path, record):
-        path = tmp_path / "pairs.json"
-        path.write_text(json.dumps(record))
-        with pytest.raises(InputError, match=re.escape(repr(str(path)))) as caught:
-            load_pairs(str(path))
-        return str(caught.value)
-
-    def test_load_rejects_duplicates(self, tmp_path):
-        twice = [["a:0", "b:0", "task"], ["a:0", "b:0", "expert"]]
-        assert "duplicate" in self.load(tmp_path, {"positives": twice, "negatives": []})
-        # one pair in both polarities is not a duplicate
-        once = {"positives": twice[:1], "negatives": twice[1:]}
-        (tmp_path / "ok.json").write_text(json.dumps(once))
-        assert len(load_pairs(str(tmp_path / "ok.json"))) == 2
-
-    def test_load_rejects_malformed_pair(self, tmp_path):
-        for item in (["a:0", "b:0"], ["a:0"], ["a:0", "b:0", 1], ["a:0", 2, "task"], "a:0"):
-            assert "malformed pair" in self.load(tmp_path, {"positives": [], "negatives": [item]})
-
-    def test_load_rejects_self_pair(self, tmp_path):
-        message = self.load(tmp_path, {"positives": [["x:0", "x:0", "task"]]})
-        assert "self-pair" in message
-
-    @pytest.mark.parametrize("tag", ["", "Task", "task+expert", "none"])
-    def test_load_rejects_unknown_tag(self, tmp_path, tag):
-        message = self.load(tmp_path, {"negatives": [["a:0", "b:0", "task"], ["a:0", "c:0", tag]]})
-        assert f"pair ['a:0', 'c:0'] in negatives has tag {tag!r}" in message
-
-
-@functools.lru_cache(maxsize=1)
-def saved_pairs_bytes():
-    """The bytes of a small real ``pairs.json``: both miners on 4 synthetic
-    hold-out dialogues, merged."""
-    spec = SimulationSpec(holdout_dialogues=4)
-    turns = generate_corpus(spec, spec.holdout_dialogues, "hld", "holdout").labeled()
-    labels = {t.key: ("slm", "llm")[i % 2] for i, t in enumerate(turns)}
-    store = embed_turns(HashEmbedder(16, 0), turns)
-    pairs = merge_pairs(mine_task_pairs(turns, 3), mine_expert_pairs(turns, labels, store, 3))
-    with tempfile.TemporaryDirectory() as directory:
-        return saved(pairs, Path(directory))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=8,
-)
-
-
-@st.composite
-def mutated_pairs_files(draw):
-    """A saved ``pairs.json`` with some bytes replaced, cut short, a deeply
-    nested list or a 5,000-digit number put before its first entry, or one
-    JSON-level edit: a top-level field, a polarity, an entry or an entry's
-    item set to an arbitrary JSON value, or an entry dropped or repeated."""
-    data = saved_pairs_bytes()
-    kind = draw(st.sampled_from(["bytes", "truncate", "raw", "json"]))
-    if kind == "bytes":
-        out = bytearray(data)
-        for _ in range(draw(st.integers(1, 4))):
-            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
-        return bytes(out)
-    if kind == "truncate":
-        return data[: draw(st.integers(0, len(data) - 1))]
-    if kind == "raw":  # JSON that json.loads itself fails on in other ways than a syntax error
-        first = data.index(b"[[") + 1
-        fragment = draw(st.sampled_from([b"[" * 5000 + b"]" * 5000, b"9" * 5000]))
-        return data[:first] + fragment + b"," + data[first:]
-    record = json.loads(data)
-    polarity = draw(st.sampled_from(["positives", "negatives"]))
-    entries = record[polarity]
-    where = draw(st.integers(0, len(entries) - 1))
-    edit = draw(st.sampled_from(["field", "polarity", "entry", "item", "drop", "repeat"]))
-    if edit == "field":
-        record[draw(st.sampled_from(["positives", "negatives", "provenance", ""]))] = draw(JSON_VALUES)
-    elif edit == "polarity":
-        record[polarity] = draw(JSON_VALUES)
-    elif edit == "entry":
-        entries[where] = draw(JSON_VALUES)
-    elif edit == "item":
-        entries[where][draw(st.integers(0, 2))] = draw(JSON_VALUES)
-    elif edit == "drop":
-        del entries[where]
-    else:
-        entries.insert(draw(st.integers(0, len(entries))), list(entries[where]))
-    return json.dumps(record).encode()
-
-
-@settings(max_examples=300, deadline=None)
-@given(mutated_pairs_files())
-def test_load_pairs_fuzz_loads_or_raises_input_error(tmp_path_factory, data):
-    """A damaged ``pairs.json`` either loads or raises ``InputError``; no
-    other exception escapes the loader."""
-    path = tmp_path_factory.getbasetemp() / "fuzzed_pairs.json"
-    path.write_bytes(data)
-    try:
-        pairs = load_pairs(str(path))
-    except InputError:
-        return
-    for polarity in (pairs.positives, pairs.negatives):
-        assert all(q != c and tag in ("task", "expert") for (q, c), tag in polarity.items())
