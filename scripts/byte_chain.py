@@ -7,9 +7,9 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
 
 - ``simulate --seed 0`` and ``--seed 3`` into ``sim0/`` and ``sim3/``;
 - ``simulate --seed 0`` with 1,000 hold-out dialogues, ``pool_size`` 5000
-  and 2 epochs into ``sim_large/``: its pools hold ~4,300 entries, enough
-  for the retrieval router's two-stage search, which the other steps' pools
-  (at most ~600 entries) never reach;
+  and 2 epochs into ``sim_large/``: its pools hold ~4,300 entries, the only
+  ones in the chain near the size ``route-large-pool`` routes over (the
+  other steps' pools hold at most ~600 entries);
 - on seed 3's corpora and predictions, once per supervision kind (``none``,
   ``task``, ``expert``, ``task+expert``) into ``cli/<kind>/``: ``validate``,
   ``embed``, ``mine-and-train``, ``build-pools``, ``route`` with each router
@@ -69,7 +69,7 @@ WRITES = {
     "route": {"run_path": "errors/out/run.jsonl"},
 }
 
-# Pools large enough for RetrievalRouter's two stages.
+# Pools near route-large-pool's size; the other steps' hold at most ~600 entries.
 LARGE = {"holdout_dialogues": 1000, "pool_size": 5000, "epochs": 2}
 
 

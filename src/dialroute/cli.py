@@ -11,8 +11,7 @@ The stage functions below hold the pipeline over in-memory objects: the
 commands wrap them in load and save, and ``simulate`` runs the same stages.
 
 Exit codes: 0 success, 1 bad input (including usage errors), 2 internal error.
-Set ``DIALROUTE_LOG=debug|info|warning|error`` for stderr verbosity
-(``ORCHESTRA_LOG``, the older name, is read when ``DIALROUTE_LOG`` is unset).
+Set ``DIALROUTE_LOG=debug|info|warning|error`` for stderr verbosity.
 """
 
 from __future__ import annotations
@@ -547,9 +546,9 @@ _LOG_LEVELS = {
 
 
 def _log_level(environ: Mapping[str, str]) -> int:
-    """The level named by ``DIALROUTE_LOG`` or, when that is unset, by
-    ``ORCHESTRA_LOG`` (its older name); warning for a name that is not a level."""
-    wanted = environ.get("DIALROUTE_LOG", environ.get("ORCHESTRA_LOG", "warning"))
+    """The level named by ``DIALROUTE_LOG``; warning when it is unset or
+    names no level."""
+    wanted = environ.get("DIALROUTE_LOG", "warning")
     return _LOG_LEVELS.get(wanted.strip().lower(), logging.WARNING)
 
 

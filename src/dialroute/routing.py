@@ -66,14 +66,10 @@ class TurnContext:
     predict: Callable[[ExpertId], ExpertPrediction]
 
 
-# Pools of at least this many entries are searched in two stages (see
-# ``RetrievalRouter``). Below it one float64 product is faster: at dim 256 the
-# crossover lies between 600 and 1,000 entries.
-_TWO_STAGE_ENTRIES = 800
-
-# Two stages need float32 products that neither overflow nor lose a row to
+# Stage 1 needs float32 products that neither overflow nor lose a row to
 # underflow, and a rounding bound well below 1: nonzero row norms in
-# [2**-60, 2**60], and at most 2**20 dimensions.
+# [2**-60, 2**60], at most 2**20 dimensions, and a query norm of at least
+# 2**-60 (below it the squared norm may have lost bits to underflow).
 _NORM_RANGE = (2.0**-60, 2.0**60)
 _MAX_DIM = 1 << 20
 
@@ -84,32 +80,30 @@ class RetrievalRouter:
     Entries are ranked by (score desc, turn key asc); vote ties go to the
     lower priority rank. With fewer than k entries in total, all of them vote.
 
-    A score is ``(M @ q) / (row_norms * qnorm)`` in float64, and the search
-    is exact. A pool of at least ``_TWO_STAGE_ENTRIES`` float32 vectors is
-    stored as float32 and searched in two stages:
+    A score is ``(m * q).sum() / (‖m‖ * ‖q‖)`` in float64, taken row by row,
+    so its bits depend only on the row and the query. The search is exact
+    and has two stages:
 
     1. One float32 product of the pool with the unit query, divided by the
        row norms, gives every entry an approximate score within
        ``E = 2(d+2)u`` of its score (u = 2**-24, d the dim). The float32 dot
-       product errs by at most ``γ_d = du/(1-du)`` times ``‖m‖·‖q̂‖``
-       (Higham, Accuracy and Stability of Numerical Algorithms, §3.1),
-       rounding the unit query to float32 adds u, and the float64 score's own
-       rounding and float32 underflow, for norms in ``_NORM_RANGE``, add less
-       than 2**-30. Let s_k be the k-th best score and a_k the k-th best
-       approximation. Only entries scoring above s_k can have an
-       approximation above ``s_k + E``, and there are fewer than k of them, so
-       ``a_k <= s_k + E``. Every entry scoring at least s_k thus has an
-       approximation of at least ``s_k - E >= a_k - 2E``, and keeping every
-       entry within 2E of a_k keeps the top k and all ties with the k-th.
-    2. The shortlist is rescored in float64 with the bits of the full
-       product. OpenBLAS's mat-vec sums an aligned group of 4 rows the same
-       wherever the group sits, and the last ``n mod 4`` rows the same when
-       they follow one full group. So the product is taken over the
-       shortlist's whole 4-row groups, with the tail after the last full
-       group of the pool.
+       product errs by at most ``γ_d = du/(1-du) <= (16/15)du`` times
+       ``‖m‖·‖q̂‖`` for d <= 2**20 (Higham, Accuracy and Stability of
+       Numerical Algorithms, §3.1). Rounding the unit query to float32 adds
+       u, and rounding a float64 pool's rows to float32 adds u more. The
+       float64 score's own rounding and float32 underflow, for norms in
+       ``_NORM_RANGE``, add less than 2**-30. All of it stays under
+       ``(16/15)du + 2u + 2**-30 <= E``. Let s_k be the k-th best score and
+       a_k the k-th best approximation. Only entries scoring above s_k can
+       have an approximation above ``s_k + E``, and there are fewer than k of
+       them, so ``a_k <= s_k + E``. Every entry scoring at least s_k thus has
+       an approximation of at least ``s_k - E >= a_k - 2E``, and keeping
+       every entry within 2E of a_k keeps the top k and all ties with the
+       k-th.
+    2. The shortlist is rescored with the float64 score, then ranked.
 
-    A query of norm below 2**-60 takes the single product, because its
-    squared norm may have lost bits to underflow.
+    A pool or query outside stage 1's domain (see ``_NORM_RANGE``) sends
+    every entry to stage 2.
     """
 
     kind = "retrieval"
@@ -127,28 +121,22 @@ class RetrievalRouter:
         vectors = [entry.vector for entry in entries]
         # Float32 vectors are stored as float32, which loses nothing.
         single = all(isinstance(v, np.ndarray) and v.dtype == np.float32 for v in vectors)
-        matrix = vector_rows(keys, vectors, "pools:", np.float32 if single else np.float64)
+        self._matrix = vector_rows(keys, vectors, "pools:", np.float32 if single else np.float64)
         self._keys = keys
-        n, self._dim = matrix.shape
+        n, self._dim = self._matrix.shape
         rank = {expert: i for i, expert in enumerate(self.experts)}
         self._owners = np.array([rank[pool.expert] for pool in pools for _ in pool.entries])
         # np.linalg.norm of the float64 rows, converted a block at a time.
-        blocks = (matrix[i : i + 1024].astype(np.float64) for i in range(0, n, 1024))
+        blocks = (self._matrix[i : i + 1024].astype(np.float64) for i in range(0, n, 1024))
         norms = np.concatenate([np.linalg.norm(block, axis=1) for block in blocks])
         self._row_norms = np.where(norms == 0.0, np.inf, norms)
         low, high = _NORM_RANGE
-        self._two_stage = bool(
-            single
-            and n >= _TWO_STAGE_ENTRIES
-            and self._dim <= _MAX_DIM
-            and np.all((norms == 0.0) | ((norms >= low) & (norms <= high)))
+        in_domain = self._dim <= _MAX_DIM and np.all(
+            (norms == 0.0) | ((norms >= low) & (norms <= high))
         )
-        self._matrix = matrix if self._two_stage else matrix.astype(np.float64, copy=False)
-        # E of the class docstring, and the first row that stage 2 takes
-        # only together with the rest of the pool: the last full 4-row group
-        # before a tail of n mod 4 rows (n when there is no tail).
-        self._bound = 2 * (self._dim + 2) * 2.0**-24
-        self._tail_start = max(n - n % 4 - 4, 0) if n % 4 else n
+        # The float32 pool stage 1 reads, or None to send every entry to stage 2.
+        self._single = self._matrix.astype(np.float32, copy=False) if in_domain else None
+        self._bound = 2 * (self._dim + 2) * 2.0**-24  # E of the class docstring
         # Entries in ascending key order, and each entry's place in it: the
         # score tie-break.
         self._by_key = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
@@ -172,14 +160,9 @@ class RetrievalRouter:
             # Every score is 0: the first k entries by key.
             rows = self._by_key[: self._k_eff]
             scores = np.zeros(self._k_eff)
-        elif self._two_stage and qnorm >= _NORM_RANGE[0]:
-            rows = self._shortlist(q, qnorm)
-            scores = self._product(rows, q) / (self._row_norms[rows] * qnorm)
         else:
-            full = (self._matrix @ q) / (self._row_norms * qnorm)
-            # Every entry scoring at least the k-th best score is a candidate.
-            rows = np.flatnonzero(full >= np.partition(full, self._kth)[self._kth])
-            scores = full[rows]
+            rows = self._shortlist(q, qnorm)
+            scores = (self._matrix[rows] * q).sum(axis=1) / (self._row_norms[rows] * qnorm)
         order = np.lexsort((self._key_rank[rows], -scores))[: self._k_eff]
         ranked = rows[order]
         counts = np.bincount(self._owners[ranked], minlength=len(self.experts)).tolist()
@@ -191,21 +174,13 @@ class RetrievalRouter:
         return RoutingDecision(ctx.key, chosen, votes, neighbors, None, (chosen,))
 
     def _shortlist(self, q: np.ndarray, qnorm: float) -> np.ndarray:
-        """Stage 1: every entry whose float32 score is within 2E of the k-th."""
-        approx = (self._matrix @ (q / qnorm).astype(np.float32)) / self._row_norms
+        """Stage 1: every entry whose float32 score is within 2E of the k-th,
+        or every entry when the pool or the query is outside its domain."""
+        if self._single is None or qnorm < _NORM_RANGE[0]:
+            return np.arange(len(self._keys))
+        approx = (self._single @ (q / qnorm).astype(np.float32)) / self._row_norms
         cut = np.partition(approx, self._kth)[self._kth] - 2.0 * self._bound
         return np.flatnonzero(approx >= cut)
-
-    def _product(self, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Stage 2: ``(M @ q)[rows]`` with the bits of the full product, for
-        ``rows`` in ascending order."""
-        start = self._tail_start
-        groups = np.unique(rows[rows < start] >> 2)
-        picked = (groups[:, None] * 4 + np.arange(4)).ravel()
-        if rows[-1] >= start:
-            picked = np.concatenate([picked, np.arange(start, len(self._keys))])
-        product = self._matrix[picked].astype(np.float64) @ q
-        return product[np.searchsorted(picked, rows)]
 
 
 class OracleRouter:
@@ -307,17 +282,20 @@ class LogisticModel:
         return float(_sigmoid(np.asarray(self.weights @ x64 + self.bias)))
 
 
-def train_classifier_router(
-    embeddings: np.ndarray,
-    labels: np.ndarray,
-    learning_rate: float = 0.1,
-    epochs: int = 200,
-) -> LogisticModel:
+# Full-batch gradient steps the classifier router takes.
+_CLASSIFIER_EPOCHS = 200
+
+
+def train_classifier_router(embeddings: np.ndarray, labels: np.ndarray) -> LogisticModel:
     """Full-batch logistic regression on frozen embeddings.
 
     ``labels`` holds 1 where the turn belongs to the rank-1 expert and 0 for
-    rank 0. A single-class training set logs a warning and returns a
-    degenerate model that always predicts that class.
+    rank 0. The step is 1/L, with ``L = (max‖x‖² + 1) / 4`` the smoothness
+    bound of the mean logistic loss over inputs with a bias column (its
+    Hessian is a mean of ``σ'(z) x xᵀ`` with ``σ' <= 1/4``), so gradient
+    descent decreases the loss on any scale of embeddings. A single-class
+    training set logs a warning and returns a degenerate model that always
+    predicts that class.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -335,13 +313,14 @@ def train_classifier_router(
             int(only),
         )
         return LogisticModel(np.zeros(X.shape[1]), 25.0 if only == 1.0 else -25.0)
+    step = 4.0 / (float(np.max((X * X).sum(axis=1))) + 1.0)
     weights = np.zeros(X.shape[1])
     bias = 0.0
     n = X.shape[0]
-    for _ in range(epochs):
+    for _ in range(_CLASSIFIER_EPOCHS):
         residual = _sigmoid(X @ weights + bias) - y
-        weights = weights - learning_rate * (X.T @ residual) / n
-        bias = bias - learning_rate * float(np.mean(residual))
+        weights = weights - step * (X.T @ residual) / n
+        bias = bias - step * float(np.mean(residual))
     return LogisticModel(weights, bias)
 
 
@@ -533,16 +512,19 @@ def load_run(path: str) -> RoutedRun:
         neighbors_raw = field(record, "neighbors", list, where, [])
         invoked_raw = field(record, "invoked", list, where, [name])
         confidence = field(record, "confidence", float, where, None)
-        if (
-            name not in by_name
-            or not all(vote in by_name and is_int(count) for vote, count in votes_raw.items())
-            or not all(
-                type(n) is list and len(n) == 2 and type(n[0]) is str and is_number(n[1])
-                for n in neighbors_raw
-            )
-            or not all(type(n) is str and n in by_name for n in invoked_raw)
-        ):
-            raise InputError(f"{where} {record!r}")
+        if name not in by_name:
+            raise InputError(f"{where} expert {name!r} is not an expert of the summary")
+        for vote, count in votes_raw.items():
+            if vote not in by_name:
+                raise InputError(f"{where} votes name {vote!r}, not an expert of the summary")
+            if not is_int(count):
+                raise InputError(f"{where} votes[{vote!r}] must be an integer")
+        for i, n in enumerate(neighbors_raw):
+            if not (type(n) is list and len(n) == 2 and type(n[0]) is str and is_number(n[1])):
+                raise InputError(f"{where} neighbors[{i}] must be a [key, score] pair")
+        for i, n in enumerate(invoked_raw):
+            if type(n) is not str or n not in by_name:
+                raise InputError(f"{where} invoked[{i}] must name an expert of the summary")
         tlb, _ = make_belief(field(record, "tlb", dict, where, {}), where)
         decision = RoutingDecision(
             key,

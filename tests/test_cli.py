@@ -283,21 +283,16 @@ class TestSimulate:
 
 
 class TestLogLevel:
-    @pytest.mark.parametrize("name", ["DIALROUTE_LOG", "ORCHESTRA_LOG"])
-    def test_each_name_sets_the_level(self, name):
+    def test_dialroute_log_sets_the_level(self):
         for value, level in (("debug", logging.DEBUG), (" Info ", logging.INFO), ("error", logging.ERROR)):
-            assert _log_level({name: value}) == level
-
-    def test_dialroute_log_wins_when_both_are_set(self):
-        assert _log_level({"DIALROUTE_LOG": "error", "ORCHESTRA_LOG": "debug"}) == logging.ERROR
-        assert _log_level({"DIALROUTE_LOG": "debug", "ORCHESTRA_LOG": "error"}) == logging.DEBUG
+            assert _log_level({"DIALROUTE_LOG": value}) == level
 
     def test_unset_or_unknown_is_warning(self):
         assert _log_level({}) == logging.WARNING
         assert _log_level({"DIALROUTE_LOG": "loud"}) == logging.WARNING
+        assert _log_level({"ORCHESTRA_LOG": "debug"}) == logging.WARNING
 
     def test_main_reads_the_environment(self, monkeypatch, capsys):
-        monkeypatch.delenv("ORCHESTRA_LOG", raising=False)
         monkeypatch.setenv("DIALROUTE_LOG", "info")
         with mock.patch.object(cli_module.logging, "basicConfig") as configure:
             assert main(["validate"]) == 1

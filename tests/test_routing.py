@@ -1,7 +1,6 @@
 """Routers against exhaustive references, threshold tuning, and run files."""
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from dialroute import (
     ConstantRouter,
     ExpertId,
     ExpertPrediction,
+    HashEmbedder,
     InputError,
     OracleRouter,
     ReplayExpert,
@@ -29,7 +29,6 @@ from dialroute import (
     train_classifier_router,
     tune_cascade_threshold,
 )
-from dialroute import routing
 from dialroute.experts import ExpertPool, PoolEntry
 from dialroute.routing import LogisticModel
 
@@ -70,7 +69,8 @@ def reference_retrieval(pools, k, query):
 
 def sorted_retrieval(pools, k, query):
     """The full Python sort that ranks every entry by (score desc, key asc,
-    priority rank), scoring with the router's own float expression."""
+    priority rank), scoring every row with the router's own row-wise float64
+    expression."""
     keys = [e.key for pool in pools for e in pool.entries]
     owners = [pool.expert for pool in pools for _ in pool.entries]
     matrix = np.vstack([np.asarray(e.vector, dtype=np.float64) for p in pools for e in p.entries])
@@ -78,7 +78,7 @@ def sorted_retrieval(pools, k, query):
     row_norms = np.where(norms == 0.0, np.inf, norms)
     q = np.asarray(query, dtype=np.float64)
     qnorm = float(np.linalg.norm(q))
-    scores = np.zeros(len(keys)) if qnorm == 0.0 else (matrix @ q) / (row_norms * qnorm)
+    scores = np.zeros(len(keys)) if qnorm == 0.0 else (matrix * q).sum(axis=1) / (row_norms * qnorm)
     ranked = sorted(
         range(len(keys)), key=lambda i: (-scores[i], keys[i], owners[i].priority_rank)
     )[: min(k, len(keys))]
@@ -93,16 +93,12 @@ def sorted_retrieval(pools, k, query):
 MID = ExpertId("mid", 2)
 
 
-def two_stage_router(pools, k):
-    """A retrieval router over ``pools``' vectors as float32, which holds
-    their small integers exactly, that searches in two stages at any size."""
-    single = [
+def as_float32(pools):
+    """``pools`` with every vector as a float32 array, which holds the small
+    integers of these tests exactly."""
+    return [
         ExpertPool(p.expert, [entry(e.key, e.vector, np.float32) for e in p.entries]) for p in pools
     ]
-    with mock.patch.object(routing, "_TWO_STAGE_ENTRIES", 1):
-        router = RetrievalRouter(single, k)
-    assert router._matrix.dtype == np.float32
-    return router
 
 
 def assert_matches_full_sort(router, pools, k, query):
@@ -158,6 +154,40 @@ def retrieval_cases(draw):
     query = draw(st.one_of(st.just([0] * dim), vector))
     k = draw(st.integers(1, n + 3))
     return pools, k, query
+
+
+@st.composite
+def scored_pools(draw):
+    """Random float32 or float64 rows with some zeroed and some duplicated,
+    and one of seven kinds of query."""
+    n = draw(st.integers(1, 64))
+    dim = draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, dim)).astype(dtype)
+    rows[rng.random(n) < 0.1] = 0.0
+    rows[rng.integers(0, n, size=n // 4)] = rows[rng.integers(0, n, size=n // 4)]
+    keys = [f"d{i:02d}:0" for i in rng.permutation(n)]
+    owners = rng.choice([SLM, LLM, MID], size=n)
+    pools = [
+        ExpertPool(x, [entry(k, r, dtype) for k, r, o in zip(keys, rows, owners) if o == x])
+        for x in (SLM, LLM, MID)
+    ]
+    noise = rng.normal(size=dim)
+    query = draw(
+        st.sampled_from(
+            [
+                noise,
+                noise.astype(np.float32),
+                rows[rng.integers(n)] + noise * 1e-3,
+                rows[-1],
+                np.zeros(dim),
+                noise * 1e-30,  # below stage 1's norm range
+                noise * 1e-160,  # its squared norm is subnormal
+            ]
+        )
+    )
+    return pools, draw(st.integers(1, n + 2)), query
 
 
 class TestRetrievalRouter:
@@ -239,13 +269,10 @@ class TestRetrievalRouter:
     @pytest.mark.parametrize(
         "query", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [1e300, 1e300], [1e155, 1e155]]
     )
-    @pytest.mark.parametrize("limit", [1, None])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_query_that_is_not_finite_or_overflows_is_rejected(self, query, limit):
+    def test_query_that_is_not_finite_or_overflows_is_rejected(self, query):
         pools = [ExpertPool(SLM, [entry(f"s:{i}", [i, 1.0], np.float32) for i in range(5)])]
-        with mock.patch.object(routing, "_TWO_STAGE_ENTRIES", limit or routing._TWO_STAGE_ENTRIES):
-            router = RetrievalRouter(pools, 3)
-        assert router._two_stage == (limit == 1)
+        router = RetrievalRouter(pools, 3)
         with pytest.raises(ValueError, match="not finite or its norm overflows"):
             router.decide(ctx(query))
 
@@ -257,74 +284,46 @@ class TestRetrievalRouter:
     @given(retrieval_cases())
     def test_partial_selection_matches_full_sort(self, case):
         pools, k, query = case
-        assert_matches_full_sort(RetrievalRouter(pools, k), pools, k, query)
-
-    @settings(max_examples=300, deadline=None)
-    @given(retrieval_cases())
-    def test_partial_selection_matches_full_sort_in_two_stages(self, case):
-        pools, k, query = case
-        router = two_stage_router(pools, k)
-        assert_matches_full_sort(router, pools, k, query)
+        for same in (pools, as_float32(pools)):
+            assert_matches_full_sort(RetrievalRouter(same, k), pools, k, query)
 
     @pytest.mark.parametrize("n", [1027, 8631])
     def test_ragged_pool_with_exact_ties_matches_brute_force(self, n):
-        # n mod 4 != 0, so the mat-vec's last rows fall outside its 4-row
-        # blocks. Integer rows drawn from 12 distinct ones give exact dot
-        # products wherever a row sits, so the k-th score is tied many times.
-        # Float64 vectors take the single product.
-        assert_ragged_pool_matches_brute_force(n, np.float64)
+        # Integer rows drawn from 12 distinct ones give exact dot products, so
+        # the k-th score is tied many times, in float32 and float64 pools.
+        for dtype in (np.float64, np.float32):
+            assert_ragged_pool_matches_brute_force(n, dtype)
 
-    @pytest.mark.parametrize("n", [1027, 8631])
-    def test_ragged_pool_with_exact_ties_matches_brute_force_in_two_stages(self, n):
-        assert_ragged_pool_matches_brute_force(n, np.float32)
-
-    @pytest.mark.parametrize("n", [800, 801, 802, 803])
-    def test_two_stages_give_the_full_products_bits(self, n):
-        """At dim 256, for every n mod 4, with zero and duplicate rows, float32
-        and float64 queries, a zero query and one below the two stages'
-        norm range: the neighbours' scores have the full expression's bits."""
-        rng = np.random.default_rng(n)
-        rows = rng.normal(size=(n, 256)).astype(np.float32)
-        rows[rng.choice(n, 5, replace=False)] = 0.0
-        rows[rng.choice(n, 40)] = rows[rng.choice(n, 40)]
-        keys = [f"d{i:04d}:0" for i in rng.permutation(n)]
-        owners = rng.choice([SLM, LLM, MID], size=n)
-        pools = [
-            ExpertPool(
-                x, [entry(k, r, np.float32) for k, r, o in zip(keys, rows, owners) if o == x]
-            )
-            for x in (SLM, LLM, MID)
-        ]
-        near = rows[rng.integers(n)].astype(np.float64)
-        queries = [
-            rng.normal(size=256),
-            rng.normal(size=256).astype(np.float32),
-            near + rng.normal(size=256) * 1e-3,
-            pools[-1].entries[-1].vector,  # the pool's last row: the tail when n mod 4 > 0
-            np.zeros(256),
-            rng.normal(size=256) * 1e-30,
-            rng.normal(size=256) * 1e-160,  # its squared norm is subnormal
-        ]
-        for k in (1, 10, n):
-            router = RetrievalRouter(pools, k)
-            assert router._matrix.dtype == np.float32
-            for query in queries:
-                assert_matches_full_sort(router, pools, k, query)
+    @settings(max_examples=200, deadline=None)
+    @given(scored_pools())
+    def test_scores_have_the_row_wise_expressions_bits(self, case):
+        """Float32 and float64 pools of every n mod 4, with zero and duplicate
+        rows, and queries from a pool row to below stage 1's norm range: the
+        neighbours and their scores are the full sort's, bit for bit."""
+        pools, k, query = case
+        assert_matches_full_sort(RetrievalRouter(pools, k), pools, k, query)
 
     @pytest.mark.parametrize(
-        "scale, last", [(1.0, np.float64), (2.0**64, np.float32), (2.0**-64, np.float32)]
+        "scale, dtype",
+        [
+            (2.0**64, np.float32),
+            (2.0**-64, np.float32),
+            (2.0**200, np.float64),
+            (2.0**-200, np.float64),
+        ],
     )
-    def test_pools_outside_the_two_stage_domain_keep_one_product(self, scale, last):
-        """A vector that is not float32, or norms past 2**60 or under 2**-60,
-        keep the pool in float64 and on the single product."""
+    @pytest.mark.filterwarnings("error")
+    def test_pools_outside_stage_ones_domain_score_every_entry(self, scale, dtype):
+        """Nonzero row norms past 2**60 or under 2**-60 lie outside stage 1's
+        rounding bound (and 2**200 outside float32), so such a pool gets no
+        float32 copy and every query scores every entry."""
         rng = np.random.default_rng(1)
-        rows = rng.normal(size=(801, 256)).astype(np.float32) * np.float32(scale)
+        rows = rng.normal(size=(801, 256)).astype(dtype) * dtype(scale)
         keys = [f"d{i:04d}:0" for i in range(801)]
-        entries = [entry(k, r, np.float32) for k, r in zip(keys, rows)]
-        entries[-1] = entry(keys[-1], rows[-1], last)
+        entries = [entry(k, r, dtype) for k, r in zip(keys, rows)]
         pools = [ExpertPool(SLM, entries[::2]), ExpertPool(LLM, entries[1::2])]
         router = RetrievalRouter(pools, 10)
-        assert router._matrix.dtype == np.float64
+        assert router._single is None
         for query in (rng.normal(size=256), rows[-1]):
             assert_matches_full_sort(router, pools, 10, query)
 
@@ -476,10 +475,27 @@ class TestClassifierRouter:
         hard = rng.normal(size=(40, 4)) - np.array([3.0, 0, 0, 0])
         X = np.vstack([easy, hard])
         y = np.array([0.0] * 40 + [1.0] * 40)
-        model = train_classifier_router(X, y, learning_rate=0.5, epochs=300)
+        model = train_classifier_router(X, y)
         router = ClassifierRouter(model, [SLM, LLM])
         assert router.decide(ctx(easy[0])).chosen == SLM
         assert router.decide(ctx(hard[0])).chosen == LLM
+
+    def test_routes_to_rank_one_on_unit_norm_hash_embeddings(self):
+        """Hash embeddings have norm 1. Label-1 texts hold one rare word
+        among five common ones, and 40% of the texts are label 1. A fixed
+        step of 0.1 leaves every probability under one half there."""
+        rng = np.random.default_rng(7)
+        embedder = HashEmbedder(256, 0)
+        common = [f"word{i}" for i in range(40)]
+        rare = [f"rare{i}" for i in range(10)]
+        y = (rng.random(300) < 0.4).astype(float)
+        texts = [" ".join([*rng.choice(common, 5), *rng.choice(rare, int(label))]) for label in y]
+        X = np.vstack([embedder.embed(f"t:{i}", text) for i, text in enumerate(texts)])
+        model = train_classifier_router(X, y)
+        router = ClassifierRouter(model, [SLM, LLM])
+        chosen = np.array([router.decide(ctx(x)).chosen == LLM for x in X])
+        assert chosen.mean() > 0.2
+        assert np.mean(chosen == (y == 1.0)) > 0.8
 
     def test_boundary_goes_to_rank_zero(self):
         model = LogisticModel(np.zeros(3), 0.0)  # p = 0.5 everywhere
@@ -651,18 +667,28 @@ class TestRunIO:
             ("tlb", ["hotel-area"]),
             ("invoked", ["ghost"]),
             ("expert", ["slm"]),
+            ("votes", {"ghost": 1}),
+            ("neighbors", [["a", 0.5], ["a"]]),
+            ("invoked", ["slm", 3]),
+            ("expert", "ghost"),
         ],
     )
     def test_malformed_turn_values_rejected(self, tmp_path, field, value):
+        """The message names the field that failed and does not print the
+        record, which holds every neighbour."""
         run, _ = self.small_run()
         path = tmp_path / "run.jsonl"
         save_run(run, str(path))
         lines = path.read_text().splitlines()
         record = json.loads(lines[0])
+        record["neighbors"] = [[f"d{i}:0", 0.5] for i in range(40)]  # a long record
         record[field] = value
         path.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
-        with pytest.raises(InputError, match="malformed turn record"):
+        with pytest.raises(InputError, match="malformed turn record") as caught:
             load_run(str(path))
+        message = str(caught.value)
+        assert field in message
+        assert len(message) < len(str(path)) + 100
 
     @pytest.mark.parametrize("rank", ["1", 1.5, None, True])
     def test_non_integer_priority_rank_rejected(self, tmp_path, rank):
