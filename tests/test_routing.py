@@ -269,10 +269,16 @@ class TestRetrievalRouter:
     @pytest.mark.parametrize(
         "query", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [1e300, 1e300], [1e155, 1e155]]
     )
+    @pytest.mark.parametrize("scale", [1.0, 2.0**64])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_query_that_is_not_finite_or_overflows_is_rejected(self, query):
-        pools = [ExpertPool(SLM, [entry(f"s:{i}", [i, 1.0], np.float32) for i in range(5)])]
+    def test_query_that_is_not_finite_or_overflows_is_rejected(self, query, scale):
+        """Rejected both by a pool that searches in two stages and by one
+        outside stage 1's domain, which scores every entry."""
+        pools = [
+            ExpertPool(SLM, [entry(f"s:{i}", [i * scale, scale], np.float32) for i in range(5)])
+        ]
         router = RetrievalRouter(pools, 3)
+        assert (router._single is None) == (scale != 1.0)
         with pytest.raises(ValueError, match="not finite or its norm overflows"):
             router.decide(ctx(query))
 
@@ -284,15 +290,61 @@ class TestRetrievalRouter:
     @given(retrieval_cases())
     def test_partial_selection_matches_full_sort(self, case):
         pools, k, query = case
-        for same in (pools, as_float32(pools)):
-            assert_matches_full_sort(RetrievalRouter(same, k), pools, k, query)
+        assert_matches_full_sort(RetrievalRouter(pools, k), pools, k, query)
+
+    @settings(max_examples=300, deadline=None)
+    @given(retrieval_cases())
+    def test_partial_selection_matches_full_sort_in_two_stages(self, case):
+        """The same cases with float32 vectors, which stage 1 searches as they
+        are rather than through a rounded float32 copy."""
+        pools, k, query = case
+        router = RetrievalRouter(as_float32(pools), k)
+        assert router._single is router._matrix
+        assert_matches_full_sort(router, pools, k, query)
 
     @pytest.mark.parametrize("n", [1027, 8631])
     def test_ragged_pool_with_exact_ties_matches_brute_force(self, n):
         # Integer rows drawn from 12 distinct ones give exact dot products, so
-        # the k-th score is tied many times, in float32 and float64 pools.
-        for dtype in (np.float64, np.float32):
-            assert_ragged_pool_matches_brute_force(n, dtype)
+        # the k-th score is tied many times. Float64 vectors take stage 1
+        # through a float32 copy.
+        assert_ragged_pool_matches_brute_force(n, np.float64)
+
+    @pytest.mark.parametrize("n", [1027, 8631])
+    def test_ragged_pool_with_exact_ties_matches_brute_force_in_two_stages(self, n):
+        assert_ragged_pool_matches_brute_force(n, np.float32)
+
+    @pytest.mark.parametrize("n", [800, 801, 802, 803])
+    def test_two_stages_give_the_full_products_bits(self, n):
+        """At dim 256, for every n mod 4, with zero and duplicate rows, float32
+        and float64 queries, a zero query and one below stage 1's norm range:
+        the neighbours' scores have the row-wise expression's bits."""
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, 256)).astype(np.float32)
+        rows[rng.choice(n, 5, replace=False)] = 0.0
+        rows[rng.choice(n, 40)] = rows[rng.choice(n, 40)]
+        keys = [f"d{i:04d}:0" for i in rng.permutation(n)]
+        owners = rng.choice([SLM, LLM, MID], size=n)
+        pools = [
+            ExpertPool(
+                x, [entry(k, r, np.float32) for k, r, o in zip(keys, rows, owners) if o == x]
+            )
+            for x in (SLM, LLM, MID)
+        ]
+        near = rows[rng.integers(n)].astype(np.float64)
+        queries = [
+            rng.normal(size=256),
+            rng.normal(size=256).astype(np.float32),
+            near + rng.normal(size=256) * 1e-3,
+            pools[-1].entries[-1].vector,  # the pool's last row
+            np.zeros(256),
+            rng.normal(size=256) * 1e-30,
+            rng.normal(size=256) * 1e-160,  # its squared norm is subnormal
+        ]
+        for k in (1, 10, n):
+            router = RetrievalRouter(pools, k)
+            assert router._single is not None
+            for query in queries:
+                assert_matches_full_sort(router, pools, k, query)
 
     @settings(max_examples=200, deadline=None)
     @given(scored_pools())
