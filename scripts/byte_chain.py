@@ -23,9 +23,10 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
 - the error cases in ``errors/``: a 128-dim ``embed``, ``mine-and-train``
   and ``build-pools`` into ``errors/dim128/``, then one command per damaged
   input (one or two per loader, written to ``errors/inputs/`` from the
-  artifacts above) and per pair of artifacts that do not fit each other in
-  dim. Each case's exit code and standard error go to
-  ``errors/<case>.txt``.
+  artifacts above, among them a vector or matrix entry given as the string
+  ``"1.5"`` in the store, a pool and the adapter) and per pair of artifacts
+  that do not fit each other in dim, 21 cases in all. Each case's exit code
+  and standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -214,6 +215,18 @@ def error_cases(chain: Chain) -> list[str]:
     def first_turn(**change):
         return lambda records: records[0]["turns"][-1].update(change)
 
+    def string_in(*path):
+        """Give the first number of ``records[0][path…]`` as the string "1.5",
+        which a cast to a float array would read as 1.5."""
+
+        def edit(records):
+            row = records[0]
+            for key in path:
+                row = row[key]
+            row[0] = "1.5"
+
+        return edit
+
     dim128_store = "errors/dim128/embeddings.jsonl"
     cases = [  # label, command, config settings
         ("config_k", "validate", {"hyperparameters": {"k": "x"}}),
@@ -224,10 +237,13 @@ def error_cases(chain: Chain) -> list[str]:
         ("predictions_tlb", "validate", predictions("tlb.jsonl", first(tlb=["x"]))),
         ("store_empty", "mine-and-train", artifact("embeddings_path", "empty.jsonl", empty_vectors)),
         ("store_value", "mine-and-train", artifact("embeddings_path", "value.jsonl", first(vector=["x"]))),
+        ("store_string", "mine-and-train", artifact("embeddings_path", "string.jsonl", string_in("vector"))),
         ("adapter_overflow", "build-pools", artifact("adapter_path", "overflow.json", overflow)),
         ("adapter_shape", "build-pools", artifact("adapter_path", "shape.json", first(dim=3))),
+        ("adapter_string", "build-pools", artifact("adapter_path", "string.json", string_in("matrix", 0))),
         ("pool_vector", "route", pools("pool_vector", lambda r: r[0]["entries"][0].update(vector="abc"))),
         ("pool_expert", "route", pools("pool_expert", first(expert="ghost"))),
+        ("pool_string", "route", pools("pool_string", string_in("entries", 0, "vector"))),
         ("run_votes", "report", artifact("run_path", "votes.jsonl", first(votes={"slm": "x"}))),
         ("run_summary", "report", artifact("run_path", "summary.jsonl", lambda r: r.pop())),
         ("dim_pools_vs_adapter", "route", {"pools_dir": "errors/dim128"}),

@@ -95,85 +95,3 @@ from .supervision import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CascadeRouter",
-    "ClassifierRouter",
-    "ConstantRouter",
-    "Corpus",
-    "CostTable",
-    "Dialogue",
-    "EmbedderSpec",
-    "EmbeddingStore",
-    "ExpertId",
-    "ExpertPool",
-    "ExpertPrediction",
-    "HashEmbedder",
-    "InputError",
-    "LLM",
-    "LabeledTurn",
-    "OracleRouter",
-    "PairSet",
-    "PoolEntry",
-    "ProjectionAdapter",
-    "ReplayExpert",
-    "Report",
-    "RetrievalRouter",
-    "RoutedRun",
-    "RoutingDecision",
-    "RunConfig",
-    "SLM",
-    "SimulationSpec",
-    "SlotName",
-    "StoreEmbedder",
-    "SyntheticExpert",
-    "SyntheticProfile",
-    "TrainConfig",
-    "Triplet",
-    "Turn",
-    "TurnContext",
-    "aggregate_state",
-    "apply_overrides",
-    "assign_expert_label",
-    "build_pools",
-    "categorize_ood",
-    "f1_sets",
-    "grad_check",
-    "judge_correct",
-    "load_adapter",
-    "load_config",
-    "load_corpus",
-    "load_pool",
-    "load_predictions",
-    "load_run",
-    "load_store",
-    "main",
-    "make_belief",
-    "make_report",
-    "make_series",
-    "merge_pairs",
-    "mine_expert_pairs",
-    "mine_task_pairs",
-    "parse_config",
-    "project",
-    "run_pipeline",
-    "run_simulation",
-    "sample_pool",
-    "save_adapter",
-    "save_corpus",
-    "save_pool",
-    "save_report",
-    "save_run",
-    "save_series",
-    "save_store",
-    "serialize_triplet",
-    "subseed",
-    "tlb_similarity",
-    "total_cost",
-    "train_adapter",
-    "train_classifier_router",
-    "tune_cascade_threshold",
-    "turn_key",
-    "turn_similarity",
-    "write_predictions",
-]

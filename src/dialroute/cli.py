@@ -405,7 +405,7 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         labels = _expert_labels(holdout_turns, beliefs)
         if len(cfg.experts) != 2:
             raise InputError("classifier routing supports exactly two experts")
-        high = sorted(cfg.experts, key=lambda e: e.priority_rank)[1]
+        high = cfg.experts[1]
         keys = sorted(labels)
         X = np.vstack([store.lookup(key) for key in keys])
         y = np.array([1.0 if labels[key] == high.name else 0.0 for key in keys])

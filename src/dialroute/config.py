@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .embedding import check_dim
 from .errors import InputError, field, is_int, is_number, read_json
-from .experts import ExpertId, parse_experts
+from .experts import ExpertId, parse_experts, validate_experts
 from .metrics import CostTable
 from .supervision import TrainConfig
 
@@ -82,6 +82,8 @@ class RunConfig:
     simulation: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Commands read the experts in priority order, not in list order.
+        object.__setattr__(self, "experts", tuple(validate_experts(self.experts)))
         if self.router not in ROUTERS:
             raise InputError(f"router must be one of {ROUTERS}, got {self.router!r}")
         if self.supervision not in SUPERVISIONS:

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .dialogue import Triplet
-from .errors import InputError, field, read_json, read_json_lines, vector_rows
+from .errors import InputError, field, numbers, read_json, read_json_lines, vector_rows
 from .errors import write_json, write_json_lines
 
 # Maps every byte that is not [a-z0-9] to a space, so splitting the encoded
@@ -112,6 +112,21 @@ class ProjectionAdapter:
         return int(self.matrix.shape[0])
 
 
+def scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """A 1-D float64 vector of ``v``'s direction and its norm, which is NaN
+    or infinite when ``v`` is not finite or too long. That is ``v`` itself
+    unless its norm is under 2**-60, where its squared norm may have lost
+    terms to underflow: then ``v`` times the power of two that brings its
+    largest entry into [0.5, 1), which is exact, and cosine does not depend
+    on scale. A zero vector stays zero."""
+    # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
+    norm = math.sqrt(v @ v)
+    if norm < 2.0**-60:
+        v = np.ldexp(v, -np.frexp(np.max(np.abs(v), initial=0.0))[1])
+        norm = math.sqrt(v @ v)
+    return v, norm
+
+
 def project(adapter: ProjectionAdapter, vector: np.ndarray, key: str | None = None) -> np.ndarray:
     """Apply the adapter and L2-normalize. A zero product stays zero. A
     product that is not finite, or whose norm overflows, raises
@@ -119,10 +134,7 @@ def project(adapter: ProjectionAdapter, vector: np.ndarray, key: str | None = No
     v64 = np.asarray(vector, dtype=np.float64)
     if v64.shape != (adapter.dim,):
         raise ValueError(f"vector dim {v64.shape} does not match adapter dim {adapter.dim}")
-    out = adapter.matrix @ v64
-    # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
-    # It is NaN or infinite when out is not finite or too long.
-    norm = math.sqrt(out @ out)
+    out, norm = scaled_norm(adapter.matrix @ v64)
     if not math.isfinite(norm):
         raise InputError(f"turn {key!r}: the adapter maps its embedding out of float64 range")
     if norm != 0.0:
@@ -140,14 +152,12 @@ def load_adapter(path: str) -> ProjectionAdapter:
     if type(record) is not dict:
         raise InputError(f"{where} expected an object with dim and matrix")
     dim = field(record, "dim", int, where)
-    try:
-        matrix = np.asarray(field(record, "matrix", list, where), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{where} malformed matrix ({exc})") from None
+    if dim < 1:
+        raise InputError(f"{where} dim must be >= 1, got {dim}")
+    rows = field(record, "matrix", list, where)
+    matrix = vector_rows([f"matrix row {i}" for i in range(len(rows))], rows, where, np.float64)
     if matrix.shape != (dim, dim):
         raise InputError(f"{where} matrix shape {matrix.shape} does not match dim {dim}")
-    if not np.all(np.isfinite(matrix)):
-        raise InputError(f"{where} matrix has non-finite entries")
     return ProjectionAdapter(matrix)
 
 
@@ -201,7 +211,7 @@ def load_store(path: str) -> EmbeddingStore:
             # its lists of Python floats (8x the memory); vector_rows still
             # checks what the packing made, or what it could not pack.
             with contextlib.suppress(TypeError, ValueError, OverflowError):
-                vector = np.asarray(vector, dtype=np.float32)
+                vector = numbers(vector, np.float32)
             vectors.append(vector)
             wheres.append(where)
     return EmbeddingStore.of_rows(keys, vector_rows(keys, vectors, wheres))

@@ -61,6 +61,21 @@ def field(record: dict, key: str, kind: type, where: str, default: Any = _REQUIR
     raise InputError(f"{where} {name} must be {_KINDS[kind]}, got {value!r}")
 
 
+def numbers(values: object, dtype: type) -> np.ndarray:
+    """``values`` as a ``dtype`` array, with the bits ``np.array(values,
+    dtype)`` gives, if numpy reads them as ints, floats or numbers that
+    :func:`is_number` accepts; ValueError otherwise, where that cast would
+    read ``"1.5"`` as 1.5. Booleans pass only among other numbers."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO":
+        raise ValueError(f"not an array of numbers ({array.dtype})")
+    if kind != "f":
+        # np.array(values, dtype) rounds a Python int to float64 first; so do these.
+        array = array.astype(np.float64)
+    return array.astype(dtype, copy=False)
+
+
 def vector_rows(
     keys: Sequence[str],
     vectors: Sequence[object],
@@ -76,7 +91,7 @@ def vector_rows(
         return np.empty((0, 0), dtype=dtype)
     try:
         with np.errstate(over="ignore"):
-            matrix = np.array(vectors, dtype=dtype)
+            matrix = numbers(vectors, dtype)
     except (TypeError, ValueError, OverflowError):
         matrix = None
     if (
@@ -96,7 +111,7 @@ def vector_rows(
         seen.add(key)
         try:
             with np.errstate(over="ignore"):
-                row = np.asarray(vector, dtype=dtype)
+                row = numbers(vector, dtype)
         except (TypeError, ValueError, OverflowError):
             row = None
         if row is None or row.ndim != 1 or not row.size or not np.isfinite(row).all():

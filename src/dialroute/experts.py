@@ -63,7 +63,7 @@ def validate_experts(experts: Sequence[ExpertId]) -> list[ExpertId]:
 
 def parse_experts(raw: object, where: str) -> list[ExpertId]:
     """The experts of a JSON list of ``{"name", "priority_rank"}`` objects,
-    in list order, each name and rank used once."""
+    each name and rank used once, in priority order."""
     what = f"{where} needs a non-empty list of named, integer-ranked experts"
     if type(raw) is not list or not raw or not all(type(item) is dict for item in raw):
         raise InputError(f"{what}, got {raw!r}")
@@ -72,8 +72,7 @@ def parse_experts(raw: object, where: str) -> list[ExpertId]:
         ExpertId(field(item, "name", str, where), field(item, "priority_rank", int, where))
         for item in raw
     ]
-    validate_experts(experts)
-    return experts
+    return validate_experts(experts)
 
 
 @dataclass(frozen=True)

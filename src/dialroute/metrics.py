@@ -3,13 +3,15 @@ domain-shift categorization."""
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dialogue import Corpus, accumulate_dialogue, turn_key
+from .dialogue import Corpus, accumulate_dialogue
 from .errors import InputError, write_json
 from .experts import judge_correct
-from .routing import RoutedRun
+from .routing import RoutedRun, TurnRecord
 
 IN_DOMAIN = "in_domain"
 HALF_OOD = "half_ood"
@@ -38,28 +40,16 @@ class CostTable:
             raise InputError(f"no cost entry for expert {name!r}") from None
 
 
-def _check_coverage(run: RoutedRun, corpus: Corpus) -> None:
+def _check_coverage(run: RoutedRun, gold: Mapping[str, object]) -> None:
     run_keys = run.keys()
     if len(set(run_keys)) != len(run_keys):
         raise InputError("routed run contains duplicate turn keys")
-    corpus_keys = {
-        turn_key(d.dialogue_id, turn.turn_id) for d in corpus for turn in d.turns
-    }
-    if set(run_keys) != corpus_keys:
-        missing = sorted(corpus_keys - set(run_keys))[:3]
-        extra = sorted(set(run_keys) - corpus_keys)[:3]
+    if set(run_keys) != gold.keys():
+        missing = sorted(gold.keys() - set(run_keys))[:3]
+        extra = sorted(set(run_keys) - gold.keys())[:3]
         raise InputError(
             f"run does not cover the corpus exactly (missing {missing}, extra {extra})"
         )
-
-
-def _gold_states(corpus: Corpus) -> dict[str, dict]:
-    states: dict[str, dict] = {}
-    for dialogue in corpus:
-        folded = accumulate_dialogue(turn.gold_tlb for turn in dialogue.turns)
-        for turn, state in zip(dialogue.turns, folded):
-            states[turn_key(dialogue.dialogue_id, turn.turn_id)] = state
-    return states
 
 
 def total_cost(run: RoutedRun, costs: CostTable) -> float:
@@ -123,62 +113,40 @@ def make_report(
 ) -> Report:
     """Aggregate a run into one report; with training domains given, adds a
     per-category breakdown over domain-shift buckets."""
-    _check_coverage(run, corpus)
+    gold = corpus.gold_tlbs()
+    _check_coverage(run, gold)
     if not run.records:
         raise InputError("cannot report on an empty run")
-    gold = corpus.gold_tlbs()
-    gold_states = _gold_states(corpus)
-    category_of: dict[str, str] | None = None
+    # The gold state after each turn, in the corpus order of gold's keys.
+    folded = (accumulate_dialogue(turn.gold_tlb for turn in d.turns) for d in corpus)
+    gold_states = dict(zip(gold, itertools.chain.from_iterable(folded)))
+
+    def score(records: list[TurnRecord], experts: Iterable[str] = ()) -> dict:
+        """The turns, ``tlb_jga``, ``dst_jga`` and ``assignment_ratio`` of a
+        non-empty list of turn records. The ratio names, in name order, every
+        chosen expert and every one of ``experts``."""
+        n = len(records)
+        tlb_hits = sum(judge_correct(r.tlb, gold[r.decision.key]) for r in records)
+        dst_hits = sum(r.state == gold_states[r.decision.key] for r in records)
+        chosen = Counter(dict.fromkeys(experts, 0))
+        chosen.update(r.decision.chosen.name for r in records)
+        return {
+            "turns": n,
+            "tlb_jga": tlb_hits / n,
+            "dst_jga": dst_hits / n,
+            "assignment_ratio": {name: chosen[name] / n for name in sorted(chosen)},
+        }
+
+    breakdown = None
     if training_domains is not None:
         training = set(training_domains)
-        category_of = {
-            d.dialogue_id: categorize_ood(d.domains, training) for d in corpus
-        }
-    per_category: dict[str, dict] = {}
-    tlb_hits = 0
-    dst_hits = 0
-    counts = {expert.name: 0 for expert in run.experts}
-    for record in run.records:
-        key = record.decision.key
-        tlb_ok = judge_correct(record.tlb, gold[key])
-        dst_ok = record.state == gold_states[key]
-        tlb_hits += tlb_ok
-        dst_hits += dst_ok
-        counts.setdefault(record.decision.chosen.name, 0)
-        counts[record.decision.chosen.name] += 1
-        if category_of is not None:
-            dialogue_id = key.rsplit(":", 1)[0]
-            bucket = per_category.setdefault(
-                category_of[dialogue_id],
-                {"turns": 0, "tlb_hits": 0, "dst_hits": 0, "chosen": {}},
-            )
-            bucket["turns"] += 1
-            bucket["tlb_hits"] += tlb_ok
-            bucket["dst_hits"] += dst_ok
-            chosen = record.decision.chosen.name
-            bucket["chosen"][chosen] = bucket["chosen"].get(chosen, 0) + 1
-    n = len(run.records)
-    breakdown = None
-    if category_of is not None:
-        breakdown = {}
-        for category in (IN_DOMAIN, HALF_OOD, OOD):
-            if category not in per_category:
-                continue
-            bucket = per_category[category]
-            breakdown[category] = {
-                "turns": bucket["turns"],
-                "tlb_jga": bucket["tlb_hits"] / bucket["turns"],
-                "dst_jga": bucket["dst_hits"] / bucket["turns"],
-                "assignment_ratio": {
-                    name: count / bucket["turns"]
-                    for name, count in sorted(bucket["chosen"].items())
-                },
-            }
+        category_of = {d.dialogue_id: categorize_ood(d.domains, training) for d in corpus}
+        buckets: dict[str, list[TurnRecord]] = {IN_DOMAIN: [], HALF_OOD: [], OOD: []}
+        for record in run.records:
+            buckets[category_of[record.decision.key.rsplit(":", 1)[0]]].append(record)
+        breakdown = {category: score(records) for category, records in buckets.items() if records}
     return Report(
-        turns=n,
-        tlb_jga=tlb_hits / n,
-        dst_jga=dst_hits / n,
-        assignment_ratio={name: count / n for name, count in counts.items()},
+        **score(run.records, [expert.name for expert in run.experts]),
         total_teraflops=total_cost(run, costs),
         router=str(run.config.get("router", "unknown")),
         breakdown=breakdown,

@@ -27,13 +27,13 @@ from .dialogue import (
     Triplet,
     TurnBelief,
     aggregate_state,
-    accumulate_dialogue,
+    labeled_turns,
     make_belief,
     render_belief,
     split_turn_key,
     triplet_of_turn,
 )
-from .embedding import ProjectionAdapter, project, serialize_triplet
+from .embedding import ProjectionAdapter, project, scaled_norm, serialize_triplet
 from .errors import InputError, field, is_int, is_number, read_json_lines, vector_rows
 from .errors import write_json_lines
 from .experts import ExpertId, ExpertPrediction, ExpertPool, judge_correct, parse_experts
@@ -68,8 +68,8 @@ class TurnContext:
 
 # Stage 1 needs float32 products that neither overflow nor lose a row to
 # underflow, and a rounding bound well below 1: nonzero row norms in
-# [2**-60, 2**60], at most 2**20 dimensions, and a query norm of at least
-# 2**-60 (below it the squared norm may have lost bits to underflow).
+# [2**-60, 2**60] and at most 2**20 dimensions. Every nonzero query's norm
+# is at least 2**-60, since scaled_norm scales up any below it.
 _NORM_RANGE = (2.0**-60, 2.0**60)
 _MAX_DIM = 1 << 20
 
@@ -102,8 +102,10 @@ class RetrievalRouter:
        k-th.
     2. The shortlist is rescored with the float64 score, then ranked.
 
-    A pool or query outside stage 1's domain (see ``_NORM_RANGE``) sends
-    every entry to stage 2.
+    A pool outside stage 1's domain (see ``_NORM_RANGE``) sends every entry
+    to stage 2. A query whose norm is under 2**-60 is first scaled by a
+    power of two (:func:`scaled_norm`), so its squared norm loses nothing to
+    underflow.
     """
 
     kind = "retrieval"
@@ -151,9 +153,7 @@ class RetrievalRouter:
         q = np.asarray(ctx.query_vector, dtype=np.float64)
         if q.shape != (self._dim,):
             raise ValueError(f"query dim {q.shape} does not match pool dim {self._dim}")
-        # For a 1-D float64 vector this is exactly what np.linalg.norm computes.
-        # It is NaN or infinite when q is not finite or its norm overflows.
-        qnorm = math.sqrt(q @ q)
+        q, qnorm = scaled_norm(q)
         if not math.isfinite(qnorm):
             raise ValueError("query vector is not finite or its norm overflows")
         if qnorm == 0.0:
@@ -175,8 +175,8 @@ class RetrievalRouter:
 
     def _shortlist(self, q: np.ndarray, qnorm: float) -> np.ndarray:
         """Stage 1: every entry whose float32 score is within 2E of the k-th,
-        or every entry when the pool or the query is outside its domain."""
-        if self._single is None or qnorm < _NORM_RANGE[0]:
+        or every entry when the pool is outside its domain."""
+        if self._single is None:
             return np.arange(len(self._keys))
         approx = (self._single @ (q / qnorm).astype(np.float32)) / self._row_norms
         cut = np.partition(approx, self._kth)[self._kth] - 2.0 * self._bound
@@ -293,7 +293,8 @@ def train_classifier_router(embeddings: np.ndarray, labels: np.ndarray) -> Logis
     rank 0. The step is 1/L, with ``L = (max‖x‖² + 1) / 4`` the smoothness
     bound of the mean logistic loss over inputs with a bias column (its
     Hessian is a mean of ``σ'(z) x xᵀ`` with ``σ' <= 1/4``), so gradient
-    descent decreases the loss on any scale of embeddings. A single-class
+    descent decreases the loss on any scale of embeddings whose squared norms
+    fit a float64; a larger one raises :class:`InputError`. A single-class
     training set logs a warning and returns a degenerate model that always
     predicts that class.
     """
@@ -313,7 +314,11 @@ def train_classifier_router(embeddings: np.ndarray, labels: np.ndarray) -> Logis
             int(only),
         )
         return LogisticModel(np.zeros(X.shape[1]), 25.0 if only == 1.0 else -25.0)
-    step = 4.0 / (float(np.max((X * X).sum(axis=1))) + 1.0)
+    with np.errstate(over="ignore"):
+        largest = float(np.max((X * X).sum(axis=1)))
+    if not math.isfinite(largest):
+        raise InputError("a classifier training embedding's squared norm overflows float64")
+    step = 4.0 / (largest + 1.0)
     weights = np.zeros(X.shape[1])
     bias = 0.0
     n = X.shape[0]
@@ -411,18 +416,10 @@ def run_pipeline(
     }
     records: list[TurnRecord] = []
     for dialogue in corpus:
-        gold_states = (
-            accumulate_dialogue(turn.gold_tlb for turn in dialogue.turns)
-            if prior_mode == "gold"
-            else None
-        )
+        labeled = labeled_turns(dialogue) if prior_mode == "gold" else None
         state: dict = {}
         for t, turn in enumerate(dialogue.turns):
-            if gold_states is None:
-                prev = state
-            else:
-                prev = {} if t == 0 else gold_states[t - 1]
-            triplet = triplet_of_turn(dialogue, t, prev)
+            triplet = labeled[t].triplet if labeled else triplet_of_turn(dialogue, t, state)
             query_vector = None
             if embedder is not None:
                 base = embedder.embed(triplet.key, serialize_triplet(triplet))
@@ -500,7 +497,7 @@ def load_run(path: str) -> RoutedRun:
             raw_records.append((where, record))
     if summary is None:
         raise InputError(f"run {path!r} has no trailing summary record")
-    experts = validate_experts(parse_experts(summary.get("experts"), f"run {path!r}: summary"))
+    experts = parse_experts(summary.get("experts"), f"run {path!r}: summary")
     by_name = {e.name: e for e in experts}
     records: list[TurnRecord] = []
     states: dict[str, dict] = {}

@@ -35,7 +35,7 @@ from dialroute.config import (
     load_config,
     parse_config,
 )
-from dialroute.errors import is_number
+from dialroute.errors import is_number, vector_rows
 
 
 def write_config(path, sim, out_dir, **extra):
@@ -129,6 +129,21 @@ class TestPipelineArtifacts:
         run_lines = (tmp_path / "out" / "run.jsonl").read_text().splitlines()
         summary = json.loads(run_lines[-1])["summary"]
         assert "threshold" in summary["config"]
+
+    def test_cascade_run_does_not_depend_on_the_order_experts_are_listed_in(
+        self, small_sim, tmp_path, capsys
+    ):
+        """The threshold is tuned on the rank-0 expert, which the cascade
+        then runs, whichever expert the config lists first."""
+        slm, llm = {"name": "slm", "priority_rank": 0}, {"name": "llm", "priority_rank": 1}
+        runs = []
+        for name, experts in (("listed", [slm, llm]), ("reversed", [llm, slm])):
+            out = tmp_path / name
+            config = write_config(tmp_path / f"{name}.json", small_sim, out, experts=experts)
+            assert main(["route", "--config", config, "--router", "cascade"]) == 0
+            runs.append((out / "run.jsonl").read_bytes())
+        capsys.readouterr()
+        assert runs[0] == runs[1]
 
     def test_classifier_route_uses_holdout_embeddings(self, pipeline, capsys):
         assert main(["route", "--config", pipeline.config, "--router", "classifier"]) == 0
@@ -617,8 +632,9 @@ def test_damaged_file_loads_or_raises_input_error(valid_files, tmp_path_factory,
 
 BIG = "9" * 401  # an integer too large for any float: float() raises OverflowError
 RUN_SUMMARY = '{"summary": {"experts": [{"name": "slm", "priority_rank": 0}], "config": {}}}\n'
-TOO_LARGE = {
-    "adapter": ('{"dim": 1, "matrix": [[%s]]}', "malformed matrix"),
+# Each loader's file with one number put in by %s, and the message that refuses a bad one.
+WITH_NUMBER = {
+    "adapter": ('{"dim": 1, "matrix": [[%s]]}', "vector for 'matrix row 0'"),
     "pool": ('{"expert": "slm", "entries": [{"key": "d:0", "vector": [1.0, %s]}]}', "'d:0'"),
     "predictions": (
         '{"dialogue_id": "d", "turn_id": 0, "expert": "slm", "tlb": {}, "confidence": %s}\n',
@@ -641,14 +657,36 @@ def test_is_number_refuses_exactly_the_ints_float_refuses():
     assert not any(is_number(v) for v in (limit, -limit, int(BIG), True, "1", None))
 
 
-@pytest.mark.parametrize("kind", sorted(TOO_LARGE))
-def test_loaders_reject_numbers_too_large_for_a_float(kind, tmp_path):
-    template, message = TOO_LARGE[kind]
+def assert_loader_refuses(kind, number, tmp_path):
+    template, message = WITH_NUMBER[kind]
     path = tmp_path / "input.json"
-    path.write_text(template % BIG)
+    path.write_text(template % number)
     with pytest.raises(InputError, match=re.escape(str(path))) as caught:
         LOADERS[kind](str(path))
     assert message in str(caught.value)
+
+
+@pytest.mark.parametrize("kind", sorted(WITH_NUMBER))
+def test_loaders_reject_numbers_too_large_for_a_float(kind, tmp_path):
+    assert_loader_refuses(kind, BIG, tmp_path)
+
+
+@pytest.mark.parametrize("kind", sorted(WITH_NUMBER))
+def test_loaders_reject_numbers_given_as_strings(kind, tmp_path):
+    """A cast to a float array would read "1.5" as 1.5."""
+    assert_loader_refuses(kind, '"1.5"', tmp_path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vector_numbers_keep_the_bits_of_a_direct_cast(dtype):
+    """Ints that numpy infers as int64, uint64 or object arrays round once
+    to float64, then to dtype, as a direct cast of the list does; 2**60 +
+    2**36 + 1 cast straight from int64 to float32 would round up."""
+    near_ties = [2**60 + 2**36 + 1, -(2**60 + 2**36 + 1), 2**63 + 2**39 + 1, 2**70 + 2**46 + 1]
+    vectors = [[v] for v in near_ties] + [near_ties[:2], [1.5, near_ties[3]], [3, 2**64 - 1]]
+    for vector in vectors:
+        got = vector_rows(["k"], [vector], "test:", dtype)
+        assert got.tobytes() == np.array([vector], dtype=dtype).tobytes()
 
 
 class TestParseConfig:
@@ -676,6 +714,12 @@ class TestParseConfig:
         )
         assert [e.name for e in cfg.experts] == ["tiny", "huge"]
         assert cfg.costs.router_cost == 0.5
+
+    def test_experts_come_in_priority_order(self):
+        listed = [{"name": "llm", "priority_rank": 1}, {"name": "slm", "priority_rank": 0}]
+        assert [e.name for e in parse_config({"experts": listed}).experts] == ["slm", "llm"]
+        reversed_in_code = RunConfig(experts=tuple(reversed(RunConfig().experts)))
+        assert reversed_in_code.experts == RunConfig().experts
 
     def test_pool_size_map(self):
         cfg = parse_config({"hyperparameters": {"pool_size": {"slm": 10, "llm": 20}}})

@@ -142,6 +142,10 @@ class TestAdapter:
         adapter = ProjectionAdapter(np.zeros((4, 4)))
         assert not project(adapter, np.ones(4)).any()
 
+    def test_output_whose_squared_norm_underflows_is_normalized(self):
+        adapter = ProjectionAdapter(np.eye(2) * 1e-170)
+        assert project(adapter, np.array([1.0, 0.0])).tolist() == [1.0, 0.0]
+
     @pytest.mark.parametrize(
         "matrix, vector",
         [

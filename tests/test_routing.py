@@ -1,6 +1,7 @@
 """Routers against exhaustive references, threshold tuning, and run files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,13 +71,18 @@ def reference_retrieval(pools, k, query):
 def sorted_retrieval(pools, k, query):
     """The full Python sort that ranks every entry by (score desc, key asc,
     priority rank), scoring every row with the router's own row-wise float64
-    expression."""
+    expression. A nonzero query whose norm is under 2**-60 is first scaled by
+    a power of two that brings its largest entry near 1: which power does not
+    change a bit of the scores, as long as nothing underflows or overflows."""
     keys = [e.key for pool in pools for e in pool.entries]
     owners = [pool.expert for pool in pools for _ in pool.entries]
     matrix = np.vstack([np.asarray(e.vector, dtype=np.float64) for p in pools for e in p.entries])
     norms = np.linalg.norm(matrix, axis=1)
     row_norms = np.where(norms == 0.0, np.inf, norms)
     q = np.asarray(query, dtype=np.float64)
+    largest = float(np.abs(q).max())
+    if largest > 0.0 and np.linalg.norm(q) < 2.0**-60:
+        q = q * 2.0 ** -round(math.log2(largest))
     qnorm = float(np.linalg.norm(q))
     scores = np.zeros(len(keys)) if qnorm == 0.0 else (matrix * q).sum(axis=1) / (row_norms * qnorm)
     ranked = sorted(
@@ -182,7 +188,7 @@ def scored_pools(draw):
                 rows[rng.integers(n)] + noise * 1e-3,
                 rows[-1],
                 np.zeros(dim),
-                noise * 1e-30,  # below stage 1's norm range
+                noise * 1e-30,  # norm under 2**-60: the router scales it first
                 noise * 1e-160,  # its squared norm is subnormal
             ]
         )
@@ -255,6 +261,18 @@ class TestRetrievalRouter:
             key for pool in pools for key in [e.key for e in pool.entries]
         )[:4]
 
+    def test_query_whose_squared_norm_underflows_keeps_its_direction(self):
+        """Every square of the query underflows to 0, but its cosine with
+        -ones is 1: it is not the zero query."""
+        pools = [
+            ExpertPool(SLM, [entry("a:0", np.ones(256))]),
+            ExpertPool(LLM, [entry("b:0", -np.ones(256))]),
+        ]
+        decision = RetrievalRouter(pools, 1).decide(ctx(np.full(256, -1e-170)))
+        assert decision.chosen == LLM
+        assert [key for key, _ in decision.neighbors] == ["b:0"]
+        assert math.isclose(decision.neighbors[0][1], 1.0, rel_tol=1e-12)
+
     def test_empty_pools_rejected(self):
         with pytest.raises(InputError):
             RetrievalRouter([ExpertPool(SLM, []), ExpertPool(LLM, [])], 5)
@@ -316,8 +334,9 @@ class TestRetrievalRouter:
     @pytest.mark.parametrize("n", [800, 801, 802, 803])
     def test_two_stages_give_the_full_products_bits(self, n):
         """At dim 256, for every n mod 4, with zero and duplicate rows, float32
-        and float64 queries, a zero query and one below stage 1's norm range:
-        the neighbours' scores have the row-wise expression's bits."""
+        and float64 queries, a zero query and one whose norm is under 2**-60,
+        which the router scales first: the neighbours' scores have the
+        row-wise expression's bits."""
         rng = np.random.default_rng(n)
         rows = rng.normal(size=(n, 256)).astype(np.float32)
         rows[rng.choice(n, 5, replace=False)] = 0.0
@@ -350,7 +369,7 @@ class TestRetrievalRouter:
     @given(scored_pools())
     def test_scores_have_the_row_wise_expressions_bits(self, case):
         """Float32 and float64 pools of every n mod 4, with zero and duplicate
-        rows, and queries from a pool row to below stage 1's norm range: the
+        rows, and queries from a pool row to norms under 2**-60: the
         neighbours and their scores are the full sort's, bit for bit."""
         pools, k, query = case
         assert_matches_full_sort(RetrievalRouter(pools, k), pools, k, query)
@@ -566,6 +585,12 @@ class TestClassifierRouter:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             train_classifier_router(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_squared_norm_that_overflows_is_an_input_error(self):
+        """A step of 4/inf would be 0 and leave every weight 0."""
+        with pytest.raises(InputError, match="squared norm"):
+            train_classifier_router(np.array([[1e200, 0.0], [0.0, 1e200]]), np.array([0.0, 1.0]))
 
     def test_exactly_two_experts(self):
         with pytest.raises(InputError):
