@@ -22,11 +22,12 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   ``report`` with ``{"kind": "store"}``;
 - the error cases in ``errors/``: a 128-dim ``embed``, ``mine-and-train``
   and ``build-pools`` into ``errors/dim128/``, then one command per damaged
-  input (one or two per loader, written to ``errors/inputs/`` from the
+  input (one to four per loader, written to ``errors/inputs/`` from the
   artifacts above, among them a vector or matrix entry given as the string
-  ``"1.5"`` in the store, a pool and the adapter) and per pair of artifacts
-  that do not fit each other in dim, 21 cases in all. Each case's exit code
-  and standard error go to ``errors/<case>.txt``.
+  ``"1.5"`` or as ``true`` in the store, a pool and the adapter, and a turn
+  predicted for one expert in two files) and per pair of artifacts that do
+  not fit each other in dim, 25 cases in all. Each case's exit code and
+  standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -215,17 +216,22 @@ def error_cases(chain: Chain) -> list[str]:
     def first_turn(**change):
         return lambda records: records[0]["turns"][-1].update(change)
 
-    def string_in(*path):
-        """Give the first number of ``records[0][path…]`` as the string "1.5",
-        which a cast to a float array would read as 1.5."""
+    def first_number(value, *path):
+        """Give the first number of ``records[0][path…]`` as ``value``, which
+        a cast to a float array would read as a number: the string "1.5" as
+        1.5, ``True`` as 1.0."""
 
         def edit(records):
             row = records[0]
             for key in path:
                 row = row[key]
-            row[0] = "1.5"
+            row[0] = value
 
         return edit
+
+    # The llm file with the slm file's first prediction appended: a turn predicted twice.
+    slm = (chain.out / SIM3["predictions"]["slm"]).read_text(encoding="utf-8").splitlines()
+    both = damaged(chain, SIM3["predictions"]["llm"], "both.jsonl", lambda r: r.append(json.loads(slm[0])))
 
     dim128_store = "errors/dim128/embeddings.jsonl"
     cases = [  # label, command, config settings
@@ -235,15 +241,19 @@ def error_cases(chain: Chain) -> list[str]:
         ("corpus_user", "validate", corpus("user.jsonl", first_turn(user=""))),
         ("predictions_confidence", "validate", predictions("conf.jsonl", first(confidence=True))),
         ("predictions_tlb", "validate", predictions("tlb.jsonl", first(tlb=["x"]))),
+        ("predictions_duplicate", "validate", {"predictions": {**SIM3["predictions"], "llm": both}}),
         ("store_empty", "mine-and-train", artifact("embeddings_path", "empty.jsonl", empty_vectors)),
         ("store_value", "mine-and-train", artifact("embeddings_path", "value.jsonl", first(vector=["x"]))),
-        ("store_string", "mine-and-train", artifact("embeddings_path", "string.jsonl", string_in("vector"))),
+        ("store_string", "mine-and-train", artifact("embeddings_path", "string.jsonl", first_number("1.5", "vector"))),
+        ("store_bool", "mine-and-train", artifact("embeddings_path", "bool.jsonl", first_number(True, "vector"))),
         ("adapter_overflow", "build-pools", artifact("adapter_path", "overflow.json", overflow)),
         ("adapter_shape", "build-pools", artifact("adapter_path", "shape.json", first(dim=3))),
-        ("adapter_string", "build-pools", artifact("adapter_path", "string.json", string_in("matrix", 0))),
+        ("adapter_string", "build-pools", artifact("adapter_path", "string.json", first_number("1.5", "matrix", 0))),
+        ("adapter_bool", "build-pools", artifact("adapter_path", "bool.json", first_number(True, "matrix", 0))),
         ("pool_vector", "route", pools("pool_vector", lambda r: r[0]["entries"][0].update(vector="abc"))),
         ("pool_expert", "route", pools("pool_expert", first(expert="ghost"))),
-        ("pool_string", "route", pools("pool_string", string_in("entries", 0, "vector"))),
+        ("pool_string", "route", pools("pool_string", first_number("1.5", "entries", 0, "vector"))),
+        ("pool_bool", "route", pools("pool_bool", first_number(True, "entries", 0, "vector"))),
         ("run_votes", "report", artifact("run_path", "votes.jsonl", first(votes={"slm": "x"}))),
         ("run_summary", "report", artifact("run_path", "summary.jsonl", lambda r: r.pop())),
         ("dim_pools_vs_adapter", "route", {"pools_dir": "errors/dim128"}),

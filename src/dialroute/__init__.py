@@ -10,7 +10,7 @@ cascade, logistic probe) and a FLOPs-style cost model round out the toolkit.
 """
 
 from .cli import main
-from .config import EmbedderSpec, RunConfig, apply_overrides, load_config, parse_config
+from .config import EmbedderSpec, RunConfig, load_config, parse_config
 from .dialogue import (
     Corpus,
     Dialogue,
@@ -28,7 +28,6 @@ from .embedding import (
     EmbeddingStore,
     HashEmbedder,
     ProjectionAdapter,
-    StoreEmbedder,
     load_adapter,
     load_store,
     project,

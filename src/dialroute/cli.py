@@ -17,6 +17,7 @@ Set ``DIALROUTE_LOG=debug|info|warning|error`` for stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -26,13 +27,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import ROUTERS, SUPERVISIONS, RunConfig, apply_overrides, load_config
+from .config import ROUTERS, SUPERVISIONS, RunConfig, load_config
 from .dialogue import Corpus, LabeledTurn, TurnBelief, load_corpus
 from .embedding import (
     EmbeddingStore,
     HashEmbedder,
     ProjectionAdapter,
-    StoreEmbedder,
     load_adapter,
     load_store,
     project,
@@ -145,14 +145,10 @@ def sampled_pools(
 # --- shared loading helpers --------------------------------------------------
 
 
-def _require(value: str | None, what: str) -> str:
-    if not value:
-        raise InputError(f"config does not set {what}")
-    return value
-
-
 def _load_corpus(cfg: RunConfig, which: str) -> Corpus:
-    path = _require(getattr(cfg, which), f"a {which} corpus path")
+    path = getattr(cfg, which)
+    if not path:
+        raise InputError(f"config does not set a {which} corpus path")
     corpus = load_corpus(path)
     if corpus.turn_count() == 0:
         raise InputError(f"{which} corpus {path!r} has no dialogues")
@@ -164,17 +160,7 @@ def _load_all_predictions(cfg: RunConfig) -> dict[str, dict[str, ExpertPredictio
     for expert in cfg.experts:
         if expert.name not in cfg.predictions:
             raise InputError(f"no predictions path configured for expert {expert.name!r}")
-    merged: dict[str, dict[str, ExpertPrediction]] = {}
-    for path in dict.fromkeys(cfg.predictions.values()):
-        for name, by_key in load_predictions(path).items():
-            bucket = merged.setdefault(name, {})
-            for key, prediction in by_key.items():
-                if key in bucket:
-                    raise InputError(
-                        f"duplicate prediction for expert {name!r}, turn {key!r} across files"
-                    )
-                bucket[key] = prediction
-    return merged
+    return load_predictions(*dict.fromkeys(cfg.predictions.values()))
 
 
 def _check_coverage(
@@ -210,7 +196,19 @@ def _make_query_embedder(cfg: RunConfig) -> tuple[object, tuple[str, int]]:
         embedder = HashEmbedder(cfg.embedder.dim, subseed(cfg.seed, "embedder"))
         return embedder, ("the hash embedder (config embedder dim)", cfg.embedder.dim)
     store = load_store(str(cfg.embedder.path))
-    return StoreEmbedder(store), (f"embedding store {cfg.embedder.path}", store.dim)
+    return store, (f"embedding store {cfg.embedder.path}", store.dim)
+
+
+def _load_adapter(cfg: RunConfig) -> tuple[ProjectionAdapter, tuple[str, int]]:
+    """The configured adapter, with the name and dim :func:`_fit` gives it."""
+    path = cfg.resolve_adapter()
+    if not path.exists():
+        raise InputError(
+            f"adapter file {path} does not exist; run mine-and-train first "
+            "(supervision 'none' writes the identity adapter)"
+        )
+    adapter = load_adapter(str(path))
+    return adapter, (f"adapter {path}", adapter.dim)
 
 
 def _fit(*artifacts: tuple[str, int]) -> None:
@@ -220,12 +218,6 @@ def _fit(*artifacts: tuple[str, int]) -> None:
     for name, other in rest:
         if other != dim:
             raise InputError(f"{name} has dim {other}, but {first} has dim {dim}")
-
-
-def _replay_experts(
-    cfg: RunConfig, predictions: dict[str, dict[str, ExpertPrediction]]
-) -> list[ReplayExpert]:
-    return [ReplayExpert(e, predictions.get(e.name, {})) for e in cfg.experts]
 
 
 # --- commands -----------------------------------------------------------------
@@ -259,7 +251,7 @@ def _cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
     turns = _load_corpus(cfg, "holdout").labeled()
     embedder, _ = _make_query_embedder(cfg)
     if cfg.embedder.kind == "store":
-        missing = [t.key for t in turns if t.key not in embedder.store]
+        missing = [t.key for t in turns if t.key not in embedder]
         if missing:
             raise InputError(
                 f"imported store {cfg.embedder.path!r} is missing "
@@ -315,14 +307,8 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
     beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
     store_path = cfg.resolve_embeddings()
     store = load_store(str(store_path))
-    adapter_path = cfg.resolve_adapter()
-    if not adapter_path.exists():
-        raise InputError(
-            f"adapter file {adapter_path} does not exist; run mine-and-train first "
-            "(supervision 'none' writes the identity adapter)"
-        )
-    adapter = load_adapter(str(adapter_path))
-    _fit((f"adapter {adapter_path}", adapter.dim), (f"embedding store {store_path}", store.dim))
+    adapter, fitted = _load_adapter(cfg)
+    _fit(fitted, (f"embedding store {store_path}", store.dim))
     sizes = {e: cfg.pool_size_for(e.name) for e in cfg.experts}
     pools = sampled_pools(turns, beliefs, store, adapter, sizes, cfg.seed)
     cfg.resolve_pools_dir().mkdir(parents=True, exist_ok=True)
@@ -339,7 +325,7 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
     corpus = _load_corpus(cfg, "corpus")
     predictions = _load_all_predictions(cfg)
     _check_coverage(predictions, cfg.experts, list(corpus.gold_tlbs()), "corpus")
-    experts = _replay_experts(cfg, predictions)
+    experts = [ReplayExpert(e, predictions.get(e.name, {})) for e in cfg.experts]
     embedder = None
     adapter = None
     snapshot: dict[str, object] = {"seed": cfg.seed}
@@ -356,14 +342,9 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
             pools.append(pool)
             if pool.entries:
                 dims.append((f"pool {path}", len(pool.entries[0].vector)))
-        adapter_path = cfg.resolve_adapter()
-        if not adapter_path.exists():
-            raise InputError(
-                f"adapter file {adapter_path} does not exist; run mine-and-train first"
-            )
-        adapter = load_adapter(str(adapter_path))
+        adapter, fitted = _load_adapter(cfg)
         embedder, query = _make_query_embedder(cfg)
-        _fit((f"adapter {adapter_path}", adapter.dim), query, *dims)
+        _fit(fitted, query, *dims)
         router = RetrievalRouter(pools, cfg.k)
         snapshot.update({"k": cfg.k, "supervision": cfg.supervision})
     elif cfg.router == "oracle":
@@ -403,12 +384,10 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         embedder, query = _make_query_embedder(cfg)
         _fit(query, (f"embedding store {store_path}", store.dim))
         labels = _expert_labels(holdout_turns, beliefs)
-        if len(cfg.experts) != 2:
-            raise InputError("classifier routing supports exactly two experts")
-        high = cfg.experts[1]
+        low = cfg.experts[0]
         keys = sorted(labels)
         X = np.vstack([store.lookup(key) for key in keys])
-        y = np.array([1.0 if labels[key] == high.name else 0.0 for key in keys])
+        y = np.array([0.0 if labels[key] == low.name else 1.0 for key in keys])
         model = train_classifier_router(X, y)
         router = ClassifierRouter(model, cfg.experts)
 
@@ -528,7 +507,7 @@ def _build_parser() -> _Parser:
         sub = subparsers.add_parser(name, help=handler.__doc__)
         sub.add_argument("--config", help="path to the JSON run configuration")
         sub.add_argument("--seed", type=int, help="override the configured seed")
-        sub.add_argument("--out", help="override the configured output directory")
+        sub.add_argument("--out", dest="out_dir", help="override the configured output directory")
         sub.add_argument("--router", choices=ROUTERS, help="override the router kind")
         sub.add_argument(
             "--supervision", choices=SUPERVISIONS, help="override the supervision kind"
@@ -566,13 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config) if args.config else RunConfig()
-        cfg = apply_overrides(
-            cfg,
-            seed=args.seed,
-            out=args.out,
-            router=args.router,
-            supervision=args.supervision,
-        )
+        overrides = {k: getattr(args, k) for k in ("seed", "out_dir", "router", "supervision")}
+        cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         # Overflow is caught where it matters (a non-finite projection is
         # bad input), so numpy's warnings about it are noise, or under
         # ``-W error`` an exception that would exit 2.

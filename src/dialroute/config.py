@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .embedding import check_dim
@@ -213,21 +213,3 @@ def parse_config(record: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     return parse_config(read_json(path, "config"))
 
-
-def apply_overrides(
-    config: RunConfig,
-    seed: int | None = None,
-    out: str | None = None,
-    router: str | None = None,
-    supervision: str | None = None,
-) -> RunConfig:
-    updates: dict = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if out is not None:
-        updates["out_dir"] = out
-    if router is not None:
-        updates["router"] = router
-    if supervision is not None:
-        updates["supervision"] = supervision
-    return replace(config, **updates) if updates else config

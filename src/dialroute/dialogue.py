@@ -21,12 +21,11 @@ Unknown fields are ignored so corpora can carry extra annotations.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, field, parse_json, write_json_lines
+from .errors import InputError, field, parse_json_lines, read_json_lines, write_json_lines
 
 SEPARATOR = "-"
 NULL_VALUES = frozenset({"", "none"})
@@ -226,22 +225,12 @@ class Corpus:
 
     dialogues: tuple[Dialogue, ...]
     dropped_values: int = 0
-    _by_id: dict[str, Dialogue] = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_id = {d.dialogue_id: d for d in self.dialogues}
 
     def __iter__(self) -> Iterator[Dialogue]:
         return iter(self.dialogues)
 
     def __len__(self) -> int:
         return len(self.dialogues)
-
-    def get(self, dialogue_id: str) -> Dialogue:
-        try:
-            return self._by_id[dialogue_id]
-        except KeyError:
-            raise InputError(f"corpus has no dialogue {dialogue_id!r}") from None
 
     def turn_count(self) -> int:
         return sum(len(d.turns) for d in self.dialogues)
@@ -277,23 +266,22 @@ def _parse_turn(raw: object, index: int) -> tuple[Turn, int]:
 
 
 def parse_dialogues(lines: Iterable[str]) -> Corpus:
-    """Parse a JSON Lines corpus. Blank lines are skipped.
+    """Parse JSON Lines corpus text; errors name the line as ``line N:``."""
+    return _parse_corpus(parse_json_lines(lines, "line "))
 
-    Raises :class:`InputError` naming the offending line for malformed records,
+
+def _parse_corpus(records: Iterable[tuple[str, dict]]) -> Corpus:
+    """The corpus of (where, record) pairs, one dialogue per record.
+
+    Raises :class:`InputError` after ``where`` for malformed records,
     duplicate dialogue ids, out-of-order turn ids, and empty user utterances.
     """
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     dropped = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        at = f"line {lineno}:"
-        raw = parse_json(line, at)
-        if type(raw) is not dict:
-            raise InputError(f"{at} record is not an object")
+    for at, raw in records:
         dialogue_id = field(raw, "dialogue_id", str, at)
-        where = f"line {lineno} (dialogue {dialogue_id!r}):"
+        where = f"{at} dialogue {dialogue_id!r}:"
         if not dialogue_id or dialogue_id in seen:
             raise InputError(f"{where} empty or duplicate dialogue_id")
         seen.add(dialogue_id)
@@ -333,17 +321,7 @@ def _dialogue_record(dialogue: Dialogue) -> dict:
 
 
 def load_corpus(path: str) -> Corpus:
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot open corpus {path!r}: {exc}") from None
-    with handle:
-        try:
-            return parse_dialogues(handle)
-        except UnicodeDecodeError as exc:
-            raise InputError(f"corpus {path!r}: not UTF-8 text ({exc.reason})") from None
-        except InputError as exc:
-            raise InputError(f"corpus {path!r}: {exc}") from None
+    return _parse_corpus(read_json_lines(path, "corpus"))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -5,7 +5,7 @@ The hashing embedder is the built-in, dependency-free encoder: lowercased word
 unigrams and bigrams are feature-hashed into a fixed number of signed buckets
 and the result is L2-normalized. Precomputed vectors from an external encoder
 can be used instead via :class:`EmbeddingStore`, which maps turn keys to
-vectors of a shared dimension.
+vectors of a shared dimension and embeds a turn by its key.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ def load_adapter(path: str) -> ProjectionAdapter:
 
 @dataclass
 class EmbeddingStore:
-    """Turn-keyed vectors of one shared dimension."""
+    """Turn-keyed vectors of one shared dimension. A store embeds a query by
+    its turn key, so an imported store is a query embedder."""
 
     vectors: dict[str, np.ndarray]
     dim: int
@@ -182,6 +183,10 @@ class EmbeddingStore:
             return self.vectors[key]
         except KeyError:
             raise InputError(f"embedding store has no vector for key {key!r}") from None
+
+    def embed(self, key: str, text: str) -> np.ndarray:
+        """The vector of turn ``key``; the text is not read."""
+        return self.lookup(key)
 
     @classmethod
     def build(cls, items: Iterable[tuple[str, np.ndarray]]) -> "EmbeddingStore":
@@ -239,14 +244,3 @@ class HashEmbedder:
 
     def embed(self, key: str, text: str) -> np.ndarray:
         return _embed(text, self.dim, self._key, self._memo)
-
-
-class StoreEmbedder:
-    """Looks embeddings up by turn key; ignores the text."""
-
-    def __init__(self, store: EmbeddingStore) -> None:
-        self.store = store
-        self.dim = store.dim
-
-    def embed(self, key: str, text: str) -> np.ndarray:
-        return self.store.lookup(key)

@@ -61,14 +61,25 @@ def field(record: dict, key: str, kind: type, where: str, default: Any = _REQUIR
     raise InputError(f"{where} {name} must be {_KINDS[kind]}, got {value!r}")
 
 
+def _holds_bool(values: object) -> bool:
+    """Whether ``values``, a list of numbers or of such lists, holds a
+    boolean; a numpy array holds none that numpy reads as a number."""
+    if type(values) is not list:
+        return False
+    types = set(map(type, values))
+    return bool in types or list in types and any(map(_holds_bool, values))
+
+
 def numbers(values: object, dtype: type) -> np.ndarray:
     """``values`` as a ``dtype`` array, with the bits ``np.array(values,
     dtype)`` gives, if numpy reads them as ints, floats or numbers that
-    :func:`is_number` accepts; ValueError otherwise, where that cast would
-    read ``"1.5"`` as 1.5. Booleans pass only among other numbers."""
+    :func:`is_number` accepts and no boolean is among them; ValueError
+    otherwise, where that cast would read ``"1.5"`` as 1.5 and ``true`` as
+    1.0."""
     array = np.asarray(values)
     kind = array.dtype.kind
-    if kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO":
+    malformed = kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO"
+    if malformed or _holds_bool(values):
         raise ValueError(f"not an array of numbers ({array.dtype})")
     if kind != "f":
         # np.array(values, dtype) rounds a Python int to float64 first; so do these.
@@ -151,6 +162,20 @@ def read_json(path: str, what: str) -> Any:
     return parse_json(text, f"{what} {path!r}:")
 
 
+def parse_json_lines(lines: Iterable[str], prefix: str) -> Iterator[tuple[str, dict]]:
+    """(``f"{prefix}{n}:"``, object) for each non-blank line n of JSON Lines
+    text; a line that is malformed or not an object raises
+    :class:`InputError` after that prefix."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"{prefix}{lineno}:"
+        record = parse_json(line, where)
+        if type(record) is not dict:
+            raise InputError(f"{where} record is not an object")
+        yield where, record
+
+
 def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
     """(``"path:line:"``, object) for each non-blank line of a JSON Lines
     file; errors as in :func:`read_json`, and a line that is not an object
@@ -161,14 +186,7 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
         raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     with handle:
         try:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}:"
-                record = parse_json(line, where)
-                if type(record) is not dict:
-                    raise InputError(f"{where} record is not an object")
-                yield where, record
+            yield from parse_json_lines(handle, f"{path}:")
         except UnicodeDecodeError as exc:
             raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
 

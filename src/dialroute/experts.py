@@ -312,8 +312,10 @@ class SyntheticExpert:
 # --- file formats -----------------------------------------------------------
 
 
-def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
-    """Load a JSON Lines prediction file, grouped by expert name then turn key.
+def load_predictions(*paths: str) -> dict[str, dict[str, ExpertPrediction]]:
+    """Load JSON Lines prediction files into one grouping by expert name then
+    turn key; a second prediction for an expert and turn, in any of the files,
+    raises naming its file and line.
 
     Each record: ``{"dialogue_id", "turn_id", "expert", "tlb", "confidence"}``
     with confidence optional or null. Values are canonicalized like corpus
@@ -321,7 +323,8 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
     """
     grouped: dict[str, dict[str, ExpertPrediction]] = {}
     dropped = 0
-    for where, record in read_json_lines(path, "predictions"):
+    records = (item for path in paths for item in read_json_lines(path, "predictions"))
+    for where, record in records:
         dialogue_id = field(record, "dialogue_id", str, where)
         turn_id = field(record, "turn_id", int, where)
         expert = field(record, "expert", str, where)
@@ -341,7 +344,7 @@ def load_predictions(path: str) -> dict[str, dict[str, ExpertPrediction]]:
             )
         by_key[prediction.key] = prediction
     if dropped:
-        logger.warning("dropped %d null values while loading predictions from %s", dropped, path)
+        logger.warning("dropped %d null values from predictions %s", dropped, ", ".join(paths))
     return grouped
 
 

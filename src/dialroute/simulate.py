@@ -93,6 +93,12 @@ _CLUSTERS = {
     RESTAURANT_DOMAIN: (RESTAURANT_WORDS, RESTAURANT_SLOTS),
 }
 
+# Each synthetic expert and the words of the talk it is good at.
+_EXPERTS = ((SLM, HOTEL_WORDS), (LLM, RESTAURANT_WORDS))
+# A synthetic expert's knobs, in SyntheticProfile's order; the spec sets
+# each one as ``<expert>_<knob>``.
+_KNOBS = ("accuracy_in", "accuracy_out", "confidence_correct", "confidence_wrong")
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -144,9 +150,7 @@ class SimulationSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         shares = ["mixed_fraction"] + [
-            f"{expert}_{knob}"
-            for expert in ("slm", "llm")
-            for knob in ("accuracy_in", "accuracy_out", "confidence_correct", "confidence_wrong")
+            f"{expert.name}_{knob}" for expert, _ in _EXPERTS for knob in _KNOBS
         ]
         for name in shares:
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -211,31 +215,18 @@ def _mentions(vocabulary: Sequence[str]):
 
 
 def make_experts(spec: SimulationSpec, gold: dict) -> tuple[SyntheticExpert, SyntheticExpert]:
-    slm = SyntheticExpert(
-        SLM,
-        SyntheticProfile(
-            _mentions(HOTEL_WORDS),
-            spec.slm_accuracy_in,
-            spec.slm_accuracy_out,
-            spec.slm_confidence_correct,
-            spec.slm_confidence_wrong,
-        ),
-        gold,
-        subseed(spec.seed, "expert:slm"),
+    """The small and the large synthetic expert, in that order."""
+    return tuple(
+        SyntheticExpert(
+            expert,
+            SyntheticProfile(
+                _mentions(words), *(getattr(spec, f"{expert.name}_{knob}") for knob in _KNOBS)
+            ),
+            gold,
+            subseed(spec.seed, f"expert:{expert.name}"),
+        )
+        for expert, words in _EXPERTS
     )
-    llm = SyntheticExpert(
-        LLM,
-        SyntheticProfile(
-            _mentions(RESTAURANT_WORDS),
-            spec.llm_accuracy_in,
-            spec.llm_accuracy_out,
-            spec.llm_confidence_correct,
-            spec.llm_confidence_wrong,
-        ),
-        gold,
-        subseed(spec.seed, "expert:llm"),
-    )
-    return slm, llm
 
 
 @dataclass
@@ -260,8 +251,7 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     save_corpus(holdout_corpus, str(out / "corpus_holdout.jsonl"))
 
     gold = {**holdout_corpus.gold_tlbs(), **test_corpus.gold_tlbs()}
-    slm, llm = make_experts(spec, gold)
-    experts = [slm, llm]
+    experts = make_experts(spec, gold)
 
     holdout_turns = holdout_corpus.labeled()
     test_turns = test_corpus.labeled()
@@ -303,12 +293,20 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     result.adapter = adapter
     result.loss_history = history
 
-    def execute(name: str, router, *, use_embedder: bool, active: ProjectionAdapter | None):
+    # (name, router, adapter): a run embeds its turns exactly when it has an adapter.
+    runs = (
+        ("slm_only", ConstantRouter(SLM), None),
+        ("llm_only", ConstantRouter(LLM), None),
+        ("oracle", OracleRouter([SLM, LLM]), None),
+        ("retrieval_base", RetrievalRouter(pool_sets["base"], spec.k), identity),
+        ("retrieval_trained", RetrievalRouter(pool_sets["trained"], spec.k), adapter),
+    )
+    for name, router, active in runs:
         run = run_pipeline(
             test_corpus,
             replayed,
             router,
-            embedder=embedder if use_embedder else None,
+            embedder=None if active is None else embedder,
             adapter=active,
             config={"k": spec.k, "pool_size": spec.pool_size, "seed": spec.seed, "name": name},
         )
@@ -317,22 +315,6 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
         save_report(report, str(out / f"report_{name}.json"))
         result.runs[name] = run
         result.reports[name] = report
-
-    execute("slm_only", ConstantRouter(SLM), use_embedder=False, active=None)
-    execute("llm_only", ConstantRouter(LLM), use_embedder=False, active=None)
-    execute("oracle", OracleRouter([SLM, LLM]), use_embedder=False, active=None)
-    execute(
-        "retrieval_base",
-        RetrievalRouter(pool_sets["base"], spec.k),
-        use_embedder=True,
-        active=identity,
-    )
-    execute(
-        "retrieval_trained",
-        RetrievalRouter(pool_sets["trained"], spec.k),
-        use_embedder=True,
-        active=adapter,
-    )
 
     series = make_series(sorted(result.reports.items()))
     save_series(series, str(out / "series.json"))

@@ -31,7 +31,6 @@ import dialroute.cli as cli_module
 from dialroute.cli import _log_level, main
 from dialroute.config import (
     EmbedderSpec,
-    apply_overrides,
     load_config,
     parse_config,
 )
@@ -92,6 +91,22 @@ class TestValidate:
         )
         assert main(["validate", "--config", config]) == 1
         assert "llm" in capsys.readouterr().err
+
+    def test_duplicate_across_files_names_the_second_file(self, small_sim, tmp_path, capsys):
+        """A turn predicted for one expert in two files is refused at the
+        line of the second file that repeats it."""
+        slm = small_sim.out_dir / "predictions_slm.jsonl"
+        first = slm.read_text().splitlines()[0]
+        llm = (small_sim.out_dir / "predictions_llm.jsonl").read_text().splitlines()
+        both = tmp_path / "predictions_both.jsonl"
+        both.write_text("\n".join([*llm[:2], first, *llm[2:]]) + "\n")
+        paths = {"slm": str(slm), "llm": str(both)}
+        config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", predictions=paths)
+        assert main(["validate", "--config", config]) == 1
+        record = json.loads(first)
+        key = f"{record['dialogue_id']}:{record['turn_id']}"
+        expected = f"{both}:3: duplicate prediction for expert 'slm', turn {key!r}"
+        assert expected in capsys.readouterr().err
 
 
 class TestPipelineArtifacts:
@@ -387,7 +402,7 @@ class TestExitCodes:
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", holdout=str(holdout))
         assert main(["validate", "--config", config]) == 1
         err = capsys.readouterr().err
-        assert f"corpus {str(holdout)!r}: line 2:" in err
+        assert f"{holdout}:2:" in err
 
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
@@ -634,7 +649,7 @@ BIG = "9" * 401  # an integer too large for any float: float() raises OverflowEr
 RUN_SUMMARY = '{"summary": {"experts": [{"name": "slm", "priority_rank": 0}], "config": {}}}\n'
 # Each loader's file with one number put in by %s, and the message that refuses a bad one.
 WITH_NUMBER = {
-    "adapter": ('{"dim": 1, "matrix": [[%s]]}', "vector for 'matrix row 0'"),
+    "adapter": ('{"dim": 2, "matrix": [[1.0, %s], [0.0, 1.0]]}', "vector for 'matrix row 0'"),
     "pool": ('{"expert": "slm", "entries": [{"key": "d:0", "vector": [1.0, %s]}]}', "'d:0'"),
     "predictions": (
         '{"dialogue_id": "d", "turn_id": 0, "expert": "slm", "tlb": {}, "confidence": %s}\n',
@@ -675,6 +690,12 @@ def test_loaders_reject_numbers_too_large_for_a_float(kind, tmp_path):
 def test_loaders_reject_numbers_given_as_strings(kind, tmp_path):
     """A cast to a float array would read "1.5" as 1.5."""
     assert_loader_refuses(kind, '"1.5"', tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["adapter", "pool", "store"])
+def test_loaders_reject_booleans_among_numbers(kind, tmp_path):
+    """A cast to a float array would read [1.0, true] as [1.0, 1.0]."""
+    assert_loader_refuses(kind, "true", tmp_path)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -789,14 +810,6 @@ class TestParseConfig:
         path.write_text(json.dumps({"seed": 42, "router": "oracle"}))
         cfg = load_config(str(path))
         assert cfg.seed == 42 and cfg.router == "oracle"
-
-    def test_apply_overrides(self):
-        cfg = RunConfig(seed=1, out_dir="a", router="oracle", supervision="none")
-        same = apply_overrides(cfg)
-        assert same == cfg
-        changed = apply_overrides(cfg, seed=2, out="b", router="cascade", supervision="task")
-        assert (changed.seed, changed.out_dir) == (2, "b")
-        assert (changed.router, changed.supervision) == ("cascade", "task")
 
     def test_artifact_paths_follow_out_dir(self):
         cfg = RunConfig(out_dir="exp")

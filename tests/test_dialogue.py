@@ -130,7 +130,7 @@ class TestTriplets:
                     trn(1, "cheap please", "which part?", {"hotel-price": "cheap"}),
                 ],
             )
-        ).get("d1")
+        ).dialogues[0]
 
     def test_first_turn_forces_empty_context(self):
         triplet = triplet_of_turn(self.make(), 0, {AREA: "stale"})
@@ -172,7 +172,7 @@ class TestParsing:
     def test_counts_dropped_nulls(self):
         corpus = corpus_of(dlg("a", [trn(0, "hi", tlb={"hotel-area": "none"})]))
         assert corpus.dropped_values == 1
-        assert corpus.get("a").turns[0].gold_tlb == {}
+        assert corpus.dialogues[0].turns[0].gold_tlb == {}
 
     def test_duplicate_dialogue_id(self):
         with pytest.raises(InputError, match="duplicate dialogue_id"):
@@ -197,10 +197,6 @@ class TestParsing:
     def test_blank_lines_skipped(self):
         lines = [json.dumps(dlg("a", [trn(0, "x")])), "", "   "]
         assert parse_dialogues(lines).turn_count() == 1
-
-    def test_unknown_dialogue_id(self):
-        with pytest.raises(InputError):
-            corpus_of(dlg("a", [trn(0, "x")])).get("zzz")
 
 
 class TestRoundTrip:

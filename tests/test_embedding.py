@@ -16,7 +16,6 @@ from dialroute import (
     InputError,
     ProjectionAdapter,
     SlotName,
-    StoreEmbedder,
     load_adapter,
     load_store,
     project,
@@ -295,7 +294,6 @@ class TestEmbedders:
 
     def test_store_embedder_looks_up_by_key(self):
         store = EmbeddingStore.build([("d:0", np.ones(4))])
-        embedder = StoreEmbedder(store)
-        assert np.array_equal(embedder.embed("d:0", "ignored text"), np.ones(4))
+        assert np.array_equal(store.embed("d:0", "ignored text"), np.ones(4))
         with pytest.raises(InputError):
-            embedder.embed("d:1", "whatever")
+            store.embed("d:1", "whatever")
