@@ -17,17 +17,19 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   and ``report`` (``report.json`` of the retrieval run, ``series.json`` of
   all four);
 - the store-embedder chain in ``store/``: ``embed`` the test and hold-out
-  corpora with the hash embedder, join the two files into ``store.jsonl``,
+  corpora with the hash embedder, join the two stores with numpy into the
+  imported store ``store.json`` and ``store.npy`` (written as README shows),
   then ``embed``, ``mine-and-train``, ``build-pools``, ``route`` and
   ``report`` with ``{"kind": "store"}``;
 - the error cases in ``errors/``: a 128-dim ``embed``, ``mine-and-train``
   and ``build-pools`` into ``errors/dim128/``, then one command per damaged
-  input (one to four per loader, written to ``errors/inputs/`` from the
-  artifacts above, among them a vector or matrix entry given as the string
-  ``"1.5"`` or as ``true`` in the store, a pool and the adapter, and a turn
-  predicted for one expert in two files) and per pair of artifacts that do
-  not fit each other in dim, 25 cases in all. Each case's exit code and
-  standard error go to ``errors/<case>.txt``.
+  input (one to six per loader, written to ``errors/inputs/`` from the
+  artifacts above, among them store, adapter and pool bodies that are cut
+  short, pickled objects, booleans, ints or complex numbers, 1-D or 3-D, of
+  the wrong row count, stale or missing, and a turn predicted for one
+  expert in two files) and per pair of artifacts that do not fit each other
+  in dim, 28 cases in all. Each case's exit code and standard error go to
+  ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -38,11 +40,15 @@ if any of them did not exit 1.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SUPERVISIONS = ("none", "task", "expert", "task+expert")
@@ -60,7 +66,7 @@ SIM3 = {
 # changes no artifact another step reads.
 CHAIN = "cli/task_expert"
 SOURCES = {
-    "embeddings_path": f"{CHAIN}/embeddings.jsonl",
+    "embeddings_path": f"{CHAIN}/embeddings.json",
     "adapter_path": f"{CHAIN}/adapter.json",
     "run_path": f"{CHAIN}/run_retrieval.jsonl",
 }
@@ -154,15 +160,50 @@ def store_chain(chain: Chain) -> None:
             f"store_hash_{corpus}", {"holdout": path, "out_dir": f"store/{corpus}", "seed": 3}
         )
         chain.run(f"store_hash_embed_{corpus}", "embed", "--config", config)
-    joined = "".join(
-        (chain.out / "store" / corpus / "embeddings.jsonl").read_text(encoding="utf-8")
-        for corpus in ("test", "holdout")
-    )
-    (chain.out / "store" / "store.jsonl").write_text(joined, encoding="utf-8")
-    embedder = {"kind": "store", "path": "store/store.jsonl"}
+    keys, rows = [], []
+    for corpus in ("test", "holdout"):
+        head = chain.out / "store" / corpus / "embeddings.json"
+        keys += json.loads(head.read_text(encoding="utf-8"))["keys"]
+        rows.append(np.load(head.with_suffix(".npy"), allow_pickle=False))
+    write_store(chain.out / "store" / "store.json", keys, np.concatenate(rows))
+    embedder = {"kind": "store", "path": "store/store.json"}
     config = chain.config("store", {**SIM3, "embedder": embedder, "out_dir": "store/run"})
     for command in ("embed", "mine-and-train", "build-pools", "route", "report"):
         chain.run(f"store_{command}", command, "--config", config)
+
+
+def npy(array: np.ndarray) -> bytes:
+    """``array`` in the ``.npy`` format; an object array is pickled into it."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=array.dtype.hasobject)
+    return buffer.getvalue()
+
+
+def write_store(head: Path, keys: list[str], vectors: np.ndarray) -> None:
+    """An embedding store for ``{"kind": "store"}``: the float32 body, then
+    the head with its blake2b digest, dim and keys."""
+    body = npy(np.ascontiguousarray(vectors, dtype=np.float32))
+    head.with_suffix(".npy").write_bytes(body)
+    record = {"body_blake2b": hashlib.blake2b(body).hexdigest(), "dim": vectors.shape[1], "keys": keys}
+    head.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+
+
+def damaged_table(chain: Chain, source: str, name: str, edit, stale: bool = False) -> str:
+    """Write ``errors/inputs/<name>.json`` and its body from the table whose
+    head is ``source``, through ``edit(head, body) -> (head, body)``; the body
+    comes back as an array, raw bytes or None (no body). The head's digest is
+    set to the new body's unless ``stale``."""
+    head_path = chain.out / source
+    head = json.loads(head_path.read_text(encoding="utf-8"))
+    head, body = edit(head, np.load(head_path.with_suffix(".npy"), allow_pickle=False))
+    path = Path("errors") / "inputs" / f"{name}.json"
+    if body is not None:
+        body = npy(body) if isinstance(body, np.ndarray) else body
+        (chain.out / path).with_suffix(".npy").write_bytes(body)
+        if not stale:
+            head["body_blake2b"] = hashlib.blake2b(body).hexdigest()
+    (chain.out / path).write_text(json.dumps(head) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def damaged(chain: Chain, source: str, name: str, edit) -> str:
@@ -174,11 +215,6 @@ def damaged(chain: Chain, source: str, name: str, edit) -> str:
     path = Path("errors") / "inputs" / name
     (chain.out / path).write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     return str(path)
-
-
-def empty_vectors(records: list[dict]) -> None:
-    for record in records:
-        record["vector"] = []
 
 
 def error_cases(chain: Chain) -> list[str]:
@@ -200,15 +236,18 @@ def error_cases(chain: Chain) -> list[str]:
     def artifact(key, name, edit):
         return {key: damaged(chain, SOURCES[key], name, edit)}
 
+    def table(key, name, edit, stale=False):
+        return {key: damaged_table(chain, SOURCES[key], name, edit, stale)}
+
     def pools(name, edit):
         (inputs / name).mkdir()
-        damaged(chain, f"{CHAIN}/pool_slm.json", f"{name}/pool_slm.json", edit)
-        damaged(chain, f"{CHAIN}/pool_llm.json", f"{name}/pool_llm.json", lambda records: None)
+        damaged_table(chain, f"{CHAIN}/pool_slm.json", f"{name}/pool_slm", edit)
+        damaged_table(chain, f"{CHAIN}/pool_llm.json", f"{name}/pool_llm", lambda h, b: (h, b))
         return {"pools_dir": f"errors/inputs/{name}"}
 
-    def overflow(records):
-        dim = records[0]["dim"]
-        records[0]["matrix"] = [[1e300] * dim] * dim
+    def body(change):
+        """A table edit that keeps the head and gives ``change(body)`` as the body."""
+        return lambda head, array: (head, change(array))
 
     def first(**change):
         return lambda records: records[0].update(change)
@@ -216,24 +255,12 @@ def error_cases(chain: Chain) -> list[str]:
     def first_turn(**change):
         return lambda records: records[0]["turns"][-1].update(change)
 
-    def first_number(value, *path):
-        """Give the first number of ``records[0][path…]`` as ``value``, which
-        a cast to a float array would read as a number: the string "1.5" as
-        1.5, ``True`` as 1.0."""
-
-        def edit(records):
-            row = records[0]
-            for key in path:
-                row = row[key]
-            row[0] = value
-
-        return edit
-
     # The llm file with the slm file's first prediction appended: a turn predicted twice.
     slm = (chain.out / SIM3["predictions"]["slm"]).read_text(encoding="utf-8").splitlines()
     both = damaged(chain, SIM3["predictions"]["llm"], "both.jsonl", lambda r: r.append(json.loads(slm[0])))
 
-    dim128_store = "errors/dim128/embeddings.jsonl"
+    dim128_store = "errors/dim128/embeddings.json"
+    store, adapter = "embeddings_path", "adapter_path"
     cases = [  # label, command, config settings
         ("config_k", "validate", {"hyperparameters": {"k": "x"}}),
         ("config_cost", "validate", {"costs": {"experts": {"slm": "free", "llm": 1.0}}}),
@@ -242,18 +269,21 @@ def error_cases(chain: Chain) -> list[str]:
         ("predictions_confidence", "validate", predictions("conf.jsonl", first(confidence=True))),
         ("predictions_tlb", "validate", predictions("tlb.jsonl", first(tlb=["x"]))),
         ("predictions_duplicate", "validate", {"predictions": {**SIM3["predictions"], "llm": both}}),
-        ("store_empty", "mine-and-train", artifact("embeddings_path", "empty.jsonl", empty_vectors)),
-        ("store_value", "mine-and-train", artifact("embeddings_path", "value.jsonl", first(vector=["x"]))),
-        ("store_string", "mine-and-train", artifact("embeddings_path", "string.jsonl", first_number("1.5", "vector"))),
-        ("store_bool", "mine-and-train", artifact("embeddings_path", "bool.jsonl", first_number(True, "vector"))),
-        ("adapter_overflow", "build-pools", artifact("adapter_path", "overflow.json", overflow)),
-        ("adapter_shape", "build-pools", artifact("adapter_path", "shape.json", first(dim=3))),
-        ("adapter_string", "build-pools", artifact("adapter_path", "string.json", first_number("1.5", "matrix", 0))),
-        ("adapter_bool", "build-pools", artifact("adapter_path", "bool.json", first_number(True, "matrix", 0))),
-        ("pool_vector", "route", pools("pool_vector", lambda r: r[0]["entries"][0].update(vector="abc"))),
-        ("pool_expert", "route", pools("pool_expert", first(expert="ghost"))),
-        ("pool_string", "route", pools("pool_string", first_number("1.5", "entries", 0, "vector"))),
-        ("pool_bool", "route", pools("pool_bool", first_number(True, "entries", 0, "vector"))),
+        ("store_empty", "mine-and-train", table(store, "empty", lambda h, b: ({**h, "dim": 0}, b[:, :0]))),
+        ("store_truncated", "mine-and-train", table(store, "truncated", body(lambda b: npy(b)[:-100]))),
+        ("store_object", "mine-and-train", table(store, "object", body(lambda b: b.astype(object)))),
+        ("store_rows", "mine-and-train", table(store, "rows", body(lambda b: b[:-1]))),
+        ("store_stale", "mine-and-train", table(store, "stale", body(lambda b: b * 2), stale=True)),
+        ("store_missing", "mine-and-train", table(store, "missing", body(lambda b: None))),
+        ("adapter_overflow", "build-pools", table(adapter, "overflow", body(lambda b: np.full(b.shape, 1e300)))),
+        ("adapter_shape", "build-pools", table(adapter, "shape", lambda h, b: ({**h, "dim": 3}, b))),
+        ("adapter_int", "build-pools", table(adapter, "int", body(lambda b: b.astype(np.int64)))),
+        ("adapter_complex", "build-pools", table(adapter, "complex", body(lambda b: b.astype(complex)))),
+        ("adapter_3d", "build-pools", table(adapter, "3d", body(lambda b: b[None]))),
+        ("pool_expert", "route", pools("pool_expert", lambda h, b: ({**h, "expert": "ghost"}, b))),
+        ("pool_bool", "route", pools("pool_bool", body(lambda b: b > 0))),
+        ("pool_1d", "route", pools("pool_1d", body(np.ravel))),
+        ("pool_rows", "route", pools("pool_rows", body(lambda b: np.concatenate([b, b[:1]])))),
         ("run_votes", "report", artifact("run_path", "votes.jsonl", first(votes={"slm": "x"}))),
         ("run_summary", "report", artifact("run_path", "summary.jsonl", lambda r: r.pop())),
         ("dim_pools_vs_adapter", "route", {"pools_dir": "errors/dim128"}),

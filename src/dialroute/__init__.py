@@ -81,12 +81,11 @@ from .routing import (
     tune_cascade_threshold,
 )
 from .seeding import subseed
-from .similarity import f1_sets, tlb_similarity, turn_similarity
+from .similarity import f1_sets, tlb_similarity
 from .simulate import SimulationSpec, run_simulation
 from .supervision import (
     PairSet,
     TrainConfig,
-    grad_check,
     merge_pairs,
     mine_expert_pairs,
     mine_task_pairs,

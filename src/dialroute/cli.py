@@ -60,6 +60,8 @@ from .routing import (
     ClassifierRouter,
     OracleRouter,
     RetrievalRouter,
+    cascade_experts,
+    classifier_experts,
     load_run,
     run_pipeline,
     save_run,
@@ -322,6 +324,11 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
+    # The two-expert routers refuse their experts before anything is loaded.
+    if cfg.router == "cascade":
+        primary, fallback = cascade_experts(cfg.experts)
+    elif cfg.router == "classifier":
+        low, _ = classifier_experts(cfg.experts)
     corpus = _load_corpus(cfg, "corpus")
     predictions = _load_all_predictions(cfg)
     _check_coverage(predictions, cfg.experts, list(corpus.gold_tlbs()), "corpus")
@@ -353,25 +360,16 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         holdout = _load_corpus(cfg, "holdout")
         holdout_turns = holdout.labeled()
         _check_coverage(predictions, cfg.experts, [t.key for t in holdout_turns], "hold-out")
-        primary, fallback = cfg.experts[0], cfg.experts[1] if len(cfg.experts) > 1 else None
-        if fallback is None:
-            raise InputError("cascade routing needs at least two experts")
         observations = []
         for turn in holdout_turns:
-            first = predictions[primary.name][turn.key]
-            second = predictions[fallback.name][turn.key]
+            first, second = (predictions[e.name][turn.key] for e in (primary, fallback))
             if first.confidence is None:
                 raise InputError(
                     f"cascade tuning requires a confidence from {primary.name!r} "
                     f"for hold-out turn {turn.key!r}"
                 )
-            observations.append(
-                (
-                    first.confidence,
-                    judge_correct(first.tlb, turn.gold_tlb),
-                    judge_correct(second.tlb, turn.gold_tlb),
-                )
-            )
+            right = (judge_correct(p.tlb, turn.gold_tlb) for p in (first, second))
+            observations.append((first.confidence, *right))
         threshold = tune_cascade_threshold(observations)
         router = CascadeRouter(cfg.experts, threshold)
         snapshot["threshold"] = threshold
@@ -384,7 +382,6 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         embedder, query = _make_query_embedder(cfg)
         _fit(query, (f"embedding store {store_path}", store.dim))
         labels = _expert_labels(holdout_turns, beliefs)
-        low = cfg.experts[0]
         keys = sorted(labels)
         X = np.vstack([store.lookup(key) for key in keys])
         y = np.array([0.0 if labels[key] == low.name else 1.0 for key in keys])

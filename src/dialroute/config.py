@@ -106,7 +106,7 @@ class RunConfig:
 
     # Well-known artifact locations inside the output directory.
     def resolve_embeddings(self) -> Path:
-        return Path(self.embeddings_path or Path(self.out_dir) / "embeddings.jsonl")
+        return Path(self.embeddings_path or Path(self.out_dir) / "embeddings.json")
 
     def resolve_adapter(self) -> Path:
         return Path(self.adapter_path or Path(self.out_dir) / "adapter.json")

@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError, field, parse_json_lines, read_json_lines, write_json_lines
+from .errors import InputError, field, read_json_lines, write_json_lines
 
 SEPARATOR = "-"
 NULL_VALUES = frozenset({"", "none"})
@@ -263,11 +263,6 @@ def _parse_turn(raw: object, index: int) -> tuple[Turn, int]:
         raise InputError("user utterance is empty")
     gold, dropped = make_belief(field(raw, "gold_tlb", dict, "field", {}), "gold_tlb:")
     return Turn(turn_id, field(raw, "system", str, "field", ""), user, gold), dropped
-
-
-def parse_dialogues(lines: Iterable[str]) -> Corpus:
-    """Parse JSON Lines corpus text; errors name the line as ``line N:``."""
-    return _parse_corpus(parse_json_lines(lines, "line "))
 
 
 def _parse_corpus(records: Iterable[tuple[str, dict]]) -> Corpus:

@@ -6,11 +6,18 @@ unigrams and bigrams are feature-hashed into a fixed number of signed buckets
 and the result is L2-normalized. Precomputed vectors from an external encoder
 can be used instead via :class:`EmbeddingStore`, which maps turn keys to
 vectors of a shared dimension and embeds a turn by its key.
+
+A store, an adapter and each expert pool are saved as a vector table: a JSON
+*head*, and beside it an ``.npy`` *body* (NEP 1; no pickles, no timestamps)
+of the same stem. The head holds ``body_blake2b``, the hex blake2b digest of
+the body's bytes, which must match; ``dim``, its column count; and one row's
+key per body row: a store lists ``keys`` (body float32), a pool ``expert``
+and ``entries`` of ``{"key", "text"}`` (float32), and an adapter none (body
+``dim`` x ``dim`` float64, exact bits).
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 from dataclasses import dataclass
@@ -19,8 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from .dialogue import Triplet
-from .errors import InputError, field, numbers, read_json, read_json_lines, vector_rows
-from .errors import write_json, write_json_lines
+from .errors import InputError, field, read_table, vector_rows, write_table
 
 # Maps every byte that is not [a-z0-9] to a space, so splitting the encoded
 # lowercased text yields the same words as the regex [a-z0-9]+ would: any
@@ -143,21 +149,13 @@ def project(adapter: ProjectionAdapter, vector: np.ndarray, key: str | None = No
 
 
 def save_adapter(adapter: ProjectionAdapter, path: str) -> None:
-    write_json(path, {"dim": adapter.dim, "matrix": adapter.matrix.tolist()})
+    write_table(path, {}, adapter.matrix)
 
 
 def load_adapter(path: str) -> ProjectionAdapter:
-    where = f"adapter {path!r}:"
-    record = read_json(path, "adapter")
-    if type(record) is not dict:
-        raise InputError(f"{where} expected an object with dim and matrix")
-    dim = field(record, "dim", int, where)
-    if dim < 1:
-        raise InputError(f"{where} dim must be >= 1, got {dim}")
-    rows = field(record, "matrix", list, where)
-    matrix = vector_rows([f"matrix row {i}" for i in range(len(rows))], rows, where, np.float64)
-    if matrix.shape != (dim, dim):
-        raise InputError(f"{where} matrix shape {matrix.shape} does not match dim {dim}")
+    _, matrix = read_table(path, "adapter", np.float64, None)
+    if not matrix.size:
+        raise InputError(f"adapter {path!r}: dim must be >= 1, got 0")
     return ProjectionAdapter(matrix)
 
 
@@ -203,30 +201,22 @@ class EmbeddingStore:
         return cls(dict(zip(keys, matrix)), int(matrix.shape[1]))
 
 
+def _store_keys(head: dict, where: str) -> list[str]:
+    keys = field(head, "keys", list, where)
+    if not all(type(key) is str for key in keys):
+        raise InputError(f"{where} keys must be a list of strings")
+    return keys
+
+
 def load_store(path: str) -> EmbeddingStore:
-    """Load a JSON Lines embedding store: ``{"key": …, "vector": […]}`` per line."""
-    keys: list[str] = []
-    vectors: list[object] = []
-    wheres: list[str] = []
-    with np.errstate(over="ignore"):
-        for where, record in read_json_lines(path, "embedding store"):
-            keys.append(field(record, "key", str, where))
-            vector = record.get("vector")
-            # Each line's numbers are packed at once, so the store never holds
-            # its lists of Python floats (8x the memory); vector_rows still
-            # checks what the packing made, or what it could not pack.
-            with contextlib.suppress(TypeError, ValueError, OverflowError):
-                vector = numbers(vector, np.float32)
-            vectors.append(vector)
-            wheres.append(where)
-    return EmbeddingStore.of_rows(keys, vector_rows(keys, vectors, wheres))
+    """Load an embedding store: a head listing ``keys`` and a float body."""
+    head, matrix = read_table(path, "embedding store", np.float32, _store_keys)
+    return EmbeddingStore.of_rows(head["keys"], matrix)
 
 
 def save_store(store: EmbeddingStore, path: str) -> None:
-    write_json_lines(
-        path,
-        ({"key": key, "vector": vector.tolist()} for key, vector in store.vectors.items()),
-    )
+    matrix = np.array(list(store.vectors.values()), dtype=np.float32)
+    write_table(path, {"keys": list(store.vectors)}, matrix.reshape(len(store), store.dim))
 
 
 class HashEmbedder:

@@ -1,14 +1,16 @@
 """Shared exception types, the JSON readers that raise them, the checks every
-loader reads its records through, and the two atomic JSON writers every
-artifact goes through."""
+loader reads its records through, and the atomic writers every artifact goes
+through, vector tables (a JSON head and an ``.npy`` body) among them."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import io
 import json
 import os
 import secrets
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,25 +63,14 @@ def field(record: dict, key: str, kind: type, where: str, default: Any = _REQUIR
     raise InputError(f"{where} {name} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _holds_bool(values: object) -> bool:
-    """Whether ``values``, a list of numbers or of such lists, holds a
-    boolean; a numpy array holds none that numpy reads as a number."""
-    if type(values) is not list:
-        return False
-    types = set(map(type, values))
-    return bool in types or list in types and any(map(_holds_bool, values))
-
-
 def numbers(values: object, dtype: type) -> np.ndarray:
     """``values`` as a ``dtype`` array, with the bits ``np.array(values,
     dtype)`` gives, if numpy reads them as ints, floats or numbers that
-    :func:`is_number` accepts and no boolean is among them; ValueError
-    otherwise, where that cast would read ``"1.5"`` as 1.5 and ``true`` as
-    1.0."""
+    :func:`is_number` accepts (booleans among numbers read as 0 and 1);
+    ValueError otherwise, where that cast would read ``"1.5"`` as 1.5."""
     array = np.asarray(values)
     kind = array.dtype.kind
-    malformed = kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO"
-    if malformed or _holds_bool(values):
+    if kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO":
         raise ValueError(f"not an array of numbers ({array.dtype})")
     if kind != "f":
         # np.array(values, dtype) rounds a Python int to float64 first; so do these.
@@ -90,18 +81,19 @@ def numbers(values: object, dtype: type) -> np.ndarray:
 def vector_rows(
     keys: Sequence[str],
     vectors: Sequence[object],
-    where: str | Sequence[str],
+    where: str,
     dtype: type = np.float32,
 ) -> np.ndarray:
     """The vectors as the rows of one ``dtype`` matrix, ``(0, 0)`` when there
     are none. Keys must be unique, and the vectors non-empty flat lists of
     finite numbers of one dim; numbers that overflow ``dtype`` are not
-    finite. Otherwise :class:`InputError` names the first key, in order,
-    that breaks a rule, after ``where``: one prefix, or one per key."""
+    finite, and neither they nor signaling NaNs warn. Otherwise
+    :class:`InputError` names the first key, in order, that breaks a rule,
+    after ``where``."""
     if not keys:
         return np.empty((0, 0), dtype=dtype)
     try:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             matrix = numbers(vectors, dtype)
     except (TypeError, ValueError, OverflowError):
         matrix = None
@@ -115,24 +107,23 @@ def vector_rows(
         return matrix
     seen: set[str] = set()
     dim = None
-    for i, (key, vector) in enumerate(zip(keys, vectors)):
-        prefix = where if isinstance(where, str) else where[i]
+    for key, vector in zip(keys, vectors):
         if key in seen:
-            raise InputError(f"{prefix} duplicate key {key!r}")
+            raise InputError(f"{where} duplicate key {key!r}")
         seen.add(key)
         try:
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 row = numbers(vector, dtype)
         except (TypeError, ValueError, OverflowError):
             row = None
         if row is None or row.ndim != 1 or not row.size or not np.isfinite(row).all():
             raise InputError(
-                f"{prefix} vector for {key!r} is not a non-empty flat list of finite numbers"
+                f"{where} vector for {key!r} is not a non-empty flat list of finite numbers"
             )
         dim = dim or row.size
         if row.size != dim:
             raise InputError(
-                f"{prefix} vector for {key!r} has dimension {row.size}, expected {dim}"
+                f"{where} vector for {key!r} has dimension {row.size}, expected {dim}"
             )
     raise AssertionError("vector_rows found no fault in vectors it could not stack")
 
@@ -162,20 +153,6 @@ def read_json(path: str, what: str) -> Any:
     return parse_json(text, f"{what} {path!r}:")
 
 
-def parse_json_lines(lines: Iterable[str], prefix: str) -> Iterator[tuple[str, dict]]:
-    """(``f"{prefix}{n}:"``, object) for each non-blank line n of JSON Lines
-    text; a line that is malformed or not an object raises
-    :class:`InputError` after that prefix."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{prefix}{lineno}:"
-        record = parse_json(line, where)
-        if type(record) is not dict:
-            raise InputError(f"{where} record is not an object")
-        yield where, record
-
-
 def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
     """(``"path:line:"``, object) for each non-blank line of a JSON Lines
     file; errors as in :func:`read_json`, and a line that is not an object
@@ -186,7 +163,14 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
         raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     with handle:
         try:
-            yield from parse_json_lines(handle, f"{path}:")
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}:"
+                record = parse_json(line, where)
+                if type(record) is not dict:
+                    raise InputError(f"{where} record is not an object")
+                yield where, record
         except UnicodeDecodeError as exc:
             raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
 
@@ -196,25 +180,89 @@ def write_json(path: str | os.PathLike, record: Any) -> None:
 
     Both writers encode with :func:`json.dumps`, which uses CPython's C
     encoder; :func:`json.dump` to a handle never does."""
-    _replace_with(path, json.dumps(record, ensure_ascii=False) + "\n")
+    _replace_with(path, (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 def write_json_lines(path: str | os.PathLike, records: Iterable[Any]) -> None:
     """Write each record to ``path`` as one JSON line, atomically: a record
     that fails to encode leaves the file as it was."""
-    _replace_with(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    _replace_with(path, text.encode("utf-8"))
 
 
-def _replace_with(path: str | os.PathLike, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` through a new temporary file
+def _body_path(head_path: str | os.PathLike) -> str:
+    """The path of a table's ``.npy`` body: its head's, suffix replaced."""
+    stem, suffix = os.path.splitext(os.fspath(head_path))
+    if suffix == ".npy":
+        raise InputError(f"table head {os.fspath(head_path)!r} ends in .npy, its body's suffix")
+    return stem + ".npy"
+
+
+def write_table(head_path: str | os.PathLike, head: dict, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as the ``.npy`` body, then ``head`` with the body's
+    blake2b digest and dim put first, each atomically. A crash between the
+    two leaves an old head that :func:`read_table` refuses with the new body."""
+    body = io.BytesIO()
+    np.lib.format.write_array(body, matrix, allow_pickle=False)
+    data = body.getvalue()
+    _replace_with(_body_path(head_path), data)
+    digest = hashlib.blake2b(data).hexdigest()
+    write_json(head_path, {"body_blake2b": digest, "dim": int(matrix.shape[1]), **head})
+
+
+def read_table(
+    head_path: str,
+    what: str,
+    dtype: type,
+    keys: Callable[[dict, str], Sequence[str]] | None,
+) -> tuple[dict, np.ndarray]:
+    """The JSON head at ``head_path`` and its body as a ``dtype`` matrix, row
+    i for key i of ``keys(head, where)`` (None: a square matrix, its rows
+    named ``matrix row i``). Checked in order, each failure an
+    :class:`InputError`: the body's digest, the ``.npy`` format (no pickles),
+    a floating dtype, 2-D with dim columns and a row per key, then (by
+    :func:`vector_rows`, naming the first bad key) unique keys, finite rows."""
+    where = f"{what} {head_path!r}:"
+    path = _body_path(head_path)
+    head = read_json(head_path, what)
+    if type(head) is not dict:
+        raise InputError(f"{where} expected an object with body_blake2b and dim")
+    digest = field(head, "body_blake2b", str, where)
+    dim = field(head, "dim", int, where)
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot open {what} body {path!r}: {exc}") from None
+    if hashlib.blake2b(data).hexdigest() != digest:
+        raise InputError(f"{where} body {path!r} does not match its digest (stale or damaged)")
+    try:
+        matrix = np.lib.format.read_array(io.BytesIO(data), allow_pickle=False)
+    except Exception as exc:  # noqa: BLE001 - numpy's header parser raises many kinds on bad bytes
+        raise InputError(f"{what} body {path!r}: not a readable .npy array ({exc})") from None
+    if matrix.dtype.kind != "f" or matrix.ndim != 2:
+        shape = f"{matrix.ndim}-D {matrix.dtype}"
+        raise InputError(f"{what} body {path!r} must be a 2-D floating array, got {shape}")
+    if matrix.shape[1] != dim:
+        raise InputError(f"{where} body has {matrix.shape[1]} columns, but dim is {dim}")
+    names = keys(head, where) if keys else None
+    rows = dim if names is None else len(names)
+    if len(matrix) != rows:
+        raise InputError(f"{where} body has {len(matrix)} rows for {rows} keys")
+    names = names or [f"matrix row {i}" for i in range(rows)]
+    return head, vector_rows(names, matrix, where, dtype)
+
+
+def _replace_with(path: str | os.PathLike, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` through a new temporary file
     in the same directory, so that a reader never sees a half-written file
     and a failed write leaves the old one in place."""
     head, name = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
-    handle = open(temp, "x", encoding="utf-8")
+    handle = open(temp, "xb")
     try:
         with handle:
-            handle.write(text)
+            handle.write(data)
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -28,8 +28,7 @@ from .dialogue import (
     turn_key,
 )
 from .embedding import serialize_triplet
-from .errors import InputError, field, read_json, read_json_lines, vector_rows
-from .errors import write_json, write_json_lines
+from .errors import InputError, field, read_json_lines, read_table, write_json_lines, write_table
 from .seeding import pcg64_first_draws, subseed
 from .similarity import tlb_similarity
 
@@ -365,31 +364,30 @@ def write_predictions(predictions: Sequence[ExpertPrediction], path: str) -> Non
 
 
 def save_pool(pool: ExpertPool, path: str) -> None:
-    record = {
-        "expert": pool.expert.name,
-        "entries": [
-            {"key": e.key, "text": e.text, "vector": e.vector.tolist()} for e in pool.entries
-        ],
-    }
-    write_json(path, record)
+    """Write the pool as a vector table (see :mod:`dialroute.embedding`)."""
+    entries = [{"key": e.key, "text": e.text} for e in pool.entries]
+    dim = len(pool.entries[0].vector) if pool.entries else 0
+    matrix = np.array([e.vector for e in pool.entries], dtype=np.float32)
+    head = {"expert": pool.expert.name, "entries": entries}
+    write_table(path, head, matrix.reshape(len(entries), dim))
 
 
-def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:
-    where = f"pool {path!r}:"
-    record = read_json(path, "pool")
-    if type(record) is not dict:
-        raise InputError(f"{where} expected an object with expert and entries")
-    name = field(record, "expert", str, where)
-    if name not in experts:
-        raise InputError(f"pool {path!r} belongs to unknown expert {name!r}")
-    keys: list[str] = []
-    texts: list[str] = []
-    vectors: list[object] = []
-    for i, raw in enumerate(field(record, "entries", list, where)):
+def _entry_keys(head: dict, where: str) -> list[str]:
+    keys = []
+    for i, raw in enumerate(field(head, "entries", list, where)):
         if type(raw) is not dict:
             raise InputError(f"{where} entry {i} is not an object")
         keys.append(field(raw, "key", str, f"{where} entry {i}:"))
-        texts.append(field(raw, "text", str, f"{where} entry {i}:", ""))
-        vectors.append(raw.get("vector"))
-    entries = map(PoolEntry, keys, texts, vector_rows(keys, vectors, where))
-    return ExpertPool(experts[name], list(entries))
+        field(raw, "text", str, f"{where} entry {i}:", "")
+    return keys
+
+
+def load_pool(path: str, experts: Mapping[str, ExpertId]) -> ExpertPool:
+    head, matrix = read_table(path, "pool", np.float32, _entry_keys)
+    name = field(head, "expert", str, f"pool {path!r}:")
+    if name not in experts:
+        raise InputError(f"pool {path!r} belongs to unknown expert {name!r}")
+    entries = [
+        PoolEntry(raw["key"], raw.get("text", ""), row) for raw, row in zip(head["entries"], matrix)
+    ]
+    return ExpertPool(experts[name], entries)

@@ -203,6 +203,24 @@ class OracleRouter:
         return RoutingDecision(ctx.key, chosen, invoked=(chosen,))
 
 
+def cascade_experts(experts: Sequence[ExpertId]) -> tuple[ExpertId, ExpertId]:
+    """The (rank-0, rank-1) experts a cascade over ``experts`` runs; it needs
+    at least two."""
+    order = validate_experts(experts)
+    if len(order) < 2:
+        raise InputError("cascade routing needs at least two experts")
+    return order[0], order[1]
+
+
+def classifier_experts(experts: Sequence[ExpertId]) -> tuple[ExpertId, ExpertId]:
+    """The (rank-0, rank-1) experts a classifier routes between; it needs
+    exactly two."""
+    order = validate_experts(experts)
+    if len(order) != 2:
+        raise InputError("classifier routing supports exactly two experts")
+    return order[0], order[1]
+
+
 class CascadeRouter:
     """Always runs the rank-0 expert; defers to the next rank when its
     confidence falls below the threshold. The boundary itself stays."""
@@ -211,13 +229,9 @@ class CascadeRouter:
     charges_router_cost = False
 
     def __init__(self, experts: Sequence[ExpertId], threshold: float) -> None:
-        order = validate_experts(experts)
-        if len(order) < 2:
-            raise InputError("cascade routing needs at least two experts")
+        self.primary, self.fallback = cascade_experts(experts)
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        self.primary = order[0]
-        self.fallback = order[1]
         self.threshold = threshold
 
     def decide(self, ctx: TurnContext) -> RoutingDecision:
@@ -337,11 +351,8 @@ class ClassifierRouter:
     charges_router_cost = True
 
     def __init__(self, model: LogisticModel, experts: Sequence[ExpertId]) -> None:
-        order = validate_experts(experts)
-        if len(order) != 2:
-            raise InputError("classifier routing supports exactly two experts")
         self.model = model
-        self.low, self.high = order
+        self.low, self.high = classifier_experts(experts)
 
     def decide(self, ctx: TurnContext) -> RoutingDecision:
         if ctx.query_vector is None:

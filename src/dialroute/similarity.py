@@ -1,10 +1,10 @@
-"""Set-overlap similarity between beliefs, states, and labeled turns."""
+"""Set-overlap similarity between beliefs and states."""
 
 from __future__ import annotations
 
 from typing import Collection, Hashable, Mapping
 
-from .dialogue import LabeledTurn, SlotName
+from .dialogue import SlotName
 
 
 def f1_sets(a: Collection[Hashable], b: Collection[Hashable]) -> float:
@@ -32,10 +32,3 @@ def tlb_similarity(a: Mapping[SlotName, str], b: Mapping[SlotName, str]) -> floa
     f_slot = f1_sets(a.keys(), b.keys())
     return f_slot_value + f_slot - 1.0
 
-
-def turn_similarity(a: LabeledTurn, b: LabeledTurn) -> float:
-    """Combined turn score in [-1.5, 1.5]: half the prior-state similarity
-    plus the turn-belief similarity."""
-    return 0.5 * tlb_similarity(a.prev_state, b.prev_state) + tlb_similarity(
-        a.gold_tlb, b.gold_tlb
-    )

@@ -269,7 +269,7 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
 
     embedder = HashEmbedder(spec.embedding_dim, subseed(spec.seed, "embedder"))
     store = embed_turns(embedder, holdout_turns)
-    save_store(store, str(out / "embeddings_holdout.jsonl"))
+    save_store(store, str(out / "embeddings_holdout.json"))
 
     pairs = mine_pairs(holdout_turns, "task+expert", spec.pairs_per_query, beliefs, store)
     save_pairs(pairs, str(out / "pairs.json"))

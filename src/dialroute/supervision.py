@@ -13,8 +13,8 @@ the hold-out set:
 Training minimizes, over projected and normalized embeddings,
 ``mean(1 - cos)`` on positives plus ``mean(max(0, cos - margin))`` on
 negatives, by full-batch gradient descent on the projection matrix starting
-from identity. The analytic gradient (including the normalization term) is
-verifiable against central finite differences via :func:`grad_check`.
+from identity. The analytic gradient includes the normalization term; the
+test suite checks it against central finite differences.
 """
 
 from __future__ import annotations
@@ -169,8 +169,9 @@ def _f1_rows(incidence: np.ndarray, sizes: np.ndarray, lo: int, hi: int) -> np.n
 
 def mine_task_pairs(holdout: Sequence[LabeledTurn], pairs_per_query: int) -> PairSet:
     """For every hold-out turn, take the ``l`` most similar other turns by the
-    combined turn similarity (:func:`~dialroute.similarity.turn_similarity`)
-    as positives and the ``l`` least similar as negatives. Ties order by
+    combined turn similarity (half the :func:`~dialroute.similarity.tlb_similarity`
+    of the prior states plus that of the turn beliefs, in [-1.5, 1.5]) as
+    positives and the ``l`` least similar as negatives. Ties order by
     (score, turn key) for determinism."""
     turns = _sorted_turns(holdout)
     l = _effective_l(pairs_per_query, len(turns) - 1, "task-aware")
@@ -331,10 +332,8 @@ def _gram_grad(
     return (d_unit / safe[:, None]).T @ problem.base
 
 
-def _loss_and_grad(
-    W: np.ndarray, problem: _PairProblem, margin: float, with_grad: bool = True
-) -> tuple[float, np.ndarray | None]:
-    """Loss (mean over each polarity) and, if requested, its gradient. An
+def _loss_and_grad(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple[float, np.ndarray]:
+    """Loss (mean over each polarity) and its gradient. An
     empty polarity adds zero, and a pair with a zero-norm projection has
     cosine 0 and no gradient. Every cosine is a per-pair dot product of the
     gathered rows, never an entry of U·Uᵀ, whose different rounding would flip
@@ -364,8 +363,6 @@ def _loss_and_grad(
             terms = np.maximum(0.0, s[part] - margin)
             coeff[part] = np.where(ok[part] & (s[part] > margin), 1.0 / n, 0.0)
         loss += sum(float(np.sum(terms[lo : lo + _CHUNK])) for lo in range(0, n, _CHUNK)) / n
-    if not with_grad:
-        return loss, None
     return loss, _gram_grad(problem, unit, safe, s, coeff)
 
 
@@ -385,45 +382,16 @@ def train_adapter(
     problem = _PairProblem.compile(pairs, embeddings)
     W = np.eye(problem.base.shape[1])
     loss, grad = _loss_and_grad(W, problem, config.margin)
-    assert grad is not None
     history = [loss]
     for epoch in range(config.epochs):
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise RuntimeError(f"training diverged at epoch {epoch}: non-finite loss or gradient")
         W = W - config.learning_rate * grad
         loss, grad = _loss_and_grad(W, problem, config.margin)
-        assert grad is not None
         history.append(loss)
     if not np.isfinite(loss):
         raise RuntimeError(f"training diverged at epoch {config.epochs}: non-finite loss")
     return ProjectionAdapter(W), history
-
-
-def grad_check(
-    adapter: ProjectionAdapter,
-    pairs: PairSet,
-    embeddings: Mapping[str, np.ndarray],
-    epsilon: float = 1e-4,
-    margin: float = 0.2,
-) -> float:
-    """Maximum relative error between the analytic gradient and central finite
-    differences, entry by entry. Intended for small dimensions."""
-    problem = _PairProblem.compile(pairs, embeddings)
-    W = np.asarray(adapter.matrix, dtype=np.float64)
-    _, grad = _loss_and_grad(W, problem, margin)
-    assert grad is not None
-    worst = 0.0
-    for i in range(W.shape[0]):
-        for j in range(W.shape[1]):
-            bumped = W.copy()
-            bumped[i, j] += epsilon
-            plus, _ = _loss_and_grad(bumped, problem, margin, with_grad=False)
-            bumped[i, j] -= 2.0 * epsilon
-            minus, _ = _loss_and_grad(bumped, problem, margin, with_grad=False)
-            estimate = (plus - minus) / (2.0 * epsilon)
-            denom = max(abs(grad[i, j]), abs(estimate), 1e-8)
-            worst = max(worst, abs(grad[i, j] - estimate) / denom)
-    return worst
 
 
 # --- file format ------------------------------------------------------------

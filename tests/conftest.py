@@ -1,10 +1,13 @@
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dialroute import Corpus, CostTable, SimulationSpec, make_report, run_simulation
-from dialroute.dialogue import parse_dialogues
+from oracles import parse_dialogues
 
 
 def trn(turn_id, user, system="", tlb=None):
@@ -30,6 +33,29 @@ def cosine(u, v) -> float:
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(np.dot(u64, v64) / (nu * nv))
+
+
+def npy_bytes(array) -> bytes:
+    """``array`` in the ``.npy`` format; an object array is pickled into it."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, array, allow_pickle=array.dtype.hasobject)
+    return buffer.getvalue()
+
+
+def edit_table(head_path, edit) -> None:
+    """Rewrite the vector table whose JSON head is at ``head_path`` through
+    ``edit(head, body) -> (head, body)``, the body read as an array and
+    written back from an array or raw bytes; the head's digest is set to the
+    new body's, so a loader's checks after the digest see the edit."""
+    head_path = Path(head_path)
+    body_path = head_path.with_suffix(".npy")
+    head = json.loads(head_path.read_text(encoding="utf-8"))
+    head, body = edit(head, np.load(body_path))
+    if isinstance(body, np.ndarray):
+        body = npy_bytes(body)
+    body_path.write_bytes(body)
+    head["body_blake2b"] = hashlib.blake2b(body).hexdigest()
+    head_path.write_text(json.dumps(head), encoding="utf-8")
 
 
 def _scores(run, corpus):

@@ -1,10 +1,12 @@
-"""Reference implementations that the faster code must match.
+"""Reference implementations that the faster code must match, and helpers
+only the tests use.
 
-These are the straightforward versions: a pair merge that walks pair by pair,
-pair miners that score and rank every candidate of every query in Python, a
-gradient accumulated pair by pair, artifact writers that ``json.dump`` to
-a handle, float by float, and a synthetic expert that seeds a fresh generator
-for every prediction. They are slow and kept only as test oracles.
+The references are the straightforward versions: a pair merge that walks pair
+by pair, pair miners that score and rank every candidate of every query in
+Python, a gradient accumulated pair by pair and one checked by central finite
+differences, artifact writers that ``json.dump`` to a handle, and a synthetic
+expert that seeds a fresh generator for every prediction. They are slow and
+kept only as test oracles.
 """
 
 import heapq
@@ -12,11 +14,58 @@ import json
 
 import numpy as np
 
-from dialroute import ExpertPrediction, PairSet, f1_sets
-from dialroute.dialogue import render_belief
+from dialroute import ExpertPrediction, InputError, PairSet, f1_sets, tlb_similarity
+from dialroute.dialogue import _parse_corpus, render_belief
+from dialroute.errors import parse_json
 from dialroute.experts import _corrupt
 from dialroute.seeding import subseed
-from dialroute.supervision import _effective_l, _sorted_turns, _vector
+from dialroute.supervision import (
+    _effective_l,
+    _loss_and_grad,
+    _PairProblem,
+    _sorted_turns,
+    _vector,
+)
+
+
+def parse_dialogues(lines):
+    """Parse JSON Lines corpus text; errors name the line as ``line N:``."""
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            record = parse_json(line, f"line {lineno}:")
+            if type(record) is not dict:
+                raise InputError(f"line {lineno}: record is not an object")
+            records.append((f"line {lineno}:", record))
+    return _parse_corpus(records)
+
+
+def turn_similarity(a, b):
+    """Combined turn score in [-1.5, 1.5]: half the prior-state similarity
+    plus the turn-belief similarity."""
+    return 0.5 * tlb_similarity(a.prev_state, b.prev_state) + tlb_similarity(
+        a.gold_tlb, b.gold_tlb
+    )
+
+
+def grad_check(adapter, pairs, embeddings, epsilon=1e-4, margin=0.2):
+    """Maximum relative error between the analytic gradient and central finite
+    differences, entry by entry. Intended for small dimensions."""
+    problem = _PairProblem.compile(pairs, embeddings)
+    W = np.asarray(adapter.matrix, dtype=np.float64)
+    _, grad = _loss_and_grad(W, problem, margin)
+    worst = 0.0
+    for i in range(W.shape[0]):
+        for j in range(W.shape[1]):
+            bumped = W.copy()
+            bumped[i, j] += epsilon
+            plus, _ = _loss_and_grad(bumped, problem, margin)
+            bumped[i, j] -= 2.0 * epsilon
+            minus, _ = _loss_and_grad(bumped, problem, margin)
+            estimate = (plus - minus) / (2.0 * epsilon)
+            denom = max(abs(grad[i, j]), abs(estimate), 1e-8)
+            worst = max(worst, abs(grad[i, j] - estimate) / denom)
+    return worst
 
 
 def merge_pairs(first, second):
@@ -178,21 +227,6 @@ def save_pairs(pairs, path):
     _dump(record, path, ensure_ascii=False)
 
 
-def save_pool(pool, path):
-    record = {
-        "expert": pool.expert.name,
-        "entries": [
-            {"key": e.key, "text": e.text, "vector": [float(x) for x in e.vector]}
-            for e in pool.entries
-        ],
-    }
-    _dump(record, path, ensure_ascii=False)
-
-
-def save_adapter(adapter, path):
-    _dump({"dim": adapter.dim, "matrix": [[float(x) for x in row] for row in adapter.matrix]}, path)
-
-
 def save_loss_history(history, path):
     _dump({"loss_history": history}, path)
 
@@ -203,13 +237,6 @@ def save_report(report, path):
 
 def save_series(series, path):
     _dump({"series": series}, path, ensure_ascii=False)
-
-
-def save_store(store, path):
-    """Escapes non-ASCII keys (``ensure_ascii`` on), unlike the shared writer."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, vector in store.vectors.items():
-            handle.write(json.dumps({"key": key, "vector": [float(x) for x in vector]}) + "\n")
 
 
 def write_predictions(predictions, path):

@@ -29,7 +29,6 @@ from dialroute import (
     Triplet,
     build_pools,
     f1_sets,
-    grad_check,
     judge_correct,
     project,
     run_pipeline,
@@ -42,6 +41,7 @@ from dialroute.experts import ExpertPool, PoolEntry
 from dialroute.routing import TurnRecord
 
 from conftest import corpus_of, dlg, dst_jga, tlb_jga, trn
+from oracles import grad_check
 from test_routing import ctx, entry, reference_retrieval
 from test_similarity import tlb_reference
 

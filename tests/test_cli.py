@@ -1,6 +1,9 @@
 """Command-line driver and its JSON run configuration."""
 
+import contextlib
 import copy
+import hashlib
+import io
 import json
 import logging
 import re
@@ -35,6 +38,8 @@ from dialroute.config import (
     parse_config,
 )
 from dialroute.errors import is_number, vector_rows
+
+from conftest import edit_table, npy_bytes
 
 
 def write_config(path, sim, out_dir, **extra):
@@ -111,8 +116,9 @@ class TestValidate:
 
 class TestPipelineArtifacts:
     def test_stage_outputs_exist(self, pipeline):
-        for name in ("embeddings.jsonl", "adapter.json", "pairs.json",
-                     "pool_slm.json", "pool_llm.json", "loss_history.json"):
+        for name in ("embeddings.json", "embeddings.npy", "adapter.json", "adapter.npy",
+                     "pairs.json", "pool_slm.json", "pool_slm.npy", "pool_llm.json",
+                     "pool_llm.npy", "loss_history.json"):
             assert (pipeline.out / name).exists(), name
 
     def test_route_and_report(self, pipeline, capsys):
@@ -185,15 +191,15 @@ class TestPipelineArtifacts:
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "ignored")
         moved = tmp_path / "elsewhere"
         assert main(["embed", "--config", config, "--out", str(moved)]) == 0
-        assert (moved / "embeddings.jsonl").exists()
+        assert (moved / "embeddings.json").exists() and (moved / "embeddings.npy").exists()
         assert not (tmp_path / "ignored").exists()
 
     def test_seed_override_changes_hash_embeddings(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
         assert main(["embed", "--config", config]) == 0
-        first = (tmp_path / "out" / "embeddings.jsonl").read_bytes()
+        first = (tmp_path / "out" / "embeddings.npy").read_bytes()
         assert main(["embed", "--config", config, "--seed", "99"]) == 0
-        assert (tmp_path / "out" / "embeddings.jsonl").read_bytes() != first
+        assert (tmp_path / "out" / "embeddings.npy").read_bytes() != first
 
     def test_report_without_run_errors(self, small_sim, tmp_path, capsys):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
@@ -261,9 +267,9 @@ def test_cli_stages_reproduce_simulate_artifacts(small_sim, tmp_path):
     for command in ("embed", "mine-and-train", "build-pools", "route"):
         assert main([command, "--config", config]) == 0
     sim, out = small_sim.out_dir, tmp_path / "out"
-    same = [("embeddings_holdout.jsonl", "embeddings.jsonl")]
-    same += [(name, name) for name in ("pairs.json", "adapter.json", "loss_history.json")]
-    same += [(f"pool_trained_{e}.json", f"pool_{e}.json") for e in ("slm", "llm")]
+    same = [(f"embeddings_holdout.{s}", f"embeddings.{s}") for s in ("json", "npy")]
+    same += [(name, name) for name in ("pairs.json", "adapter.json", "adapter.npy", "loss_history.json")]
+    same += [(f"pool_trained_{e}.{s}", f"pool_{e}.{s}") for e in ("slm", "llm") for s in ("json", "npy")]
     for simulated, cli_made in same:
         assert (sim / simulated).read_bytes() == (out / cli_made).read_bytes(), cli_made
     simulated_run = (sim / "run_retrieval_trained.jsonl").read_bytes().splitlines()
@@ -355,15 +361,44 @@ class TestExitCodes:
         assert main(["validate"]) == 2
         assert "wires crossed" in capsys.readouterr().err
 
-    def test_non_numeric_pool_vector_exits_one(self, pipeline, tmp_path, capsys):
+    def test_non_finite_pool_vector_exits_one(self, pipeline, tmp_path, capsys):
         out = tmp_path / "work"
         shutil.copytree(pipeline.out, out)
         config = write_config(tmp_path / "c.json", pipeline.sim, out)
-        pool = json.loads((out / "pool_slm.json").read_text())
-        pool["entries"][0]["vector"] = "abc"
-        (out / "pool_slm.json").write_text(json.dumps(pool))
+        key = json.loads((out / "pool_slm.json").read_text())["entries"][1]["key"]
+
+        def nan_in_row_1(head, body):
+            body[1, 0] = np.nan
+            return head, body
+
+        edit_table(out / "pool_slm.json", nan_in_row_1)
         assert main(["route", "--config", config]) == 1
-        assert "finite numbers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "finite numbers" in err and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "router, names, message",
+        [
+            ("classifier", ("slm", "llm", "xl"), "classifier routing supports exactly two experts"),
+            ("cascade", ("slm",), "cascade routing needs at least two experts"),
+        ],
+    )
+    def test_two_expert_router_refuses_other_counts_before_any_work(
+        self, pipeline, tmp_path, capsys, router, names, message
+    ):
+        """The expert count is checked before a corpus or the store is
+        loaded and before the probe is trained."""
+        experts = [{"name": name, "priority_rank": rank} for rank, name in enumerate(names)]
+        config = write_config(tmp_path / "c.json", pipeline.sim, pipeline.out, experts=experts)
+        watched = ("_load_corpus", "load_store", "train_classifier_router")
+        with contextlib.ExitStack() as stack:
+            calls = [
+                stack.enter_context(mock.patch.object(cli_module, name, wraps=getattr(cli_module, name)))
+                for name in watched
+            ]
+            assert main(["route", "--config", config, "--router", router]) == 1
+        assert message in capsys.readouterr().err
+        assert [call.call_count for call in calls] == [0, 0, 0]
 
     def test_malformed_run_votes_exit_one(self, pipeline, tmp_path, capsys):
         out = tmp_path / "work"
@@ -415,25 +450,13 @@ class TestExitCodes:
         assert "coverage: ok" in proc.stdout
 
 
-def edit_records(path, edit):
-    """Rewrite each JSON record of ``path``, one per line, through ``edit``."""
-    records = [edit(json.loads(line)) for line in path.read_text(encoding="utf-8").splitlines()]
-    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
-
-
 def cut_vectors(n):
-    """An edit that keeps the first ``n`` numbers of a store line's or a pool's vectors."""
-
-    def edit(record):
-        for entry in record.get("entries", [record]):
-            entry["vector"] = entry["vector"][:n]
-        return record
-
-    return edit
+    """A table edit that keeps the first ``n`` columns of a store's or a pool's body."""
+    return lambda head, body: ({**head, "dim": n}, body[:, :n])
 
 
 def identity_adapter(dim):
-    return lambda record: {"dim": dim, "matrix": np.eye(dim).tolist()}
+    return lambda head, body: ({**head, "dim": dim}, np.eye(dim))
 
 
 # command, its extra arguments, the artifacts damaged, the edit, and what the
@@ -444,24 +467,24 @@ MISFITS = {
         ["pool_slm.json has dim 32", "adapter.json has dim 64"],
     ),
     "store_vs_adapter": (
-        "build-pools", [], ["embeddings.jsonl"], cut_vectors(32),
-        ["embeddings.jsonl has dim 32", "adapter.json has dim 64"],
+        "build-pools", [], ["embeddings.json"], cut_vectors(32),
+        ["embeddings.json has dim 32", "adapter.json has dim 64"],
     ),
     "store_vs_query_embedder": (
-        "route", ["--router", "classifier"], ["embeddings.jsonl"], cut_vectors(32),
-        ["embeddings.jsonl has dim 32", "hash embedder (config embedder dim) has dim 64"],
+        "route", ["--router", "classifier"], ["embeddings.json"], cut_vectors(32),
+        ["embeddings.json has dim 32", "hash embedder (config embedder dim) has dim 64"],
     ),
     "adapter_vs_query_embedder": (
         "route", [], ["adapter.json"], identity_adapter(32),
         ["adapter.json has dim 32", "hash embedder (config embedder dim) has dim 64"],
     ),
     "empty_store_vectors": (
-        "mine-and-train", [], ["embeddings.jsonl"], cut_vectors(0),
-        ["embeddings.jsonl:1: vector for", "not a non-empty flat list"],
+        "mine-and-train", [], ["embeddings.json"], cut_vectors(0),
+        ["embeddings.json': vector for 'hld", "not a non-empty flat list"],
     ),
     "empty_pool_vectors": (
         "route", [], ["pool_slm.json", "pool_llm.json"], cut_vectors(0),
-        ["pool_slm.json", "not a non-empty flat list"],
+        ["pool_slm.json': vector for 'hld", "not a non-empty flat list"],
     ),
 }
 
@@ -473,7 +496,7 @@ def test_artifacts_that_do_not_fit_exit_one_naming_them(pipeline, tmp_path, caps
     shutil.copytree(pipeline.out, out)
     config = write_config(tmp_path / "c.json", pipeline.sim, out)
     for name in names:
-        edit_records(out / name, edit)
+        edit_table(out / name, edit)
     assert main([command, "--config", config, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -486,7 +509,7 @@ def test_overflowing_adapter_exits_one_without_a_numpy_warning(pipeline, tmp_pat
     out = tmp_path / "work"
     shutil.copytree(pipeline.out, out)
     config = write_config(tmp_path / "c.json", pipeline.sim, out)
-    edit_records(out / "adapter.json", lambda r: {**r, "matrix": np.full((r["dim"],) * 2, 1e300).tolist()})
+    edit_table(out / "adapter.json", lambda head, body: (head, np.full(body.shape, 1e300)))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "dialroute", "build-pools", "--config", config],
         capture_output=True,
@@ -615,18 +638,61 @@ def damaged_files(draw, data):
     return "".join(json.dumps(record) + "\n" for record in records).encode()
 
 
+def with_digest(head: bytes, body: bytes) -> bytes:
+    """A table's head with its digest set to ``body``'s."""
+    record = json.loads(head)
+    record["body_blake2b"] = hashlib.blake2b(body).hexdigest()
+    return json.dumps(record).encode()
+
+
+@st.composite
+def damaged_bodies(draw, head, body):
+    """A vector table's head and body bytes (body None: missing) after one
+    damage to the body: cut short, bytes replaced, rewritten with an object,
+    bool, int, complex or string dtype, as 1-D or 3-D, with rows dropped or
+    repeated, or missing. The head's digest is set to match the new body, so
+    the later checks see the damage, except for a stale body: the same
+    table's values changed, its head left as it was."""
+    matrix = np.load(io.BytesIO(body))
+    kind = draw(st.sampled_from(["truncate", "bytes", "dtype", "ndim", "rows", "stale", "missing"]))
+    if kind == "missing":
+        return head, None
+    if kind == "stale":
+        return head, npy_bytes(matrix * 2.0 + 1.0)
+    if kind == "truncate":
+        new = body[: draw(st.integers(0, len(body) - 1))]
+    elif kind == "bytes":
+        out = bytearray(body)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        new = bytes(out)
+    elif kind == "dtype":
+        dtype = draw(st.sampled_from([object, bool, np.int32, np.int64, np.complex128, np.str_]))
+        new = npy_bytes(matrix.astype(dtype))
+    elif kind == "ndim":
+        new = npy_bytes(draw(st.sampled_from([matrix.ravel(), matrix[None], matrix[:, :, None]])))
+    else:
+        rows = draw(st.integers(0, 2 * len(matrix)))
+        new = npy_bytes(np.resize(matrix, (rows, matrix.shape[1])))
+    return with_digest(head, new), new
+
+
+TABLES = {"adapter": "adapter.json", "pool": "pool_trained_slm.json", "store": "embeddings_holdout.json"}
+
+
 @pytest.fixture(scope="module")
 def valid_files(small_sim, tmp_path_factory):
-    """A valid input of each loader's: a file the small simulation wrote, or a config."""
+    """A valid input of each loader's: a file the small simulation wrote, a
+    vector table's (head, body) pair, or a config."""
     names = {
-        "adapter": "adapter.json",
         "corpus": "corpus_holdout.jsonl",
-        "pool": "pool_trained_slm.json",
         "predictions": "predictions_slm.jsonl",
         "run": "run_retrieval_trained.jsonl",
-        "store": "embeddings_holdout.jsonl",
     }
     files = {kind: (small_sim.out_dir / name).read_bytes() for kind, name in names.items()}
+    for kind, name in TABLES.items():
+        head = small_sim.out_dir / name
+        files[kind] = (head.read_bytes(), head.with_suffix(".npy").read_bytes())
     config = write_config(tmp_path_factory.mktemp("fuzz") / "c.json", small_sim, "out")
     files["config"] = Path(config).read_bytes()
     return files
@@ -636,9 +702,21 @@ def valid_files(small_sim, tmp_path_factory):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_damaged_file_loads_or_raises_input_error(valid_files, tmp_path_factory, kind, data):
-    """No exception but ``InputError`` escapes a loader, whatever the damage."""
-    path = tmp_path_factory.getbasetemp() / f"damaged_{kind}"
-    path.write_bytes(data.draw(damaged_files(valid_files[kind])))
+    """No exception but ``InputError`` escapes a loader, whatever the damage:
+    to a file, or to a vector table's head (its digest kept) or its body."""
+    path = tmp_path_factory.getbasetemp() / f"damaged_{kind}.json"
+    if kind in TABLES:
+        head, body = valid_files[kind]
+        if data.draw(st.booleans()):
+            head = data.draw(damaged_files(head))
+        else:
+            head, body = data.draw(damaged_bodies(head, body))
+        path.with_suffix(".npy").unlink(missing_ok=True)
+        if body is not None:
+            path.with_suffix(".npy").write_bytes(body)
+        path.write_bytes(head)
+    else:
+        path.write_bytes(data.draw(damaged_files(valid_files[kind])))
     try:
         LOADERS[kind](str(path))
     except InputError:
@@ -647,10 +725,9 @@ def test_damaged_file_loads_or_raises_input_error(valid_files, tmp_path_factory,
 
 BIG = "9" * 401  # an integer too large for any float: float() raises OverflowError
 RUN_SUMMARY = '{"summary": {"experts": [{"name": "slm", "priority_rank": 0}], "config": {}}}\n'
-# Each loader's file with one number put in by %s, and the message that refuses a bad one.
+# Each JSON loader's file with one number put in by %s, and the message that
+# refuses a bad one. Vector tables hold their numbers in a typed body instead.
 WITH_NUMBER = {
-    "adapter": ('{"dim": 2, "matrix": [[1.0, %s], [0.0, 1.0]]}', "vector for 'matrix row 0'"),
-    "pool": ('{"expert": "slm", "entries": [{"key": "d:0", "vector": [1.0, %s]}]}', "'d:0'"),
     "predictions": (
         '{"dialogue_id": "d", "turn_id": 0, "expert": "slm", "tlb": {}, "confidence": %s}\n',
         ":1: confidence must be a number",
@@ -659,7 +736,6 @@ WITH_NUMBER = {
         '{"key": "d:0", "expert": "slm", "tlb": {}, "neighbors": [["h:0", %s]]}\n' + RUN_SUMMARY,
         ":1: malformed turn record",
     ),
-    "store": ('{"key": "a", "vector": [1.0, %s]}\n', ":1: vector for 'a'"),
 }
 
 
@@ -692,10 +768,84 @@ def test_loaders_reject_numbers_given_as_strings(kind, tmp_path):
     assert_loader_refuses(kind, '"1.5"', tmp_path)
 
 
-@pytest.mark.parametrize("kind", ["adapter", "pool", "store"])
-def test_loaders_reject_booleans_among_numbers(kind, tmp_path):
-    """A cast to a float array would read [1.0, true] as [1.0, 1.0]."""
-    assert_loader_refuses(kind, "true", tmp_path)
+def copy_table(small_sim, kind, tmp_path):
+    """A copy of the small simulation's ``kind`` table; the path of its head."""
+    head = tmp_path / "table.json"
+    shutil.copyfile(small_sim.out_dir / TABLES[kind], head)
+    shutil.copyfile((small_sim.out_dir / TABLES[kind]).with_suffix(".npy"), head.with_suffix(".npy"))
+    return head
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.complex128, np.str_])
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_loaders_refuse_bodies_that_are_not_floats(small_sim, tmp_path, kind, dtype):
+    """A cast to a float array would read ``True`` as 1.0, an int or a
+    string of digits as its value, and drop a complex number's imaginary part."""
+    head = copy_table(small_sim, kind, tmp_path)
+    edit_table(head, lambda record, body: (record, body.astype(dtype)))
+    with pytest.raises(InputError, match="must be a 2-D floating array"):
+        LOADERS[kind](str(head))
+
+
+def _trip():
+    Tripwire.unpickled += 1
+    return 0.0
+
+
+class Tripwire:
+    """An object that counts its unpickling."""
+
+    unpickled = 0
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_loaders_refuse_object_bodies_without_unpickling(small_sim, tmp_path, kind):
+    head = copy_table(small_sim, kind, tmp_path)
+
+    def tripwires(record, body):
+        return record, np.full(body.shape, Tripwire(), dtype=object)
+
+    edit_table(head, tripwires)
+    with pytest.raises(InputError, match="allow_pickle=False"):
+        LOADERS[kind](str(head))
+    assert Tripwire.unpickled == 0
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_loaders_refuse_numbers_too_large_for_their_dtype(small_sim, tmp_path, kind):
+    """A float64 1e300 overflows a float32 store or pool; a long double
+    1e4000 overflows the float64 adapter. Either is not finite, named by
+    its row's key."""
+    huge = np.longdouble("1e4000") if kind == "adapter" else np.float64(1e300)
+    if not np.isfinite(huge):
+        pytest.skip("long double is no wider than float64 on this platform")
+    head = copy_table(small_sim, kind, tmp_path)
+
+    def one_huge(record, body):
+        body = body.astype(huge.dtype)
+        body[0, 0] = huge
+        return record, body
+
+    edit_table(head, one_huge)
+    record = json.loads(head.read_text())
+    keys = record.get("keys") or [e["key"] for e in record.get("entries", [])] or ["matrix row 0"]
+    with pytest.raises(InputError, match=re.escape(f"vector for {keys[0]!r} is not")):
+        LOADERS[kind](str(head))
+
+
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_loaders_refuse_a_stale_or_missing_body(small_sim, tmp_path, kind):
+    head = copy_table(small_sim, kind, tmp_path)
+    body = head.with_suffix(".npy")
+    body.write_bytes(npy_bytes(np.load(body) * 2.0))
+    with pytest.raises(InputError, match="does not match its digest"):
+        LOADERS[kind](str(head))
+    body.unlink()
+    with pytest.raises(InputError, match="cannot open"):
+        LOADERS[kind](str(head))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -813,7 +963,7 @@ class TestParseConfig:
 
     def test_artifact_paths_follow_out_dir(self):
         cfg = RunConfig(out_dir="exp")
-        assert str(cfg.resolve_embeddings()) == "exp/embeddings.jsonl"
+        assert str(cfg.resolve_embeddings()) == "exp/embeddings.json"
         assert str(cfg.pool_path("slm")) == "exp/pool_slm.json"
         override = RunConfig(out_dir="exp", run_path="runs/r.jsonl")
         assert str(override.resolve_run()) == "runs/r.jsonl"

@@ -9,13 +9,13 @@ from dialroute.dialogue import (
     accumulate_dialogue,
     canonicalize_value,
     labeled_turns,
-    parse_dialogues,
     render_belief,
     split_turn_key,
     triplet_of_turn,
 )
 
 from conftest import corpus_of, dlg, trn
+from oracles import parse_dialogues
 
 AREA = SlotName("hotel", "area")
 PRICE = SlotName("hotel", "price")

@@ -1,9 +1,9 @@
 """Hashing embedder, the reference cosine, projection adapter, and store serialization."""
 
 import hashlib
-import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from dialroute import (
 )
 from dialroute.dialogue import Triplet
 
-from conftest import cosine
+from conftest import cosine, edit_table
 
 
 def reference_hash_embed(text, dim, seed):
@@ -174,10 +174,11 @@ class TestAdapter:
         again = load_adapter(str(path))
         assert np.array_equal(again.matrix, adapter.matrix)
 
-    def test_load_rejects_ragged_matrix(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dim": 2, "matrix": [[1.0, 0.0], [0.0]]}))
-        with pytest.raises(InputError):
+    def test_load_rejects_a_body_that_is_not_square(self, tmp_path):
+        path = tmp_path / "adapter.json"
+        save_adapter(ProjectionAdapter.identity(2), str(path))
+        edit_table(path, lambda head, body: (head, body[:1]))
+        with pytest.raises(InputError, match="1 rows for 2 keys"):
             load_adapter(str(path))
 
 
@@ -203,36 +204,72 @@ class TestStore:
 
     def test_save_load_round_trip(self, tmp_path):
         store = EmbeddingStore.build(self.entries())
-        path = tmp_path / "store.jsonl"
+        path = tmp_path / "store.json"
         save_store(store, str(path))
         again = load_store(str(path))
         assert len(again) == len(store)
         for key, _ in self.entries():
-            assert np.allclose(again.lookup(key), store.lookup(key), atol=1e-7)
+            assert np.array_equal(again.lookup(key), store.lookup(key))
 
     def test_save_is_byte_deterministic(self, tmp_path):
         store = EmbeddingStore.build(self.entries())
-        save_store(store, str(tmp_path / "a.jsonl"))
-        save_store(store, str(tmp_path / "b.jsonl"))
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        save_store(store, str(tmp_path / "a.json"))
+        save_store(store, str(tmp_path / "b.json"))
+        for suffix in (".json", ".npy"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
-    def test_load_names_offending_line(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        path.write_text('{"key": "a", "vector": [1.0, 2.0]}\n{"key": "b", "vector": [1.0]}\n')
-        with pytest.raises(InputError, match=":2:"):
+    def saved(self, tmp_path):
+        path = tmp_path / "store.json"
+        save_store(EmbeddingStore.build(self.entries()), str(path))
+        return path
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_names_the_first_key_that_is_not_finite(self, tmp_path, value):
+        path = self.saved(tmp_path)
+
+        def bad_rows(head, body):
+            body[[2, 4], 1] = value
+            return head, body
+
+        edit_table(path, bad_rows)
+        with pytest.raises(InputError, match="vector for 'd:2' is not a non-empty flat list of finite"):
             load_store(str(path))
 
-    def test_load_rejects_non_finite(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        path.write_text('{"key": "a", "vector": [1.0, null]}\n')
-        with pytest.raises(InputError):
+    def test_load_refuses_a_signaling_nan_without_a_warning(self, tmp_path):
+        """Casting a float64 signaling NaN to float32 raises the invalid flag,
+        which ``-W error`` would turn into an exception other than InputError."""
+        path = self.saved(tmp_path)
+
+        def signaling_nan(head, body):
+            body = body.astype(np.float64)
+            body.view(np.uint64)[3, 2] = 0x7FF0000000000001
+            return head, body
+
+        edit_table(path, signaling_nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="vector for 'd:3'"):
+                load_store(str(path))
+
+    def test_load_names_a_duplicate_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_table(path, lambda head, body: ({**head, "keys": ["d:0", "d:1", "d:1", "d:3", "d:4"]}, body))
+        with pytest.raises(InputError, match="duplicate key 'd:1'"):
             load_store(str(path))
 
-    @pytest.mark.parametrize("vector", ['["x", 1]', "[[1.0], [2.0]]", "[NaN]"])
-    def test_load_rejects_non_numeric_or_nested(self, tmp_path, vector):
-        path = tmp_path / "store.jsonl"
-        path.write_text(f'{{"key": "a", "vector": {vector}}}\n')
-        with pytest.raises(InputError, match="finite numbers"):
+    @pytest.mark.parametrize(
+        "keys, message",
+        [("d:0", "must be a list"), ([0, 1, 2, 3, 4], "list of strings"), (None, "keys is missing")],
+    )
+    def test_load_rejects_keys_that_are_not_a_list_of_strings(self, tmp_path, keys, message):
+        path = self.saved(tmp_path)
+
+        def set_keys(head, body):
+            head.pop("keys")
+            return ({**head, "keys": keys} if keys is not None else head), body
+
+        edit_table(path, set_keys)
+        with pytest.raises(InputError, match=message):
             load_store(str(path))
 
 

@@ -32,6 +32,8 @@ from dialroute.dialogue import LabeledTurn, Triplet
 from dialroute.experts import ExpertPool, PoolEntry, validate_experts
 from dialroute.simulate import make_experts, run_simulation
 
+from conftest import edit_table
+
 AREA = SlotName("hotel", "area")
 PRICE = SlotName("hotel", "price")
 NOISE = SlotName("noise", "slot")
@@ -343,13 +345,36 @@ class TestPoolIO:
         assert [e.key for e in again.entries] == ["d:0", "d:1", "d:2"]
         assert np.allclose(again.entries[2].vector, entries[2].vector)
 
-    @pytest.mark.parametrize(
-        "vector", ['"abc"', '["x", 1]', "[1.0, NaN]", "[Infinity]", "[1e300]", "[[1.0]]"]
-    )
-    def test_non_numeric_or_non_finite_vector_rejected(self, tmp_path, vector):
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_vector_rejected_naming_its_key(self, tmp_path, value):
+        """1e300 in a float64 body overflows the float32 a pool holds."""
         path = tmp_path / "pool.json"
-        path.write_text(f'{{"expert": "slm", "entries": [{{"key": "d:0", "vector": {vector}}}]}}')
-        with pytest.raises(InputError, match="d:0"):
+        entries = [PoolEntry(f"d:{i}", "", np.ones(2, dtype=np.float32)) for i in range(2)]
+        save_pool(ExpertPool(SLM, entries), str(path))
+
+        def bad_row(head, body):
+            body = body.astype(np.float64)
+            body[1, 0] = value
+            return head, body
+
+        edit_table(path, bad_row)
+        with pytest.raises(InputError, match="vector for 'd:1'"):
+            load_pool(str(path), {"slm": SLM})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("abc", "entries must be a list"),
+            (["d:0"], "entry 0 is not an object"),
+            ([{"text": "t"}], "entry 0: key is missing"),
+            ([{"key": "d:0", "text": 5}], "entry 0: text must be a string"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, tmp_path, entries, message):
+        path = tmp_path / "pool.json"
+        save_pool(ExpertPool(SLM, [PoolEntry("d:0", "t", np.ones(2, dtype=np.float32))]), str(path))
+        edit_table(path, lambda head, body: ({**head, "entries": entries}, body))
+        with pytest.raises(InputError, match=message):
             load_pool(str(path), {"slm": SLM})
 
     def test_unknown_expert_rejected(self, tmp_path):

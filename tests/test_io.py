@@ -1,5 +1,6 @@
-"""The shared artifact writers: atomic replacement, and the same bytes as the
-``json.dump``-to-handle writers they replaced (kept in ``oracles``)."""
+"""The shared artifact writers: atomic replacement, the same bytes as the
+``json.dump``-to-handle writers they replaced (kept in ``oracles``), and the
+vector tables' bit-exact, rerun-identical and atomic heads and bodies."""
 
 import json
 import os
@@ -7,20 +8,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
 import oracles
 from dialroute import (
     LLM,
     SLM,
     EmbeddingStore,
     ExpertPool,
+    InputError,
     ExpertPrediction,
     PairSet,
     PoolEntry,
     ProjectionAdapter,
     SlotName,
+    load_adapter,
     load_pool,
     load_predictions,
     load_store,
@@ -37,6 +37,7 @@ from dialroute.errors import write_json, write_json_lines
 from dialroute.supervision import save_pairs
 
 F32_MAX = float(np.finfo(np.float32).max)
+F64_MAX = float(np.finfo(np.float64).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 EDGES = np.array([-0.0, 0.0, F32_TINY, -F32_TINY, F32_MAX, -F32_MAX, 1.0 / 3.0], dtype=np.float32)
 
@@ -90,15 +91,6 @@ class TestAtomicWrites:
         assert os.stat(tmp_path / "written").st_mode == os.stat(tmp_path / "plain").st_mode
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(width=32), max_size=12))
-@example(EDGES.tolist())
-def test_tolist_encodes_float32_like_float_of_each(values):
-    vector = np.array(values, dtype=np.float32)
-    reference = json.dumps([float(x) for x in vector])
-    assert json.dumps(vector.tolist()) == reference
-
-
 def non_ascii_pool():
     entries = [
         PoolEntry("hôtel:0", "[state] none [user] un café près du théâtre ☕", EDGES),
@@ -123,17 +115,8 @@ class TestWritersMatchJsonDump:
         for pairs in (simulated, accented):
             self.same_bytes(tmp_path, save_pairs, oracles.save_pairs, pairs)
 
-    def test_pools(self, small_sim, tmp_path):
-        experts = {"slm": SLM, "llm": LLM}
-        for name in ("slm", "llm"):
-            pool = load_pool(str(small_sim.out_dir / f"pool_trained_{name}.json"), experts)
-            self.same_bytes(tmp_path, save_pool, oracles.save_pool, pool)
-        self.same_bytes(tmp_path, save_pool, oracles.save_pool, non_ascii_pool())
-
-    def test_adapter_and_loss_history(self, small_sim, tmp_path):
+    def test_loss_history(self, small_sim, tmp_path):
         edges = ProjectionAdapter(np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1]]))
-        for adapter in (small_sim.adapter, edges):
-            self.same_bytes(tmp_path, save_adapter, oracles.save_adapter, adapter)
         history = [*small_sim.loss_history, np.float64(0.1), 5e-324]
         save_training(edges, history, tmp_path / "adapter.json")
         oracles.save_loss_history(history, str(tmp_path / "reference"))
@@ -147,10 +130,6 @@ class TestWritersMatchJsonDump:
         named.append(("routé 東京", small_sim.reports["oracle"]))
         self.same_bytes(tmp_path, save_series, oracles.save_series, make_series(named))
 
-    def test_store_with_ascii_keys(self, small_sim, tmp_path):
-        store = load_store(str(small_sim.out_dir / "embeddings_holdout.jsonl"))
-        self.same_bytes(tmp_path, save_store, oracles.save_store, store)
-
     def test_predictions(self, small_sim, tmp_path):
         loaded = load_predictions(str(small_sim.out_dir / "predictions_slm.jsonl"))
         predictions = list(loaded["slm"].values())
@@ -158,16 +137,108 @@ class TestWritersMatchJsonDump:
         self.same_bytes(tmp_path, write_predictions, oracles.write_predictions, predictions)
 
 
-def test_non_ascii_store_keys_round_trip(tmp_path):
-    """The one byte change of the shared writer: non-ASCII store keys are
-    written as UTF-8, not as ``\\u`` escapes. Both files load the same."""
-    store = EmbeddingStore.build([("café:0", EDGES), ("東京:1", np.ones(len(EDGES)))])
-    save_store(store, str(tmp_path / "ours.jsonl"))
-    oracles.save_store(store, str(tmp_path / "escaped.jsonl"))
-    assert "café:0" in (tmp_path / "ours.jsonl").read_text(encoding="utf-8")
-    assert "\\u00e9" in (tmp_path / "escaped.jsonl").read_text(encoding="utf-8")
-    for name in ("ours.jsonl", "escaped.jsonl"):
-        loaded = load_store(str(tmp_path / name))
-        assert list(loaded.vectors) == list(store.vectors)
+def random_bits_adapter(seed):
+    """An 8 x 8 adapter of random float64 bit patterns, the non-finite ones
+    replaced by edge values: signed zeros, subnormals and the largest float."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 2**64, size=(8, 8), dtype=np.uint64, endpoint=False).view(np.float64)
+    edges = np.array([-0.0, 0.0, 5e-324, -5e-324, F64_MAX, -F64_MAX])
+    bad = ~np.isfinite(matrix)
+    matrix[bad] = edges[: bad.sum()] if bad.sum() <= len(edges) else 0.0
+    matrix[0, : len(edges)] = edges
+    return ProjectionAdapter(matrix)
+
+
+def edge_store():
+    matrix = np.stack([EDGES, -EDGES, np.full(len(EDGES), 0.1, dtype=np.float32)])
+    return EmbeddingStore.of_rows(["café:0", "東京:1", "a:2"], matrix)
+
+
+class TestTables:
+    """The store, the adapter and the pools: a JSON head and an ``.npy`` body."""
+
+    def test_store_round_trip_is_bit_exact(self, tmp_path):
+        store = edge_store()
+        save_store(store, str(tmp_path / "store.json"))
+        again = load_store(str(tmp_path / "store.json"))
+        assert list(again.vectors) == list(store.vectors) and again.dim == store.dim
         for key, vector in store.vectors.items():
-            assert loaded.lookup(key).tobytes() == vector.tobytes()
+            assert again.lookup(key).dtype == np.float32
+            assert again.lookup(key).tobytes() == vector.tobytes()
+
+    def test_pool_round_trip_is_bit_exact(self, tmp_path):
+        pool = non_ascii_pool()
+        save_pool(pool, str(tmp_path / "pool.json"))
+        again = load_pool(str(tmp_path / "pool.json"), {"slm": SLM, "llm": LLM})
+        assert again.expert == SLM
+        assert [(e.key, e.text) for e in again.entries] == [(e.key, e.text) for e in pool.entries]
+        for ours, theirs in zip(again.entries, pool.entries):
+            assert ours.vector.dtype == np.float32 and ours.vector.tobytes() == theirs.vector.tobytes()
+
+    def test_empty_pool_round_trips(self, tmp_path):
+        save_pool(ExpertPool(LLM, []), str(tmp_path / "pool.json"))
+        again = load_pool(str(tmp_path / "pool.json"), {"llm": LLM})
+        assert again.expert == LLM and again.entries == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adapter_round_trip_keeps_every_bit(self, tmp_path, seed):
+        adapter = random_bits_adapter(seed)
+        save_adapter(adapter, str(tmp_path / "adapter.json"))
+        again = load_adapter(str(tmp_path / "adapter.json"))
+        assert again.matrix.dtype == np.float64
+        assert again.matrix.tobytes() == adapter.matrix.tobytes()
+
+    def test_heads_and_bodies_are_identical_on_rerun(self, small_sim, tmp_path):
+        """Saving what the simulation wrote, loaded, gives its bytes again,
+        twice over: a body holds no timestamp and a head no path."""
+        sim = small_sim.out_dir
+        experts = {"slm": SLM, "llm": LLM}
+        tables = {
+            "embeddings_holdout": (load_store, save_store),
+            "adapter": (load_adapter, save_adapter),
+            "pool_trained_slm": (lambda path: load_pool(path, experts), save_pool),
+            "pool_base_llm": (lambda path: load_pool(path, experts), save_pool),
+        }
+        for name, (load, save) in tables.items():
+            loaded = load(str(sim / f"{name}.json"))
+            for again in ("a", "b"):
+                save(loaded, str(tmp_path / f"{again}.json"))
+                for suffix in (".json", ".npy"):
+                    assert (tmp_path / f"{again}{suffix}").read_bytes() == (sim / f"{name}{suffix}").read_bytes()
+
+    def test_a_head_named_like_its_body_is_refused(self, tmp_path):
+        """The body would take the head's name, and the head overwrite it."""
+        with pytest.raises(InputError, match="ends in .npy"):
+            save_store(edge_store(), str(tmp_path / "store.npy"))
+        with pytest.raises(InputError, match="ends in .npy"):
+            load_store(str(tmp_path / "store.npy"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("part", [".npy", ".json"])
+    def test_failed_replace_keeps_the_old_bytes(self, tmp_path, part):
+        """The body is written first. A failed body leaves the old pair; a
+        failed head leaves the old head, whose digest refuses the new body."""
+        path = tmp_path / "store.json"
+        old = edge_store()
+        save_store(old, str(path))
+        before = {name: (tmp_path / name).read_bytes() for name in ("store.json", "store.npy")}
+        real = os.replace
+
+        def replace(source, target):
+            if str(target).endswith(part):
+                raise OSError("disk gone")
+            return real(source, target)
+
+        new = EmbeddingStore.of_rows(["b:0"], np.ones((1, 4), dtype=np.float32))
+        with mock.patch("dialroute.errors.os.replace", side_effect=replace):
+            with pytest.raises(OSError, match="disk gone"):
+                save_store(new, str(path))
+        assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
+        failed = "store" + part
+        assert (tmp_path / failed).read_bytes() == before[failed]
+        if part == ".npy":
+            assert (tmp_path / "store.json").read_bytes() == before["store.json"]
+            assert list(load_store(str(path)).vectors) == list(old.vectors)
+        else:
+            with pytest.raises(InputError, match="does not match its digest"):
+                load_store(str(path))
