@@ -88,9 +88,14 @@ RESTAURANT_SLOTS: dict[str, tuple[str, ...]] = {
     "price": ("budget", "moderate", "upscale"),
 }
 
+# Each domain's words and its (slot name, values) pairs in slot order, the
+# order in which a turn's slots are drawn.
 _CLUSTERS = {
-    HOTEL_DOMAIN: (HOTEL_WORDS, HOTEL_SLOTS),
-    RESTAURANT_DOMAIN: (RESTAURANT_WORDS, RESTAURANT_SLOTS),
+    domain: (words, tuple((SlotName(domain, slot), slots[slot]) for slot in sorted(slots)))
+    for domain, words, slots in (
+        (HOTEL_DOMAIN, HOTEL_WORDS, HOTEL_SLOTS),
+        (RESTAURANT_DOMAIN, RESTAURANT_WORDS, RESTAURANT_SLOTS),
+    )
 }
 
 # Each synthetic expert and the words of the talk it is good at.
@@ -160,34 +165,31 @@ class SimulationSpec:
 
 
 def _make_turns(
-    rng: np.random.Generator, dialogue_id: str, clusters: Sequence[str], spec: SimulationSpec
+    rng: np.random.Generator, clusters: Sequence[str], spec: SimulationSpec
 ) -> list[Turn]:
     n_turns = int(rng.integers(spec.min_turns, spec.max_turns + 1))
     turns: list[Turn] = []
     for t in range(n_turns):
         domain = clusters[int(rng.integers(len(clusters)))]
         words, slots = _CLUSTERS[domain]
-        slot_names = sorted(slots)
         n_slots = 1 + int(rng.random() < 0.35)
-        picked = rng.choice(len(slot_names), size=min(n_slots, len(slot_names)), replace=False)
+        picked = rng.choice(len(slots), size=min(n_slots, len(slots)), replace=False)
         tlb: dict[SlotName, str] = {}
         value_words: list[str] = []
-        for index in sorted(int(i) for i in picked):
-            slot = slot_names[index]
-            value = slots[slot][int(rng.integers(len(slots[slot])))]
-            tlb[SlotName(domain, slot)] = value
+        for index in sorted(picked.tolist()):
+            name, values = slots[index]
+            value = values[int(rng.integers(len(values)))]
+            tlb[name] = value
             value_words.append(value)
-        cluster_words = [words[int(i)] for i in rng.choice(len(words), size=2, replace=False)]
-        noise = [FILLER_WORDS[int(i)] for i in rng.integers(0, len(FILLER_WORDS), spec.noise_words)]
-        tokens = cluster_words + value_words + noise
-        order = rng.permutation(len(tokens))
-        user = " ".join(tokens[int(i)] for i in order)
+        cluster_words = [words[i] for i in rng.choice(len(words), size=2, replace=False).tolist()]
+        noise = rng.integers(0, len(FILLER_WORDS), spec.noise_words).tolist()
+        tokens = cluster_words + value_words + [FILLER_WORDS[i] for i in noise]
+        user = " ".join([tokens[i] for i in rng.permutation(len(tokens)).tolist()])
         if t == 0:
             system = ""
         else:
-            sys_words = [words[int(rng.integers(len(words)))]] + [
-                FILLER_WORDS[int(i)] for i in rng.integers(0, len(FILLER_WORDS), 3)
-            ]
+            sys_words = [words[int(rng.integers(len(words)))]]
+            sys_words += [FILLER_WORDS[i] for i in rng.integers(0, len(FILLER_WORDS), 3).tolist()]
             system = " ".join(sys_words)
         turns.append(Turn(t, system, user, tlb))
     return turns
@@ -204,7 +206,7 @@ def generate_corpus(spec: SimulationSpec, count: int, prefix: str, stream: str) 
             clusters = [HOTEL_DOMAIN, RESTAURANT_DOMAIN]
         else:
             clusters = [(HOTEL_DOMAIN, RESTAURANT_DOMAIN)[int(rng.integers(2))]]
-        turns = _make_turns(rng, dialogue_id, clusters, spec)
+        turns = _make_turns(rng, clusters, spec)
         dialogues.append(Dialogue(dialogue_id, frozenset(clusters), tuple(turns)))
     return Corpus(tuple(dialogues))
 

@@ -265,7 +265,12 @@ class _PairProblem:
     Pair ``i`` joins rows ``q[i]`` and ``c[i]``; the first ``n_pos`` pairs are
     the positives, the rest the negatives. The gradient scatters every pair
     twice, as (q, c) and as (c, q): ``by_row`` sorts those entries by row and
-    ``cells`` holds their row-major cell indices in that order."""
+    ``cells`` holds their row-major cell indices in that order.
+
+    A pair may appear as (q, c) and as (c, q), and in both polarities, so the
+    cosines are taken once per distinct unordered pair: each ``(row, lo, hi)``
+    of ``groups`` pairs ``row`` with the rows ``partners[lo:hi]``, and pair
+    ``i`` has the cosine of distinct pair ``inverse[i]``."""
 
     base: np.ndarray  # (n_keys, dim) float64 base embeddings
     q: np.ndarray
@@ -273,6 +278,9 @@ class _PairProblem:
     n_pos: int
     by_row: np.ndarray
     cells: np.ndarray
+    groups: list[tuple[int, int, int]]
+    partners: np.ndarray
+    inverse: np.ndarray
 
     @classmethod
     def compile(cls, pairs: PairSet, embeddings: Mapping[str, np.ndarray]) -> "_PairProblem":
@@ -297,14 +305,18 @@ class _PairProblem:
         rows, cols = np.concatenate([q, c]), np.concatenate([c, q])
         by_row = np.argsort(rows, kind="stable")
         cells = rows[by_row] * len(keys) + cols[by_row]
-        return cls(base, q, c, len(pairs.positives), by_row, cells)
+        unordered = np.minimum(q, c) * len(keys) + np.maximum(q, c)
+        distinct, inverse = np.unique(unordered, return_inverse=True)
+        first, partners = np.divmod(distinct, len(keys))
+        starts = np.flatnonzero(np.diff(first, prepend=-1))
+        ends = np.append(starts[1:], len(first))
+        groups = list(zip(first[starts].tolist(), starts.tolist(), ends.tolist()))
+        return cls(base, q, c, len(pairs.positives), by_row, cells, groups, partners, inverse)
 
 
 # The loss adds one partial sum per _CHUNK pairs of a polarity, an order fixed
-# for reproducible losses; cosines are taken _ROWS pairs at a time, so the two
-# gathered row blocks stay small (512 KB each at dim 256).
+# for reproducible losses.
 _CHUNK = 16384
-_ROWS = 256
 
 
 def _gram_grad(
@@ -332,23 +344,24 @@ def _gram_grad(
     return (d_unit / safe[:, None]).T @ problem.base
 
 
-def _loss_and_grad(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple[float, np.ndarray]:
-    """Loss (mean over each polarity) and its gradient. An
-    empty polarity adds zero, and a pair with a zero-norm projection has
-    cosine 0 and no gradient. Every cosine is a per-pair dot product of the
-    gathered rows, never an entry of U·Uᵀ, whose different rounding would flip
-    hinges at s == margin."""
+def _loss(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple[float, tuple]:
+    """Loss (mean over each polarity), and the unit rows, their norms, the
+    cosines and the pair coefficients that :func:`_gram_grad` takes after the
+    problem. An empty polarity adds zero, and a pair with a zero-norm
+    projection has cosine 0 and no gradient. Every cosine is a per-pair dot
+    product of the gathered rows, never an entry of U·Uᵀ, whose different
+    rounding would flip hinges at s == margin."""
     projected = problem.base @ W.T
     norms = np.linalg.norm(projected, axis=1)
     ok_row = norms > 0.0
     safe = np.where(ok_row, norms, 1.0)
     unit = projected / safe[:, None]
     unit[~ok_row] = 0.0
+    cosines = np.empty(len(problem.partners))
+    for row, lo, hi in problem.groups:
+        cosines[lo:hi] = np.einsum("ij,j->i", unit[problem.partners[lo:hi]], unit[row])
     q, c = problem.q, problem.c
-    s = np.empty(len(q))
-    for lo in range(0, len(q), _ROWS):
-        rows = slice(lo, lo + _ROWS)
-        s[rows] = np.einsum("ij,ij->i", unit[q[rows]], unit[c[rows]])
+    s = cosines[problem.inverse]
     ok = ok_row[q] & ok_row[c]
     coeff = np.zeros(len(q))
     loss = 0.0
@@ -363,7 +376,13 @@ def _loss_and_grad(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple
             terms = np.maximum(0.0, s[part] - margin)
             coeff[part] = np.where(ok[part] & (s[part] > margin), 1.0 / n, 0.0)
         loss += sum(float(np.sum(terms[lo : lo + _CHUNK])) for lo in range(0, n, _CHUNK)) / n
-    return loss, _gram_grad(problem, unit, safe, s, coeff)
+    return loss, (unit, safe, s, coeff)
+
+
+def _loss_and_grad(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple[float, np.ndarray]:
+    """:func:`_loss` and its gradient."""
+    loss, state = _loss(W, problem, margin)
+    return loss, _gram_grad(problem, *state)
 
 
 def train_adapter(
@@ -381,13 +400,14 @@ def train_adapter(
         raise InputError("cannot train an adapter on an empty pair set")
     problem = _PairProblem.compile(pairs, embeddings)
     W = np.eye(problem.base.shape[1])
-    loss, grad = _loss_and_grad(W, problem, config.margin)
+    loss, state = _loss(W, problem, config.margin)
     history = [loss]
     for epoch in range(config.epochs):
+        grad = _gram_grad(problem, *state)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise RuntimeError(f"training diverged at epoch {epoch}: non-finite loss or gradient")
         W = W - config.learning_rate * grad
-        loss, grad = _loss_and_grad(W, problem, config.margin)
+        loss, state = _loss(W, problem, config.margin)
         history.append(loss)
     if not np.isfinite(loss):
         raise RuntimeError(f"training diverged at epoch {config.epochs}: non-finite loss")

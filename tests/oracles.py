@@ -1,12 +1,13 @@
 """Reference implementations that the faster code must match, and helpers
 only the tests use.
 
-The references are the straightforward versions: a pair merge that walks pair
-by pair, pair miners that score and rank every candidate of every query in
-Python, a gradient accumulated pair by pair and one checked by central finite
-differences, artifact writers that ``json.dump`` to a handle, and a synthetic
-expert that seeds a fresh generator for every prediction. They are slow and
-kept only as test oracles.
+The references are the straightforward versions: a corpus generator that
+converts every draw one numpy scalar at a time and rebuilds its slot table on
+every turn, a pair merge that walks pair by pair, pair miners that score and
+rank every candidate of every query in Python, a gradient accumulated pair by
+pair and one checked by central finite differences, artifact writers that
+``json.dump`` to a handle, and a synthetic expert that seeds a fresh
+generator for every prediction. They are slow and kept only as test oracles.
 """
 
 import heapq
@@ -15,10 +16,19 @@ import json
 import numpy as np
 
 from dialroute import ExpertPrediction, InputError, PairSet, f1_sets, tlb_similarity
-from dialroute.dialogue import _parse_corpus, render_belief
+from dialroute.dialogue import Corpus, Dialogue, SlotName, Turn, _parse_corpus, render_belief
 from dialroute.errors import parse_json
 from dialroute.experts import _corrupt
 from dialroute.seeding import subseed
+from dialroute.simulate import (
+    FILLER_WORDS,
+    HOTEL_DOMAIN,
+    HOTEL_SLOTS,
+    HOTEL_WORDS,
+    RESTAURANT_DOMAIN,
+    RESTAURANT_SLOTS,
+    RESTAURANT_WORDS,
+)
 from dialroute.supervision import (
     _effective_l,
     _loss_and_grad,
@@ -26,6 +36,59 @@ from dialroute.supervision import (
     _sorted_turns,
     _vector,
 )
+
+
+_CLUSTERS = {
+    HOTEL_DOMAIN: (HOTEL_WORDS, HOTEL_SLOTS),
+    RESTAURANT_DOMAIN: (RESTAURANT_WORDS, RESTAURANT_SLOTS),
+}
+
+
+def _make_turns(rng, dialogue_id, clusters, spec):
+    n_turns = int(rng.integers(spec.min_turns, spec.max_turns + 1))
+    turns = []
+    for t in range(n_turns):
+        domain = clusters[int(rng.integers(len(clusters)))]
+        words, slots = _CLUSTERS[domain]
+        slot_names = sorted(slots)
+        n_slots = 1 + int(rng.random() < 0.35)
+        picked = rng.choice(len(slot_names), size=min(n_slots, len(slot_names)), replace=False)
+        tlb = {}
+        value_words = []
+        for index in sorted(int(i) for i in picked):
+            slot = slot_names[index]
+            value = slots[slot][int(rng.integers(len(slots[slot])))]
+            tlb[SlotName(domain, slot)] = value
+            value_words.append(value)
+        cluster_words = [words[int(i)] for i in rng.choice(len(words), size=2, replace=False)]
+        noise = [FILLER_WORDS[int(i)] for i in rng.integers(0, len(FILLER_WORDS), spec.noise_words)]
+        tokens = cluster_words + value_words + noise
+        order = rng.permutation(len(tokens))
+        user = " ".join(tokens[int(i)] for i in order)
+        if t == 0:
+            system = ""
+        else:
+            sys_words = [words[int(rng.integers(len(words)))]] + [
+                FILLER_WORDS[int(i)] for i in rng.integers(0, len(FILLER_WORDS), 3)
+            ]
+            system = " ".join(sys_words)
+        turns.append(Turn(t, system, user, tlb))
+    return turns
+
+
+def generate_corpus(spec, count, prefix, stream):
+    """``simulate.generate_corpus``: the same Generator calls in the same order."""
+    rng = np.random.default_rng(subseed(spec.seed, f"corpus:{stream}"))
+    dialogues = []
+    for i in range(count):
+        dialogue_id = f"{prefix}{i:04d}"
+        if float(rng.random()) < spec.mixed_fraction:
+            clusters = [HOTEL_DOMAIN, RESTAURANT_DOMAIN]
+        else:
+            clusters = [(HOTEL_DOMAIN, RESTAURANT_DOMAIN)[int(rng.integers(2))]]
+        turns = _make_turns(rng, dialogue_id, clusters, spec)
+        dialogues.append(Dialogue(dialogue_id, frozenset(clusters), tuple(turns)))
+    return Corpus(tuple(dialogues))
 
 
 def parse_dialogues(lines):

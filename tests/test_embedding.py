@@ -158,6 +158,15 @@ class TestAdapter:
         with pytest.raises(InputError, match="'d1:3'"):
             project(ProjectionAdapter(matrix), vector, "d1:3")
 
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    def test_matrix_starts_on_a_64_byte_boundary_with_the_same_bits(self, dim):
+        matrix = np.random.default_rng(dim).normal(size=(dim, dim))
+        matrix[0, 0] = -0.0
+        adapter = ProjectionAdapter(matrix)
+        assert adapter.matrix.ctypes.data % 64 == 0
+        assert adapter.matrix.flags.c_contiguous
+        assert adapter.matrix.tobytes() == matrix.tobytes()
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             ProjectionAdapter(np.zeros((3, 4)))

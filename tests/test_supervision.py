@@ -280,9 +280,10 @@ def integer_pair_problems(draw):
     """Small integer problems. Zero base rows and singular matrices give
     zero-norm projections; orthogonal rows give cosines of exactly 0, the
     margin when it is 0; a pair may appear as (q, c) and (c, q), and in both
-    polarities."""
+    polarities, and shares one cosine. Dims run past 16, the products
+    einsum's vector loop sums at a time."""
     n_keys = draw(st.integers(2, 6))
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 4) | st.integers(15, 40))
     row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
     keys = [f"k:{i}" for i in range(n_keys)]
     embeddings = {key: np.array(draw(row), dtype=np.float64) for key in keys}
@@ -434,6 +435,21 @@ class TestTraining:
         base_neg = cosine(embeddings["a:0"], embeddings["b:0"])
         assert pos_cos > base_pos
         assert neg_cos < base_neg
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_matches_descent_on_the_loss_and_its_gradient(self, epochs):
+        # the trainer takes a gradient only before a step
+        pairs, embeddings = self.separable_problem()
+        adapter, history = train_adapter(pairs, embeddings, TrainConfig(0.2, 0.5, epochs))
+        problem = _PairProblem.compile(pairs, embeddings)
+        W, expected = np.eye(3), []
+        for _ in range(epochs):
+            loss, grad = _loss_and_grad(W, problem, 0.2)
+            expected.append(loss)
+            W = W - 0.5 * grad
+        expected.append(_loss_and_grad(W, problem, 0.2)[0])
+        assert [x.hex() for x in history] == [x.hex() for x in expected]
+        assert adapter.matrix.tobytes() == W.tobytes()
 
     def test_deterministic(self):
         pairs, embeddings = self.separable_problem()
