@@ -27,9 +27,10 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   artifacts above, among them store, adapter and pool bodies that are cut
   short, pickled objects, booleans, ints or complex numbers, 1-D or 3-D, of
   the wrong row count, stale or missing, and a turn predicted for one
-  expert in two files) and per pair of artifacts that do not fit each other
-  in dim, 28 cases in all. Each case's exit code and standard error go to
-  ``errors/<case>.txt``.
+  expert in two files), per pair of artifacts that do not fit each other
+  in dim, and per path the OS refuses (an output under a regular file, a
+  NUL in an input path), 30 cases in all. Each case's exit code and
+  standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -290,6 +291,8 @@ def error_cases(chain: Chain) -> list[str]:
         ("dim_store_vs_adapter", "build-pools", {"embeddings_path": dim128_store}),
         ("dim_store_vs_query_embedder", "route", {"embeddings_path": dim128_store, "router": "classifier"}),
         ("dim_adapter_vs_query_embedder", "route", {"adapter_path": "errors/dim128/adapter.json"}),
+        ("output_blocked", "embed", {store: f"{SIM3['corpus']}/embeddings.json"}),
+        ("path_nul", "validate", {"corpus": "a\0b"}),
     ]
     return [label for label, command, record in cases if not chain.case(label, command, record)]
 

@@ -79,8 +79,6 @@ from .supervision import (
     train_adapter,
 )
 
-logger = logging.getLogger(__name__)
-
 Beliefs = dict[ExpertId, dict[str, TurnBelief]]
 
 
@@ -136,7 +134,7 @@ def sampled_pools(
 ) -> dict[ExpertId, tuple[ExpertPool, ExpertPool]]:
     """Each expert's pool of projected hold-out turns and its seeded sample of
     ``sizes[expert]`` entries, in priority order."""
-    projected = {t.key: project(adapter, store.lookup(t.key), t.key) for t in turns}
+    projected = {t.key: project(adapter, store[t.key], t.key) for t in turns}
     pools = build_pools(turns, beliefs, projected)
     return {
         e: (pool, sample_pool(pool, sizes[e], subseed(seed, f"pool:{e.name}")))
@@ -261,7 +259,6 @@ def _cmd_embed(cfg: RunConfig, args: argparse.Namespace) -> None:
             )
     store = embed_turns(embedder, turns)
     out = cfg.resolve_embeddings()
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_store(store, str(out))
     print(f"embedded {len(store)} hold-out turns (dim {store.dim}) -> {out}")
 
@@ -272,7 +269,6 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
     if len(store) == 0:
         raise InputError(f"embedding store {cfg.resolve_embeddings()} is empty")
     adapter_path = cfg.resolve_adapter()
-    adapter_path.parent.mkdir(parents=True, exist_ok=True)
 
     if cfg.supervision == "none":
         adapter = ProjectionAdapter.identity(store.dim)
@@ -283,7 +279,6 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
             beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
         pairs = mine_pairs(turns, cfg.supervision, cfg.pairs_per_query, beliefs, store)
         pairs_path = cfg.resolve_pairs()
-        pairs_path.parent.mkdir(parents=True, exist_ok=True)
         save_pairs(pairs, str(pairs_path))
         print(
             f"pairs: {len(pairs.positives)} positive, "
@@ -313,7 +308,6 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
     _fit(fitted, (f"embedding store {store_path}", store.dim))
     sizes = {e: cfg.pool_size_for(e.name) for e in cfg.experts}
     pools = sampled_pools(turns, beliefs, store, adapter, sizes, cfg.seed)
-    cfg.resolve_pools_dir().mkdir(parents=True, exist_ok=True)
     for expert in cfg.experts:
         pool, sampled = pools[expert]
         path = cfg.pool_path(expert.name)
@@ -383,7 +377,7 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         _fit(query, (f"embedding store {store_path}", store.dim))
         labels = _expert_labels(holdout_turns, beliefs)
         keys = sorted(labels)
-        X = np.vstack([store.lookup(key) for key in keys])
+        X = np.vstack([store[key] for key in keys])
         y = np.array([0.0 if labels[key] == low.name else 1.0 for key in keys])
         model = train_classifier_router(X, y)
         router = ClassifierRouter(model, cfg.experts)
@@ -398,7 +392,6 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         config=snapshot,
     )
     out = cfg.resolve_run()
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_run(run, str(out))
     counts: dict[str, int] = {e.name: 0 for e in cfg.experts}
     for record in run.records:
@@ -410,11 +403,14 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     corpus = _load_corpus(cfg, "corpus")
-    reports: dict[Path, Report] = {}
+    reports: dict[str, Report] = {}
 
     def report_of(path: str) -> Report:
         """The report of the run file at ``path``, scored once per file."""
-        key = Path(path).resolve()
+        try:
+            key = os.path.realpath(path)
+        except ValueError:  # a NUL in the path, which load_run refuses naming it
+            key = path
         if key not in reports:
             run = load_run(path)
             reports[key] = make_report(run, corpus, cfg.costs, cfg.training_domains)
@@ -425,7 +421,6 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     if run_path.exists():
         report = report_of(str(run_path))
         out = cfg.resolve_report()
-        out.parent.mkdir(parents=True, exist_ok=True)
         save_report(report, str(out))
         print(
             f"report: tlb_jga {report.tlb_jga:.4f}, dst_jga {report.dst_jga:.4f}, "
@@ -436,7 +431,6 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         runs = cfg.report_runs
         series = make_series([(name, report_of(runs[name])) for name in sorted(runs)])
         series_path = cfg.resolve_report().parent / "series.json"
-        series_path.parent.mkdir(parents=True, exist_ok=True)
         save_series(series, str(series_path))
         print(f"series: {len(series)} runs -> {series_path}")
         wrote_anything = True

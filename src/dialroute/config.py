@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .embedding import check_dim
 from .errors import InputError, field, is_int, is_number, read_json
-from .experts import ExpertId, parse_experts, validate_experts
+from .experts import LLM, SLM, ExpertId, parse_experts, validate_experts
 from .metrics import CostTable
 from .supervision import TrainConfig
 
@@ -55,7 +55,7 @@ class RunConfig:
     corpus: str | None = None
     holdout: str | None = None
     predictions: dict[str, str] = dataclasses.field(default_factory=dict)
-    experts: tuple[ExpertId, ...] = (ExpertId("slm", 0), ExpertId("llm", 1))
+    experts: tuple[ExpertId, ...] = (SLM, LLM)
     embedder: EmbedderSpec = EmbedderSpec()
     out_dir: str = "out"
     embeddings_path: str | None = None

@@ -179,9 +179,6 @@ class EmbeddingStore:
         return key in self.vectors
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self.lookup(key)
-
-    def lookup(self, key: str) -> np.ndarray:
         try:
             return self.vectors[key]
         except KeyError:
@@ -189,7 +186,7 @@ class EmbeddingStore:
 
     def embed(self, key: str, text: str) -> np.ndarray:
         """The vector of turn ``key``; the text is not read."""
-        return self.lookup(key)
+        return self[key]
 
     @classmethod
     def build(cls, items: Iterable[tuple[str, np.ndarray]]) -> "EmbeddingStore":

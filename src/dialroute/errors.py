@@ -1,6 +1,8 @@
 """Shared exception types, the JSON readers that raise them, the checks every
 loader reads its records through, and the atomic writers every artifact goes
-through, vector tables (a JSON head and an ``.npy`` body) among them."""
+through, vector tables (a JSON head and an ``.npy`` body) among them. The
+writers make an artifact's directory, and a path the OS refuses to read or
+write is an :class:`InputError`."""
 
 from __future__ import annotations
 
@@ -63,21 +65,6 @@ def field(record: dict, key: str, kind: type, where: str, default: Any = _REQUIR
     raise InputError(f"{where} {name} must be {_KINDS[kind]}, got {value!r}")
 
 
-def numbers(values: object, dtype: type) -> np.ndarray:
-    """``values`` as a ``dtype`` array, with the bits ``np.array(values,
-    dtype)`` gives, if numpy reads them as ints, floats or numbers that
-    :func:`is_number` accepts (booleans among numbers read as 0 and 1);
-    ValueError otherwise, where that cast would read ``"1.5"`` as 1.5."""
-    array = np.asarray(values)
-    kind = array.dtype.kind
-    if kind == "O" and not all(map(is_number, array.flat)) or kind not in "iufO":
-        raise ValueError(f"not an array of numbers ({array.dtype})")
-    if kind != "f":
-        # np.array(values, dtype) rounds a Python int to float64 first; so do these.
-        array = array.astype(np.float64)
-    return array.astype(dtype, copy=False)
-
-
 def vector_rows(
     keys: Sequence[str],
     vectors: Sequence[object],
@@ -85,16 +72,17 @@ def vector_rows(
     dtype: type = np.float32,
 ) -> np.ndarray:
     """The vectors as the rows of one ``dtype`` matrix, ``(0, 0)`` when there
-    are none. Keys must be unique, and the vectors non-empty flat lists of
-    finite numbers of one dim; numbers that overflow ``dtype`` are not
-    finite, and neither they nor signaling NaNs warn. Otherwise
-    :class:`InputError` names the first key, in order, that breaks a rule,
-    after ``where``."""
+    are none, each cast by ``np.asarray(vector, dtype=dtype)``: from a file,
+    :func:`read_table` has already refused every body that is not floats.
+    Keys must be unique, and the vectors non-empty and flat, of one dim and
+    finite; numbers that overflow ``dtype`` are not finite, and neither they
+    nor signaling NaNs warn. Otherwise :class:`InputError` names the first
+    key, in order, that breaks a rule, after ``where``."""
     if not keys:
         return np.empty((0, 0), dtype=dtype)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            matrix = numbers(vectors, dtype)
+            matrix = np.asarray(vectors, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         matrix = None
     if (
@@ -113,7 +101,7 @@ def vector_rows(
         seen.add(key)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                row = numbers(vector, dtype)
+                row = np.asarray(vector, dtype=dtype)
         except (TypeError, ValueError, OverflowError):
             row = None
         if row is None or row.ndim != 1 or not row.size or not np.isfinite(row).all():
@@ -142,14 +130,15 @@ def parse_json(text: str, where: str) -> Any:
 
 def read_json(path: str, what: str) -> Any:
     """The JSON document in the file at ``path``; unreadable, non-UTF-8 and
-    malformed files raise :class:`InputError` naming ``what``."""
+    malformed files, and paths the OS refuses (a NUL in them among others),
+    raise :class:`InputError` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} {path!r}: not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     return parse_json(text, f"{what} {path!r}:")
 
 
@@ -159,7 +148,7 @@ def read_json_lines(path: str, what: str) -> Iterator[tuple[str, dict]]:
     too."""
     try:
         handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot open {what} {path!r}: {exc}") from None
     with handle:
         try:
@@ -232,7 +221,7 @@ def read_table(
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot open {what} body {path!r}: {exc}") from None
     if hashlib.blake2b(data).hexdigest() != digest:
         raise InputError(f"{where} body {path!r} does not match its digest (stale or damaged)")
@@ -255,16 +244,21 @@ def read_table(
 
 def _replace_with(path: str | os.PathLike, data: bytes) -> None:
     """Replace the file at ``path`` with ``data`` through a new temporary file
-    in the same directory, so that a reader never sees a half-written file
-    and a failed write leaves the old one in place."""
+    in the same directory, made first if missing, so that a reader never
+    sees a half-written file and a failed write leaves the old one in place.
+    A path the OS refuses raises :class:`InputError` naming it."""
     head, name = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
-    handle = open(temp, "xb")
     try:
-        with handle:
-            handle.write(data)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
+        os.makedirs(head or ".", exist_ok=True)
+        handle = open(temp, "xb")
+        try:
+            with handle:
+                handle.write(data)
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot write {os.fspath(path)!r}: {exc}") from None

@@ -4,11 +4,12 @@ domain-shift categorization."""
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dialogue import Corpus, accumulate_dialogue
+from .dialogue import Corpus, accumulate_dialogue, split_turn_key
 from .errors import InputError, write_json
 from .experts import judge_correct
 from .routing import RoutedRun, TurnRecord
@@ -27,11 +28,10 @@ class CostTable:
     router_cost: float = 0.02
 
     def __post_init__(self) -> None:
-        for name, cost in self.expert_costs.items():
-            if cost < 0.0:
-                raise ValueError(f"negative cost for expert {name!r}")
-        if self.router_cost < 0.0:
-            raise ValueError("negative router cost")
+        costs = [(f"expert {name!r}", cost) for name, cost in self.expert_costs.items()]
+        for who, cost in [*costs, ("the router", self.router_cost)]:
+            if not 0.0 <= cost < math.inf:
+                raise ValueError(f"cost of {who} must be finite and >= 0, got {cost!r}")
 
     def expert_cost(self, name: str) -> float:
         try:
@@ -143,7 +143,7 @@ def make_report(
         category_of = {d.dialogue_id: categorize_ood(d.domains, training) for d in corpus}
         buckets: dict[str, list[TurnRecord]] = {IN_DOMAIN: [], HALF_OOD: [], OOD: []}
         for record in run.records:
-            buckets[category_of[record.decision.key.rsplit(":", 1)[0]]].append(record)
+            buckets[category_of[split_turn_key(record.decision.key)[0]]].append(record)
         breakdown = {category: score(records) for category, records in buckets.items() if records}
     return Report(
         **score(run.records, [expert.name for expert in run.experts]),

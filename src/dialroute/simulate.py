@@ -246,7 +246,6 @@ class SimulationResult:
 def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResult:
     """Generate the benchmark and run the whole pipeline into ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     test_corpus = generate_corpus(spec, spec.dialogues, "dlg", "test")
     holdout_corpus = generate_corpus(spec, spec.holdout_dialogues, "hld", "holdout")
     save_corpus(test_corpus, str(out / "corpus_test.jsonl"))

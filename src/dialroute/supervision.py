@@ -216,9 +216,7 @@ def mine_expert_pairs(
             labels.append(expert_labels[key])
         except KeyError:
             raise InputError(f"no expert label for hold-out turn {key!r}") from None
-    matrix = np.empty((len(turns), _embedding_dim(embeddings, keys[0])), dtype=np.float64)
-    for row, key in enumerate(keys):
-        matrix[row] = _vector(embeddings, key)
+    matrix = _rows(embeddings, keys)
     norms = np.linalg.norm(matrix, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = matrix / safe[:, None]
@@ -247,15 +245,13 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
 
-def _vector(embeddings: Mapping[str, np.ndarray], key: str) -> np.ndarray:
+def _rows(embeddings: Mapping[str, np.ndarray], keys: Sequence[str]) -> np.ndarray:
+    """The embeddings of ``keys`` as the rows of one float64 matrix; vectors
+    of mixed dims raise ValueError."""
     try:
-        return np.asarray(embeddings[key], dtype=np.float64)
-    except KeyError:
-        raise InputError(f"no embedding for turn {key!r}") from None
-
-
-def _embedding_dim(embeddings: Mapping[str, np.ndarray], key: str) -> int:
-    return int(_vector(embeddings, key).shape[0])
+        return np.array([embeddings[key] for key in keys], dtype=np.float64)
+    except KeyError as exc:
+        raise InputError(f"no embedding for turn {exc.args[0]!r}") from None
 
 
 @dataclass
@@ -291,15 +287,7 @@ class _PairProblem:
                 if key not in order:
                     order[key] = len(order)
         keys = list(order)
-        dim = _embedding_dim(embeddings, keys[0])
-        base = np.empty((len(keys), dim), dtype=np.float64)
-        for key, row in order.items():
-            vector = _vector(embeddings, key)
-            if vector.shape != (dim,):
-                raise InputError(
-                    f"embedding for {key!r} has dim {vector.shape[0]}, expected {dim}"
-                )
-            base[row] = vector
+        base = _rows(embeddings, keys)
         q = np.fromiter((order[a] for a, _ in pair_list), dtype=np.intp, count=len(pair_list))
         c = np.fromiter((order[b] for _, b in pair_list), dtype=np.intp, count=len(pair_list))
         rows, cols = np.concatenate([q, c]), np.concatenate([c, q])

@@ -34,7 +34,7 @@ from dialroute.supervision import (
     _loss_and_grad,
     _PairProblem,
     _sorted_turns,
-    _vector,
+    _rows,
 )
 
 
@@ -189,7 +189,7 @@ def mine_expert_pairs(holdout, expert_labels, embeddings, pairs_per_query):
         return result
     keys = [t.key for t in turns]
     labels = [expert_labels[key] for key in keys]
-    matrix = np.array([_vector(embeddings, key) for key in keys], dtype=np.float64)
+    matrix = _rows(embeddings, keys)
     norms = np.linalg.norm(matrix, axis=1)
     safe = np.where(norms == 0.0, 1.0, norms)
     unit = matrix / safe[:, None]

@@ -439,6 +439,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{holdout}:2:" in err
 
+    def test_simulate_under_a_regular_file_exits_one(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "sim"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"simulation": TestSimulate().settings()}))
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert f"cannot write {str(out / 'corpus_test.jsonl')!r}" in capsys.readouterr().err
+
+    def test_store_path_naming_a_directory_exits_one(self, small_sim, tmp_path, capsys):
+        directory = tmp_path / "store"
+        directory.mkdir()
+        config = write_config(
+            tmp_path / "c.json", small_sim, tmp_path / "out", embeddings_path=str(directory)
+        )
+        assert main(["embed", "--config", config]) == 1
+        assert f"cannot write {str(directory)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, settings, named",
+        [
+            ("validate", {"corpus": "a\0b"}, "cannot open corpus 'a\\x00b'"),
+            ("embed", {"out_dir": "x\0y"}, "cannot write 'x\\x00y/embeddings.npy'"),
+            ("report", {"report_runs": {"r": "r\0n"}}, "cannot open run 'r\\x00n'"),
+        ],
+        ids=["corpus", "out_dir", "report_runs"],
+    )
+    def test_a_nul_in_a_path_exits_one_naming_it(
+        self, small_sim, tmp_path, capsys, command, settings, named
+    ):
+        settings = {"out_dir": str(tmp_path / "out"), **settings}
+        config = write_config(tmp_path / "c.json", small_sim, **settings)
+        assert main([command, "--config", config]) == 1
+        assert named in capsys.readouterr().err
+
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
         proc = subprocess.run(

@@ -201,7 +201,7 @@ class TestStore:
         assert len(store) == 5 and store.dim == 8
         assert "d:3" in store
         with pytest.raises(InputError, match="d:9"):
-            store.lookup("d:9")
+            store["d:9"]
 
     def test_build_rejects_duplicates(self):
         with pytest.raises(InputError, match="duplicate"):
@@ -218,7 +218,7 @@ class TestStore:
         again = load_store(str(path))
         assert len(again) == len(store)
         for key, _ in self.entries():
-            assert np.array_equal(again.lookup(key), store.lookup(key))
+            assert np.array_equal(again[key], store[key])
 
     def test_save_is_byte_deterministic(self, tmp_path):
         store = EmbeddingStore.build(self.entries())

@@ -4,6 +4,7 @@ vector tables' bit-exact, rerun-identical and atomic heads and bodies."""
 
 import json
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -62,7 +63,7 @@ class TestAtomicWrites:
         path = tmp_path / "artifact"
         path.write_bytes(b"old\n")
         with mock.patch("dialroute.errors.os.replace", side_effect=OSError("disk gone")):
-            with pytest.raises(OSError, match="disk gone"):
+            with pytest.raises(InputError, match="disk gone"):
                 self.WRITERS[writer](path)
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["artifact"]
@@ -80,10 +81,20 @@ class TestAtomicWrites:
         assert path.read_bytes() == b"old\n"
         assert os.listdir(tmp_path) == ["run.jsonl"]
 
-    def test_missing_directory_leaves_nothing(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            write_json(tmp_path / "missing" / "a.json", {})
-        assert os.listdir(tmp_path) == []
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_a_missing_directory_chain_is_made(self, tmp_path, writer):
+        path = tmp_path / "a" / "b" / "artifact"
+        self.WRITERS[writer](path)
+        assert os.listdir(path.parent) == ["artifact"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_a_target_under_a_regular_file_names_the_path(self, tmp_path, writer):
+        (tmp_path / "blocker").write_bytes(b"old\n")
+        path = tmp_path / "blocker" / "sub" / "artifact"
+        with pytest.raises(InputError, match=re.escape(f"cannot write {str(path)!r}")):
+            self.WRITERS[writer](path)
+        assert os.listdir(tmp_path) == ["blocker"]
+        assert (tmp_path / "blocker").read_bytes() == b"old\n"
 
     def test_new_file_has_the_mode_a_plain_open_gives(self, tmp_path):
         (tmp_path / "plain").write_text("x")
@@ -163,8 +174,8 @@ class TestTables:
         again = load_store(str(tmp_path / "store.json"))
         assert list(again.vectors) == list(store.vectors) and again.dim == store.dim
         for key, vector in store.vectors.items():
-            assert again.lookup(key).dtype == np.float32
-            assert again.lookup(key).tobytes() == vector.tobytes()
+            assert again[key].dtype == np.float32
+            assert again[key].tobytes() == vector.tobytes()
 
     def test_pool_round_trip_is_bit_exact(self, tmp_path):
         pool = non_ascii_pool()
@@ -231,7 +242,7 @@ class TestTables:
 
         new = EmbeddingStore.of_rows(["b:0"], np.ones((1, 4), dtype=np.float32))
         with mock.patch("dialroute.errors.os.replace", side_effect=replace):
-            with pytest.raises(OSError, match="disk gone"):
+            with pytest.raises(InputError, match="disk gone"):
                 save_store(new, str(path))
         assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
         failed = "store" + part

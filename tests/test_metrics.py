@@ -208,6 +208,13 @@ class TestTotalCost:
         with pytest.raises(ValueError):
             CostTable({"slm": -1.0})
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_costs_that_are_not_finite_and_at_least_zero_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"cost of expert 'llm' must be finite and >= 0"):
+            CostTable({"slm": 0.04, "llm": bad})
+        with pytest.raises(ValueError, match=r"cost of the router must be finite and >= 0"):
+            CostTable({"slm": 0.04, "llm": 3000.0}, bad)
+
     def test_cost_decreases_with_slm_share(self):
         costs = [total_cost(synthetic_run(k, 100 - k), MWOZ_COSTS) for k in (20, 50, 80)]
         assert costs[0] > costs[1] > costs[2]
