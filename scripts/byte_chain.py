@@ -29,7 +29,8 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   the wrong row count, stale or missing, and a turn predicted for one
   expert in two files), per pair of artifacts that do not fit each other
   in dim, and per path the OS refuses (an output under a regular file, a
-  NUL in an input path), 30 cases in all. Each case's exit code and
+  store head that names a directory, a NUL in an input path), 31 cases in
+  all. Each case's exit code and
   standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
@@ -261,6 +262,7 @@ def error_cases(chain: Chain) -> list[str]:
     both = damaged(chain, SIM3["predictions"]["llm"], "both.jsonl", lambda r: r.append(json.loads(slm[0])))
 
     dim128_store = "errors/dim128/embeddings.json"
+    (inputs / "store_dir.json").mkdir()  # a store head the OS will not write
     store, adapter = "embeddings_path", "adapter_path"
     cases = [  # label, command, config settings
         ("config_k", "validate", {"hyperparameters": {"k": "x"}}),
@@ -292,6 +294,7 @@ def error_cases(chain: Chain) -> list[str]:
         ("dim_store_vs_query_embedder", "route", {"embeddings_path": dim128_store, "router": "classifier"}),
         ("dim_adapter_vs_query_embedder", "route", {"adapter_path": "errors/dim128/adapter.json"}),
         ("output_blocked", "embed", {store: f"{SIM3['corpus']}/embeddings.json"}),
+        ("output_directory", "embed", {store: "errors/inputs/store_dir.json"}),
         ("path_nul", "validate", {"corpus": "a\0b"}),
     ]
     return [label for label, command, record in cases if not chain.case(label, command, record)]

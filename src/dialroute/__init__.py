@@ -15,13 +15,13 @@ from .dialogue import (
     Corpus,
     Dialogue,
     LabeledTurn,
-    SlotName,
     Triplet,
     Turn,
     aggregate_state,
     load_corpus,
     make_belief,
     save_corpus,
+    slot_name,
     turn_key,
 )
 from .embedding import (

@@ -202,13 +202,25 @@ def _make_query_embedder(cfg: RunConfig) -> tuple[object, tuple[str, int]]:
 def _load_adapter(cfg: RunConfig) -> tuple[ProjectionAdapter, tuple[str, int]]:
     """The configured adapter, with the name and dim :func:`_fit` gives it."""
     path = cfg.resolve_adapter()
-    if not path.exists():
+    if _missing(path):
         raise InputError(
-            f"adapter file {path} does not exist; run mine-and-train first "
+            f"adapter file {str(path)!r} does not exist; run mine-and-train first "
             "(supervision 'none' writes the identity adapter)"
         )
     adapter = load_adapter(str(path))
     return adapter, (f"adapter {path}", adapter.dim)
+
+
+def _missing(path: Path) -> bool:
+    """Whether the OS says nothing is at ``path``. A path it refuses (a NUL
+    in it, say) is not missing: its loader opens it and names the refusal."""
+    try:
+        os.stat(path)
+    except FileNotFoundError:
+        return True
+    except (OSError, ValueError):
+        pass
+    return False
 
 
 def _fit(*artifacts: tuple[str, int]) -> None:
@@ -337,8 +349,8 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         dims = []
         for expert in cfg.experts:
             path = cfg.pool_path(expert.name)
-            if not path.exists():
-                raise InputError(f"pool file {path} does not exist; run build-pools first")
+            if _missing(path):
+                raise InputError(f"pool file {str(path)!r} does not exist; run build-pools first")
             pool = load_pool(str(path), by_name)
             pools.append(pool)
             if pool.entries:
@@ -418,7 +430,7 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
 
     run_path = cfg.resolve_run()
     wrote_anything = False
-    if run_path.exists():
+    if not _missing(run_path):
         report = report_of(str(run_path))
         out = cfg.resolve_report()
         save_report(report, str(out))
@@ -436,7 +448,7 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
         wrote_anything = True
     if not wrote_anything:
         raise InputError(
-            f"nothing to report: no run file at {run_path} and no report_runs configured"
+            f"nothing to report: no run file at {str(run_path)!r} and no report_runs configured"
         )
 
 

@@ -7,9 +7,11 @@ changed at that turn. Dialogue state is accumulated over turns by replacement,
 so a later value for a slot overwrites the earlier one and slots are never
 deleted.
 
-Values are canonicalized (lowercase, trimmed, inner whitespace collapsed) at
-ingestion. The canonical values ``""`` and ``"none"`` mean "no value" and are
-dropped with a warning count rather than stored.
+Slot names and values are canonicalized (lowercase, trimmed, inner
+whitespace collapsed) at ingestion, and a belief is keyed by the canonical
+``domain-slot`` string itself (:func:`slot_name`), the form files hold. The
+canonical values ``""`` and ``"none"`` mean "no value" and are dropped with a
+warning count rather than stored.
 
 On disk a corpus is JSON Lines, one dialogue per line::
 
@@ -36,46 +38,29 @@ def canonicalize_value(raw: str) -> str:
     return " ".join(raw.lower().split())
 
 
-@dataclass(frozen=True)
-class SlotName:
-    """A domain-qualified slot, rendered as ``domain-slot``.
-
-    Neither part may be empty or contain the separator, so the rendered form
-    parses back unambiguously.
-    """
-
-    domain: str
-    slot: str
-
-    def __post_init__(self) -> None:
-        for part, label in ((self.domain, "domain"), (self.slot, "slot")):
-            if not part:
-                raise InputError(f"slot name has an empty {label} part")
-            if SEPARATOR in part:
-                raise InputError(
-                    f"slot name {label} {part!r} contains the separator {SEPARATOR!r}"
-                )
-
-    @classmethod
-    @functools.lru_cache(maxsize=4096)
-    def parse(cls, text: str) -> "SlotName":
-        """The slot named by ``text``. Corpora repeat a few dozen names, so
-        each is parsed once; a name that fails is not cached and fails again
-        with the same message."""
-        canon = canonicalize_value(text)
-        domain, sep, slot = canon.partition(SEPARATOR)
-        if not sep:
-            raise InputError(f"slot name {text!r} lacks the {SEPARATOR!r} separator")
-        return cls(domain, slot)
-
-    def __str__(self) -> str:
-        return f"{self.domain}{SEPARATOR}{self.slot}"
+@functools.lru_cache(maxsize=4096)
+def slot_name(text: str) -> str:
+    """The canonical ``domain-slot`` name of ``text``. Neither part may be
+    empty and the slot part may not hold the separator, so the name splits
+    back unambiguously. Corpora repeat a few dozen names, so each is checked
+    once; a name that fails is not cached and fails again with the same
+    message."""
+    canon = canonicalize_value(text)
+    domain, sep, slot = canon.partition(SEPARATOR)
+    if not sep:
+        raise InputError(f"slot name {text!r} lacks the {SEPARATOR!r} separator")
+    for part, label in ((domain, "domain"), (slot, "slot")):
+        if not part:
+            raise InputError(f"slot name has an empty {label} part")
+    if SEPARATOR in slot:
+        raise InputError(f"slot name slot {slot!r} contains the separator {SEPARATOR!r}")
+    return canon
 
 
-# Both are maps from slot name to canonical value. A TurnBelief holds the
+# Both map canonical slot names to canonical values. A TurnBelief holds the
 # changes made at one turn; a DialogueState holds everything accumulated so far.
-TurnBelief = dict[SlotName, str]
-DialogueState = dict[SlotName, str]
+TurnBelief = dict[str, str]
+DialogueState = dict[str, str]
 
 
 def make_belief(raw: Mapping[str, str], where: str = "belief:") -> tuple[TurnBelief, int]:
@@ -95,15 +80,15 @@ def make_belief(raw: Mapping[str, str], where: str = "belief:") -> tuple[TurnBel
             dropped += 1
             continue
         try:
-            belief[SlotName.parse(name)] = canon
+            belief[slot_name(name)] = canon
         except InputError as exc:
             raise InputError(f"{where} {exc}") from None
     return belief, dropped
 
 
-def render_belief(belief: Mapping[SlotName, str]) -> dict[str, str]:
-    """Render a belief as a plain string map, sorted by slot name."""
-    return {str(slot): value for slot, value in sorted(belief.items(), key=lambda kv: str(kv[0]))}
+def render_belief(belief: Mapping[str, str]) -> dict[str, str]:
+    """The belief sorted by slot name."""
+    return dict(sorted(belief.items()))
 
 
 def turn_key(dialogue_id: str, turn_id: int) -> str:

@@ -43,7 +43,7 @@ def serialize_triplet(triplet: Triplet) -> str:
     ``none``.
     """
     if triplet.prev_state:
-        entries = sorted(triplet.prev_state.items(), key=lambda kv: str(kv[0]))
+        entries = sorted(triplet.prev_state.items())
         state = "; ".join(f"{slot}={value}" for slot, value in entries)
     else:
         state = "none"

@@ -189,14 +189,21 @@ def _body_path(head_path: str | os.PathLike) -> str:
 
 def write_table(head_path: str | os.PathLike, head: dict, matrix: np.ndarray) -> None:
     """Write ``matrix`` as the ``.npy`` body, then ``head`` with the body's
-    blake2b digest and dim put first, each atomically. A crash between the
-    two leaves an old head that :func:`read_table` refuses with the new body."""
+    blake2b digest and dim put first, each atomically. A head that cannot be
+    written takes the new body with it; a crash between the two leaves an
+    old head that :func:`read_table` refuses with the new body."""
     body = io.BytesIO()
     np.lib.format.write_array(body, matrix, allow_pickle=False)
     data = body.getvalue()
-    _replace_with(_body_path(head_path), data)
+    body_path = _body_path(head_path)
+    _replace_with(body_path, data)
     digest = hashlib.blake2b(data).hexdigest()
-    write_json(head_path, {"body_blake2b": digest, "dim": int(matrix.shape[1]), **head})
+    try:
+        write_json(head_path, {"body_blake2b": digest, "dim": int(matrix.shape[1]), **head})
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(body_path)
+        raise
 
 
 def read_table(
@@ -261,4 +268,6 @@ def _replace_with(path: str | os.PathLike, data: bytes) -> None:
                 os.unlink(temp)
             raise
     except (OSError, ValueError) as exc:
+        if getattr(exc, "filename2", None):  # a failed replace: name the target, not the temp
+            exc = OSError(exc.errno, exc.strerror, exc.filename2)
         raise InputError(f"cannot write {os.fspath(path)!r}: {exc}") from None

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dialogue import (
     LabeledTurn,
-    SlotName,
     Triplet,
     TurnBelief,
     make_belief,
@@ -218,14 +217,14 @@ class SyntheticProfile:
                 raise ValueError(f"{label} must be in [0, 1], got {value}")
 
 
-_NOISE_SLOT = SlotName("noise", "slot")
+_NOISE_SLOT = "noise-slot"
 
 
 def _corrupt(gold: TurnBelief, rng: np.random.Generator) -> TurnBelief:
     marker = f"corrupted-{int(rng.integers(1_000_000))}"
     if not gold:
         return {_NOISE_SLOT: marker}
-    entries = sorted(gold.items(), key=lambda kv: str(kv[0]))
+    entries = sorted(gold.items())
     index = int(rng.integers(len(entries)))
     if int(rng.integers(2)) == 0:
         del entries[index]

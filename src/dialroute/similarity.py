@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Collection, Hashable, Mapping
 
-from .dialogue import SlotName
-
 
 def f1_sets(a: Collection[Hashable], b: Collection[Hashable]) -> float:
     """F-score between two sets: 2PR/(P+R) with P = |a∩b|/|a|, R = |a∩b|/|b|.
@@ -25,7 +23,7 @@ def f1_sets(a: Collection[Hashable], b: Collection[Hashable]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def tlb_similarity(a: Mapping[SlotName, str], b: Mapping[SlotName, str]) -> float:
+def tlb_similarity(a: Mapping[str, str], b: Mapping[str, str]) -> float:
     """Belief similarity in [-1, 1]: F over (slot, value) pairs plus F over
     slot names, minus 1. Equal beliefs score 1; disjoint non-empty ones -1."""
     f_slot_value = f1_sets(a.items(), b.items())

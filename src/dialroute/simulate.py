@@ -23,13 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .cli import embed_turns, mine_pairs, sampled_pools, save_training
-from .dialogue import (
-    Corpus,
-    Dialogue,
-    SlotName,
-    Turn,
-    save_corpus,
-)
+from .dialogue import SEPARATOR, Corpus, Dialogue, Turn, save_corpus
 from .embedding import HashEmbedder, ProjectionAdapter, check_dim, save_store
 from .errors import is_int, is_number
 from .experts import (
@@ -91,7 +85,7 @@ RESTAURANT_SLOTS: dict[str, tuple[str, ...]] = {
 # Each domain's words and its (slot name, values) pairs in slot order, the
 # order in which a turn's slots are drawn.
 _CLUSTERS = {
-    domain: (words, tuple((SlotName(domain, slot), slots[slot]) for slot in sorted(slots)))
+    domain: (words, tuple((domain + SEPARATOR + slot, slots[slot]) for slot in sorted(slots)))
     for domain, words, slots in (
         (HOTEL_DOMAIN, HOTEL_WORDS, HOTEL_SLOTS),
         (RESTAURANT_DOMAIN, RESTAURANT_WORDS, RESTAURANT_SLOTS),
@@ -174,7 +168,7 @@ def _make_turns(
         words, slots = _CLUSTERS[domain]
         n_slots = 1 + int(rng.random() < 0.35)
         picked = rng.choice(len(slots), size=min(n_slots, len(slots)), replace=False)
-        tlb: dict[SlotName, str] = {}
+        tlb: dict[str, str] = {}
         value_words: list[str] = []
         for index in sorted(picked.tolist()):
             name, values = slots[index]

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from dialroute import ExpertPrediction, InputError, PairSet, f1_sets, tlb_similarity
-from dialroute.dialogue import Corpus, Dialogue, SlotName, Turn, _parse_corpus, render_belief
+from dialroute.dialogue import Corpus, Dialogue, Turn, _parse_corpus, render_belief
 from dialroute.errors import parse_json
 from dialroute.experts import _corrupt
 from dialroute.seeding import subseed
@@ -58,7 +58,7 @@ def _make_turns(rng, dialogue_id, clusters, spec):
         for index in sorted(int(i) for i in picked):
             slot = slot_names[index]
             value = slots[slot][int(rng.integers(len(slots[slot])))]
-            tlb[SlotName(domain, slot)] = value
+            tlb[f"{domain}-{slot}"] = value
             value_words.append(value)
         cluster_words = [words[int(i)] for i in rng.choice(len(words), size=2, replace=False)]
         noise = [FILLER_WORDS[int(i)] for i in rng.integers(0, len(FILLER_WORDS), spec.noise_words)]

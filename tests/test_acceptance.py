@@ -25,7 +25,6 @@ from dialroute import (
     RoutedRun,
     RoutingDecision,
     SimulationSpec,
-    SlotName,
     Triplet,
     build_pools,
     f1_sets,
@@ -125,12 +124,12 @@ def test_2_sgd_cost_rows():
 
 def test_3_similarity_oracle_suite():
     slots = [
-        SlotName("hotel", "area"),
-        SlotName("hotel", "price"),
-        SlotName("hotel", "stars"),
-        SlotName("train", "day"),
-        SlotName("train", "dest"),
-        SlotName("restaurant", "food"),
+        "hotel-area",
+        "hotel-price",
+        "hotel-stars",
+        "train-day",
+        "train-dest",
+        "restaurant-food",
     ]
     values = ["north", "south", "cheap", "dear", "monday", "thai"]
     rng = np.random.default_rng(3)
@@ -296,10 +295,10 @@ def test_7_end_to_end_simulation(tmp_path):
 
 
 def test_8_pool_construction_suite():
-    area = SlotName("hotel", "area")
-    price = SlotName("hotel", "price")
+    area = "hotel-area"
+    price = "hotel-price"
     rng = np.random.default_rng(8)
-    slots = [area, price, SlotName("train", "day")]
+    slots = [area, price, "train-day"]
     values = ["north", "south", "cheap", "monday"]
 
     def lt(turn_id, gold, dialogue="d"):
@@ -384,7 +383,7 @@ def replayed_run(corpus, beliefs):
 
 
 def test_9_state_aggregation_metric_suite():
-    area = SlotName("hotel", "area")
+    area = "hotel-area"
     with criterion(9, "DST accumulation: replacement, persistence, overwrite", 1.0):
         # replacement: the later value wins, nothing is deleted
         corpus = corpus_of(
@@ -394,7 +393,7 @@ def test_9_state_aggregation_metric_suite():
             ]),
         )
         run = replayed_run(corpus, dict(corpus.gold_tlbs()))
-        assert run.records[-1].state == {area: "south", SlotName("hotel", "price"): "cheap"}
+        assert run.records[-1].state == {area: "south", "hotel-price": "cheap"}
         assert tlb_jga(run, corpus) == 1.0
         assert dst_jga(run, corpus) == 1.0
 

@@ -473,6 +473,32 @@ class TestExitCodes:
         assert main([command, "--config", config]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, setting, named",
+        [
+            ("build-pools", "adapter_path", "cannot open adapter 'a\\x00b'"),
+            ("route", "pools_dir", "cannot open pool 'a\\x00b/pool_"),
+            ("report", "run_path", "cannot open run 'a\\x00b'"),
+        ],
+    )
+    def test_a_refused_artifact_path_is_not_reported_missing(
+        self, pipeline, tmp_path, capsys, command, setting, named
+    ):
+        """A NUL makes a path one the OS refuses, not one that is absent: the
+        loader opens it and names it, where report with ``report_runs`` set
+        would otherwise skip the run and exit 0."""
+        out = pipeline.out
+        settings = {
+            "embeddings_path": str(out / "embeddings.json"),
+            "adapter_path": str(out / "adapter.json"),
+            "pools_dir": str(out),
+            "report_runs": {"oracle": str(pipeline.sim.out_dir / "run_oracle.jsonl")},
+            setting: "a\0b",
+        }
+        config = write_config(tmp_path / "c.json", pipeline.sim, tmp_path / "out", **settings)
+        assert main([command, "--config", config]) == 1
+        assert named in capsys.readouterr().err
+
     def test_module_entry_point(self, small_sim, tmp_path):
         config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out")
         proc = subprocess.run(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dialroute import InputError, SlotName, aggregate_state, make_belief, save_corpus, turn_key
+from dialroute import InputError, aggregate_state, make_belief, save_corpus, slot_name, turn_key
 from dialroute.dialogue import (
     accumulate_dialogue,
     canonicalize_value,
@@ -17,51 +17,48 @@ from dialroute.dialogue import (
 from conftest import corpus_of, dlg, trn
 from oracles import parse_dialogues
 
-AREA = SlotName("hotel", "area")
-PRICE = SlotName("hotel", "price")
-DAY = SlotName("train", "day")
+AREA = "hotel-area"
+PRICE = "hotel-price"
+DAY = "train-day"
 
 
-class TestSlotName:
-    def test_parse_and_render(self):
-        slot = SlotName.parse("hotel-book people")
-        assert slot == SlotName("hotel", "book people")
-        assert str(slot) == "hotel-book people"
+class TestCanonicalSlot:
+    def test_canonical_form(self):
+        assert slot_name("hotel-book people") == "hotel-book people"
+        assert slot_name(" Hotel-Book   PEOPLE ") == "hotel-book people"
 
-    def test_rejects_second_separator(self):
-        # compound slots use spaces; a second dash is ambiguous
-        with pytest.raises(InputError):
-            SlotName.parse("hotel-book-day")
-
-    def test_rejects_missing_separator(self):
-        with pytest.raises(InputError):
-            SlotName.parse("hotelarea")
-
-    def test_rejects_empty_parts(self):
-        with pytest.raises(InputError):
-            SlotName.parse("-area")
-        with pytest.raises(InputError):
-            SlotName.parse("hotel-")
-
-    def test_domain_may_not_contain_separator(self):
-        with pytest.raises(InputError):
-            SlotName("ho-tel", "area")
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # compound slots use spaces; a second dash is ambiguous
+            ("hotel-book-day", "slot name slot 'book-day' contains the separator '-'"),
+            ("hotelarea", "slot name 'hotelarea' lacks the '-' separator"),
+            ("-area", "slot name has an empty domain part"),
+            ("hotel-", "slot name has an empty slot part"),
+            # the first dash splits, so a dashed domain leaves one in the slot
+            ("ho-tel-area", "slot name slot 'tel-area' contains the separator '-'"),
+        ],
+    )
+    def test_refusals(self, bad, message):
+        with pytest.raises(InputError) as caught:
+            slot_name(bad)
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("bad", ["hotel-book-day", "hotelarea", "-area", "hotel-"])
-    def test_cached_parse_raises_the_same_error_every_time(self, bad):
-        uncached = SlotName.parse.__wrapped__
+    def test_a_failing_name_is_not_cached(self, bad):
+        before = slot_name.cache_info().currsize
         messages = []
-        for parse in (SlotName.parse, SlotName.parse, lambda text: uncached(SlotName, text)):
+        for check in (slot_name, slot_name, slot_name.__wrapped__):
             with pytest.raises(InputError) as caught:
-                parse(bad)
+                check(bad)
             messages.append(str(caught.value))
         assert messages[0] == messages[1] == messages[2]
+        assert slot_name.cache_info().currsize == before
 
-    def test_cached_parse_gives_equal_slots(self):
-        first = [SlotName.parse(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
-        again = [SlotName.parse(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
+    def test_cached_names_are_equal(self):
+        first = [slot_name(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
+        again = [slot_name(text) for text in ("hotel-area", " Hotel-AREA ", "train-day")]
         assert first == again == [AREA, AREA, DAY]
-        assert len({first[0], again[1]}) == 1
 
 
 class TestCanonicalization:

@@ -15,7 +15,6 @@ from dialroute import (
     HashEmbedder,
     InputError,
     ProjectionAdapter,
-    SlotName,
     load_adapter,
     load_store,
     project,
@@ -47,7 +46,7 @@ class TestSerializeTriplet:
         assert serialize_triplet(t) == "[state] none [system]  [user] hi"
 
     def test_state_sorted_by_slot(self):
-        state = {SlotName("train", "day"): "monday", SlotName("hotel", "area"): "west"}
+        state = {"train-day": "monday", "hotel-area": "west"}
         t = Triplet("d", 1, state, "Any area?", "West please")
         assert (
             serialize_triplet(t)
@@ -55,7 +54,7 @@ class TestSerializeTriplet:
         )
 
     def test_entry_order_irrelevant(self):
-        a = {SlotName("a", "x"): "1", SlotName("b", "y"): "2"}
+        a = {"a-x": "1", "b-y": "2"}
         b = dict(reversed(list(a.items())))
         assert serialize_triplet(Triplet("d", 1, a, "s", "u")) == serialize_triplet(
             Triplet("d", 1, b, "s", "u")

@@ -15,7 +15,6 @@ from dialroute import (
     ExpertPrediction,
     InputError,
     ReplayExpert,
-    SlotName,
     SyntheticExpert,
     SyntheticProfile,
     assign_expert_label,
@@ -34,9 +33,9 @@ from dialroute.simulate import make_experts, run_simulation
 
 from conftest import edit_table
 
-AREA = SlotName("hotel", "area")
-PRICE = SlotName("hotel", "price")
-NOISE = SlotName("noise", "slot")
+AREA = "hotel-area"
+PRICE = "hotel-price"
+NOISE = "noise-slot"
 
 
 def lt(key_num, gold, state=None):
@@ -65,7 +64,7 @@ class TestJudging:
         gold = {AREA: "north", PRICE: "cheap"}
         assert judge_correct(dict(gold), gold)
         assert not judge_correct({AREA: "north"}, gold)
-        assert not judge_correct({**gold, SlotName("x", "y"): "z"}, gold)
+        assert not judge_correct({**gold, "x-y": "z"}, gold)
         assert judge_correct({}, {})
 
     def test_assign_prefers_closer_then_lower_rank(self):

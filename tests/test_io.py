@@ -20,10 +20,11 @@ from dialroute import (
     PairSet,
     PoolEntry,
     ProjectionAdapter,
-    SlotName,
     load_adapter,
+    load_corpus,
     load_pool,
     load_predictions,
+    load_run,
     load_store,
     make_series,
     save_adapter,
@@ -31,6 +32,7 @@ from dialroute import (
     save_report,
     save_series,
     save_store,
+    turn_key,
     write_predictions,
 )
 from dialroute.cli import save_training
@@ -144,7 +146,7 @@ class TestWritersMatchJsonDump:
     def test_predictions(self, small_sim, tmp_path):
         loaded = load_predictions(str(small_sim.out_dir / "predictions_slm.jsonl"))
         predictions = list(loaded["slm"].values())
-        predictions.append(ExpertPrediction("é", 0, "slm", {SlotName("hôtel", "área"): "sür"}))
+        predictions.append(ExpertPrediction("é", 0, "slm", {"hôtel-área": "sür"}))
         self.same_bytes(tmp_path, write_predictions, oracles.write_predictions, predictions)
 
 
@@ -228,7 +230,8 @@ class TestTables:
     @pytest.mark.parametrize("part", [".npy", ".json"])
     def test_failed_replace_keeps_the_old_bytes(self, tmp_path, part):
         """The body is written first. A failed body leaves the old pair; a
-        failed head leaves the old head, whose digest refuses the new body."""
+        failed head leaves the old head and takes the new body with it, so
+        the head's body is missing."""
         path = tmp_path / "store.json"
         old = edge_store()
         save_store(old, str(path))
@@ -244,12 +247,48 @@ class TestTables:
         with mock.patch("dialroute.errors.os.replace", side_effect=replace):
             with pytest.raises(InputError, match="disk gone"):
                 save_store(new, str(path))
-        assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
         failed = "store" + part
         assert (tmp_path / failed).read_bytes() == before[failed]
         if part == ".npy":
+            assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
             assert (tmp_path / "store.json").read_bytes() == before["store.json"]
             assert list(load_store(str(path)).vectors) == list(old.vectors)
         else:
-            with pytest.raises(InputError, match="does not match its digest"):
+            assert os.listdir(tmp_path) == ["store.json"]
+            with pytest.raises(InputError, match="cannot open embedding store body"):
                 load_store(str(path))
+
+    def test_a_head_naming_a_directory_leaves_no_file(self, tmp_path):
+        """The head cannot replace a directory, and the body written before
+        it is removed again."""
+        (tmp_path / "store.json").mkdir()
+        with pytest.raises(InputError, match="cannot write"):
+            save_store(edge_store(), str(tmp_path / "store.json"))
+        assert os.listdir(tmp_path) == ["store.json"]
+        assert os.listdir(tmp_path / "store.json") == []
+
+
+def test_beliefs_are_keyed_by_the_strings_their_files_hold(small_sim):
+    """A corpus, a predictions file and a run file each load every belief
+    as the plain string map its file holds."""
+    sim = small_sim.out_dir
+
+    def lines(name):
+        return [json.loads(line) for line in (sim / name).read_text(encoding="utf-8").splitlines()]
+
+    def plain(belief):
+        assert all(type(slot) is str for slot in belief)
+        return belief
+
+    corpus = load_corpus(str(sim / "corpus_test.jsonl"))
+    golds = [turn["gold_tlb"] for record in lines("corpus_test.jsonl") for turn in record["turns"]]
+    assert [plain(t.gold_tlb) for d in corpus for t in d.turns] == golds
+
+    predictions = load_predictions(str(sim / "predictions_slm.jsonl"))["slm"]
+    for record in lines("predictions_slm.jsonl"):
+        key = turn_key(record["dialogue_id"], record["turn_id"])
+        assert plain(predictions[key].tlb) == record["tlb"]
+
+    run = load_run(str(sim / "run_oracle.jsonl"))
+    beliefs = [record["tlb"] for record in lines("run_oracle.jsonl") if "summary" not in record]
+    assert [plain(record.tlb) for record in run.records] == beliefs

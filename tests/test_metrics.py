@@ -16,7 +16,6 @@ from dialroute import (
     ReplayExpert,
     RoutedRun,
     RoutingDecision,
-    SlotName,
     categorize_ood,
     load_run,
     make_report,
@@ -31,8 +30,8 @@ from dialroute.routing import TurnRecord
 
 from conftest import assignment_ratio, corpus_of, dlg, dst_jga, tlb_jga, trn
 
-AREA = SlotName("hotel", "area")
-PRICE = SlotName("hotel", "price")
+AREA = "hotel-area"
+PRICE = "hotel-price"
 
 MWOZ_TURNS = 7333
 MWOZ_COSTS = CostTable({"slm": 272 / MWOZ_TURNS, "llm": 3000.0}, 0.02)

@@ -22,7 +22,6 @@ from dialroute import (
     ReplayExpert,
     RetrievalRouter,
     RoutingDecision,
-    SlotName,
     TurnContext,
     load_run,
     run_pipeline,
@@ -35,7 +34,7 @@ from dialroute.routing import LogisticModel
 
 from conftest import corpus_of, cosine, dlg, trn
 
-AREA = SlotName("hotel", "area")
+AREA = "hotel-area"
 
 
 def entry(key, vector, dtype=np.float64):
@@ -615,10 +614,10 @@ class TestRunPipeline:
         run = run_pipeline(corpus, experts, ConstantRouter(SLM))
         assert run.keys() == ["d1:0", "d1:1", "d2:0"]
         assert run.records[1].state == {
-            SlotName("hotel", "area"): "north",
-            SlotName("hotel", "price"): "cheap",
+            "hotel-area": "north",
+            "hotel-price": "cheap",
         }
-        assert run.records[2].state == {SlotName("train", "day"): "monday"}
+        assert run.records[2].state == {"train-day": "monday"}
 
     def test_each_expert_predicts_at_most_once_per_turn(self):
         corpus = self.corpus()
@@ -662,7 +661,7 @@ class TestRunPipeline:
         ]
         run_pipeline(corpus, experts, SpyRouter(), prior_mode="gold")
         # despite slm predicting nothing, turn d1:1 sees the gold prior
-        assert seen_states[1] == {SlotName("hotel", "area"): "north"}
+        assert seen_states[1] == {"hotel-area": "north"}
 
     def test_snapshot_records_router_and_extras(self):
         corpus = self.corpus()

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dialroute import SlotName, f1_sets, tlb_similarity
+from dialroute import f1_sets, tlb_similarity
 from dialroute.dialogue import LabeledTurn, Triplet
 from oracles import turn_similarity
 
@@ -37,11 +37,11 @@ def tlb_reference(a, b):
 # --- strategies: a tiny alphabet so overlaps actually happen ------------------
 
 SLOTS = [
-    SlotName("hotel", "area"),
-    SlotName("hotel", "price"),
-    SlotName("hotel", "stars"),
-    SlotName("train", "day"),
-    SlotName("restaurant", "food"),
+    "hotel-area",
+    "hotel-price",
+    "hotel-stars",
+    "train-day",
+    "restaurant-food",
 ]
 VALUES = ["north", "south", "cheap", "monday", "thai", "3"]
 
@@ -54,8 +54,8 @@ def labeled(state, tlb, key=("d", 0)):
 
 # --- exact cases --------------------------------------------------------------
 
-AREA = SlotName("hotel", "area")
-PRICE = SlotName("hotel", "price")
+AREA = "hotel-area"
+PRICE = "hotel-price"
 
 
 def test_f1_empty_conventions():
@@ -78,7 +78,7 @@ def test_tlb_similarity_extremes():
     # same slots, all values wrong: F_slot 1, F_slot_value 0
     assert tlb_similarity(full, {AREA: "south", PRICE: "dear"}) == 0.0
     # disjoint slots
-    assert tlb_similarity({AREA: "north"}, {SlotName("train", "day"): "monday"}) == -1.0
+    assert tlb_similarity({AREA: "north"}, {"train-day": "monday"}) == -1.0
 
 
 def test_tlb_similarity_worked_example():

@@ -20,7 +20,6 @@ from dialroute import (
     InputError,
     PairSet,
     ProjectionAdapter,
-    SlotName,
     TrainConfig,
     merge_pairs,
     mine_expert_pairs,
@@ -38,8 +37,8 @@ from dialroute.supervision import _loss_and_grad, _PairProblem, save_pairs
 
 from conftest import cosine
 
-AREA = SlotName("hotel", "area")
-DAY = SlotName("train", "day")
+AREA = "hotel-area"
+DAY = "train-day"
 
 
 def lt(key, tlb, state=None):
