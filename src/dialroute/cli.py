@@ -54,7 +54,7 @@ from .experts import (
     sample_pool,
     save_pool,
 )
-from .metrics import Report, make_report, make_series, save_report, save_series
+from .metrics import CostTable, Report, make_report, make_series, save_report, save_series
 from .routing import (
     CascadeRouter,
     ClassifierRouter,
@@ -300,6 +300,11 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
             margin=cfg.margin, learning_rate=cfg.learning_rate, epochs=cfg.epochs
         )
         adapter, history = train_adapter(pairs, store, train_config)
+        try:  # build-pools projects every hold-out turn: a diverged fit fails here instead
+            for turn in turns:
+                project(adapter, store[turn.key], turn.key)
+        except InputError as exc:
+            raise InputError(f"{exc}; lower hyperparameters.learning_rate") from None
 
     save_training(adapter, history, adapter_path)
     if history:
@@ -415,6 +420,7 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
     corpus = _load_corpus(cfg, "corpus")
+    costs = CostTable(cfg.expert_costs, cfg.router_cost)
     reports: dict[str, Report] = {}
 
     def report_of(path: str) -> Report:
@@ -425,7 +431,7 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
             key = path
         if key not in reports:
             run = load_run(path)
-            reports[key] = make_report(run, corpus, cfg.costs, cfg.training_domains)
+            reports[key] = make_report(run, corpus, costs, cfg.training_domains)
         return reports[key]
 
     run_path = cfg.resolve_run()
@@ -455,20 +461,8 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
 def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     from .simulate import SimulationSpec, run_simulation  # simulate imports this module
 
-    fields = {f.name for f in SimulationSpec.__dataclass_fields__.values()}
-    unknown = set(cfg.simulation) - fields
-    if unknown:
-        raise InputError(f"unknown simulation settings: {sorted(unknown)}")
-    settings = dict(cfg.simulation)
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    else:
-        settings.setdefault("seed", cfg.seed)
-    try:
-        spec = SimulationSpec(**settings)
-    except (TypeError, ValueError, InputError) as exc:
-        raise InputError(f"bad simulation settings: {exc}") from None
-    result = run_simulation(spec, cfg.out_dir)
+    seed = cfg.simulation.get("seed", cfg.seed) if args.seed is None else args.seed
+    result = run_simulation(SimulationSpec(**{**cfg.simulation, "seed": seed}), cfg.out_dir)
     print(
         f"simulated {len(result.test_corpus.dialogues)} test + "
         f"{len(result.holdout_corpus.dialogues)} hold-out dialogues -> {result.out_dir}"

@@ -15,31 +15,96 @@ Minimal example::
 Everything else has defaults. Intermediate artifacts (embedding store,
 adapter, pools, run, report) default to well-known names inside the output
 directory so the commands compose without extra wiring.
+
+Each setting is declared once, by :func:`setting`, as a field of :class:`RunConfig`,
+:class:`EmbedderSpec` or ``simulate.SimulationSpec``; a key no setting names is refused.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .embedding import check_dim
 from .errors import InputError, field, is_int, is_number, read_json
 from .experts import LLM, SLM, ExpertId, parse_experts, validate_experts
-from .metrics import CostTable
-from .supervision import TrainConfig
 
 ROUTERS = ("retrieval", "oracle", "cascade", "classifier")
 SUPERVISIONS = ("none", "task", "expert", "task+expert")
-PRIOR_MODES = ("predicted", "gold")
+
+
+class Range(NamedTuple):
+    """The values a setting may take: a test, and the words a refusal says it in."""
+
+    words: str
+    test: Callable[[Any], bool]
+
+    def check(self, name: str, value: Any) -> None:
+        if not self.test(value):
+            raise InputError(f"{name} {self.words}, got {value!r}")
+
+
+def at_least(low: int) -> Range:
+    return Range(f"must be >= {low}", lambda value: value >= low)
+
+
+def one_of(choices: tuple[str, ...]) -> Range:
+    return Range(f"must be one of {choices}", lambda value: value in choices)
+
+
+ANY = Range("", lambda value: True)
+MARGIN = Range("must be in [0, 1)", lambda value: 0.0 <= value < 1.0)
+LEARNING_RATE = Range("must be positive and finite", lambda value: 0.0 < value < math.inf)
+STRING = Range("must be a string", lambda value: type(value) is str)
+STRINGS = Range("must hold only strings", lambda v: v is None or all(type(x) is str for x in v))
+COST = Range("must be a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf)
+POOL_SIZE = Range(
+    "must be an integer >= 1 or a map of expert name to such integers",
+    lambda v: all(is_int(n) and n >= 1 for n in (v.values() if type(v) is dict else [v])),
+)
+
+
+class Setting(NamedTuple):
+    """Where a config keeps a setting, its key path (``hyperparameters.l``);
+    the JSON kind :func:`errors.field` reads it as, None where ``range``
+    tests the kind too; its default; and its range. Each entry of an object
+    (a map from names the user chooses) is in range by itself."""
+
+    path: str
+    kind: type | None
+    default: Any
+    range: Range
+    label: str | None  # how a refusal names the setting, if not by its path
+
+    def check(self, value: Any) -> None:
+        """:class:`InputError` unless ``value`` is in range."""
+        if self.kind is dict:
+            for key, entry in value.items():
+                self.range.check(f"config field '{self.path}.{key}'", entry)
+        else:
+            self.range.check(self.label or f"config field {self.path!r}", value)
+
+
+def setting(path: str, kind: type | None, default: Any = None, range=ANY, label=None) -> Any:
+    """A dataclass field for the setting at key ``path``; see :class:`Setting`."""
+    made = {"default_factory": lambda: dict(default)} if type(default) is dict else {"default": default}
+    return dataclasses.field(**made, metadata={"setting": Setting(path, kind, default, range, label)})
+
+
+def settings_of(cls: type) -> dict[str, Setting]:
+    """Each field of the dataclass ``cls`` that :func:`setting` made, by name."""
+    return {f.name: f.metadata["setting"] for f in dataclasses.fields(cls) if f.metadata}
 
 
 @dataclass(frozen=True)
 class EmbedderSpec:
-    kind: str = "hash"
-    dim: int = 256
-    path: str | None = None
+    kind: str = setting("embedder.kind", str, "hash")
+    dim: int = setting("embedder.dim", int, 256)
+    path: str | None = setting("embedder.path", str)
 
     def __post_init__(self) -> None:
         if self.kind not in ("hash", "store"):
@@ -52,57 +117,41 @@ class EmbedderSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    corpus: str | None = None
-    holdout: str | None = None
-    predictions: dict[str, str] = dataclasses.field(default_factory=dict)
-    experts: tuple[ExpertId, ...] = (SLM, LLM)
+    """Every run setting but the embedder's and the simulation's; see :func:`setting`."""
+
+    corpus: str | None = setting("corpus", str)
+    holdout: str | None = setting("holdout", str)
+    predictions: dict[str, str] = setting("predictions", dict, {}, STRING)
+    experts: tuple[ExpertId, ...] = setting("experts", None, (SLM, LLM))  # parse_experts reads it
     embedder: EmbedderSpec = EmbedderSpec()
-    out_dir: str = "out"
-    embeddings_path: str | None = None
-    adapter_path: str | None = None
-    pairs_path: str | None = None
-    pools_dir: str | None = None
-    run_path: str | None = None
-    report_path: str | None = None
-    k: int = 10
-    pairs_per_query: int = 25
-    pool_size: int | dict[str, int] = 100
-    margin: float = 0.2
-    learning_rate: float = 0.01
-    epochs: int = 30
-    costs: CostTable = dataclasses.field(
-        default_factory=lambda: CostTable({"slm": 0.04, "llm": 3000.0})
-    )
-    seed: int = 0
-    router: str = "retrieval"
-    supervision: str = "task+expert"
-    prior_mode: str = "predicted"
-    training_domains: tuple[str, ...] | None = None
-    report_runs: dict[str, str] = dataclasses.field(default_factory=dict)
-    simulation: dict = dataclasses.field(default_factory=dict)
+    out_dir: str = setting("out_dir", str, "out")
+    embeddings_path: str | None = setting("embeddings_path", str)
+    adapter_path: str | None = setting("adapter_path", str)
+    pairs_path: str | None = setting("pairs_path", str)
+    pools_dir: str | None = setting("pools_dir", str)
+    run_path: str | None = setting("run_path", str)
+    report_path: str | None = setting("report_path", str)
+    k: int = setting("hyperparameters.k", int, 10, at_least(1))
+    pairs_per_query: int = setting("hyperparameters.l", int, 25, at_least(1), "l (pairs per query)")
+    pool_size: int | dict[str, int] = setting("hyperparameters.pool_size", None, 100, POOL_SIZE)
+    margin: float = setting("hyperparameters.margin", float, 0.2, MARGIN)
+    learning_rate: float = setting("hyperparameters.learning_rate", float, 0.01, LEARNING_RATE)
+    epochs: int = setting("hyperparameters.epochs", int, 30, at_least(0))
+    expert_costs: dict[str, float] = setting("costs.experts", dict, {"slm": 0.04, "llm": 3000.0}, COST)
+    router_cost: float = setting("costs.router", None, 0.02, COST)
+    seed: int = setting("seed", int, 0)
+    router: str = setting("router", str, "retrieval", one_of(ROUTERS))
+    supervision: str = setting("supervision", str, "task+expert", one_of(SUPERVISIONS))
+    prior_mode: str = setting("prior_mode", str, "predicted", one_of(("predicted", "gold")))
+    training_domains: tuple[str, ...] | None = setting("training_domains", list, None, STRINGS)
+    report_runs: dict[str, str] = setting("report_runs", dict, {}, STRING)
+    simulation: dict = dataclasses.field(default_factory=dict)  # SimulationSpec's settings
 
     def __post_init__(self) -> None:
         # Commands read the experts in priority order, not in list order.
         object.__setattr__(self, "experts", tuple(validate_experts(self.experts)))
-        if self.router not in ROUTERS:
-            raise InputError(f"router must be one of {ROUTERS}, got {self.router!r}")
-        if self.supervision not in SUPERVISIONS:
-            raise InputError(
-                f"supervision must be one of {SUPERVISIONS}, got {self.supervision!r}"
-            )
-        if self.prior_mode not in PRIOR_MODES:
-            raise InputError(f"prior_mode must be one of {PRIOR_MODES}, got {self.prior_mode!r}")
-        if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.pairs_per_query < 1:
-            raise InputError(f"l (pairs per query) must be >= 1, got {self.pairs_per_query}")
-        sizes = self.pool_size.values() if isinstance(self.pool_size, dict) else [self.pool_size]
-        if not all(is_int(n) and n >= 1 for n in sizes):
-            raise InputError(
-                "pool_size must be an integer >= 1 or a map of expert name to such integers, "
-                f"got {self.pool_size!r}"
-            )
-        TrainConfig(self.margin, self.learning_rate, self.epochs)  # their range checks
+        for name, declared in settings_of(RunConfig).items():
+            declared.check(getattr(self, name))
 
     # Well-known artifact locations inside the output directory.
     def resolve_embeddings(self) -> Path:
@@ -135,81 +184,43 @@ class RunConfig:
         return self.pool_size
 
 
-def _cost(value: object, name: str) -> float:
-    """A cost: a finite number >= 0, an int accepted, no boolean or string."""
-    if not is_number(value) or not 0.0 <= value < math.inf:
-        raise InputError(f"config field {name!r} must be a finite number >= 0, got {value!r}")
-    return float(value)
+def _read(record: dict, declared: dict[str, Setting], prefix: str = "") -> dict[str, Any]:
+    """The value of each setting in ``declared`` (by key path) that ``record``,
+    the object at ``prefix``, sets, by key path. A key that no path runs
+    through is refused, naming the nearest key that one does."""
+    known = sorted({path[len(prefix) :].split(".")[0] for path in declared if path.startswith(prefix)})
+    values = {}
+    for key, value in record.items():
+        path = prefix + key
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = f" (did you mean {prefix + near[0]!r}?)" if near else ""
+            raise InputError(f"unknown config key {path!r}{hint}")
+        if path not in declared:  # an object of settings; a null one is empty
+            values.update(_read(field(record, key, dict, "config field", None) or {}, declared, f"{path}."))
+        elif (kind := declared[path].kind) is None:
+            values[path] = value
+        else:
+            value = field(record, key, kind, "config field", declared[path].default)
+            values[path] = tuple(value) if kind is list and value is not None else value
+    return values
 
 
 def parse_config(record: dict) -> RunConfig:
     if not isinstance(record, dict):
         raise InputError("config must be a JSON object")
-    known = RunConfig()
-    where = "config field"
-    experts = known.experts
-    if "experts" in record:
-        experts = tuple(parse_experts(record["experts"], "config"))
-    embedder = known.embedder
-    raw = field(record, "embedder", dict, where, None)
-    if raw is not None:
-        embedder = EmbedderSpec(
-            kind=field(raw, "kind", str, where, known.embedder.kind),
-            dim=field(raw, "dim", int, where, known.embedder.dim),
-            path=field(raw, "path", str, where, None),
-        )
-    costs = known.costs
-    raw = field(record, "costs", dict, where, None)
-    if raw is not None:
-        expert_costs = field(raw, "experts", dict, where, {})
-        costs = CostTable(
-            {k: _cost(v, f"costs.experts.{k}") for k, v in expert_costs.items()},
-            _cost(raw.get("router", known.costs.router_cost), "costs.router"),
-        )
-    hyper = field(record, "hyperparameters", dict, where, {})
-    predictions = field(record, "predictions", dict, where, {})
-    report_runs = field(record, "report_runs", dict, where, {})
-    training_domains = field(record, "training_domains", list, where, None)
-    for name, strings in (
-        ("predictions", [*predictions, *predictions.values()]),
-        ("report_runs", [*report_runs, *report_runs.values()]),
-        ("training_domains", training_domains or []),
-    ):
-        if not all(type(x) is str for x in strings):
-            raise InputError(f"{where} {name!r} must hold only strings")
-    try:
-        return RunConfig(
-            corpus=field(record, "corpus", str, where, None),
-            holdout=field(record, "holdout", str, where, None),
-            predictions=dict(predictions),
-            experts=experts,
-            embedder=embedder,
-            out_dir=field(record, "out_dir", str, where, known.out_dir),
-            embeddings_path=field(record, "embeddings_path", str, where, None),
-            adapter_path=field(record, "adapter_path", str, where, None),
-            pairs_path=field(record, "pairs_path", str, where, None),
-            pools_dir=field(record, "pools_dir", str, where, None),
-            run_path=field(record, "run_path", str, where, None),
-            report_path=field(record, "report_path", str, where, None),
-            k=field(hyper, "k", int, where, known.k),
-            pairs_per_query=field(hyper, "l", int, where, known.pairs_per_query),
-            pool_size=hyper.get("pool_size", known.pool_size),
-            margin=field(hyper, "margin", float, where, known.margin),
-            learning_rate=field(hyper, "learning_rate", float, where, known.learning_rate),
-            epochs=field(hyper, "epochs", int, where, known.epochs),
-            costs=costs,
-            seed=field(record, "seed", int, where, known.seed),
-            router=field(record, "router", str, where, known.router),
-            supervision=field(record, "supervision", str, where, known.supervision),
-            prior_mode=field(record, "prior_mode", str, where, known.prior_mode),
-            training_domains=None if training_domains is None else tuple(training_domains),
-            report_runs=dict(report_runs),
-            simulation=dict(field(record, "simulation", dict, where, {})),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed config: {exc}") from None
+    from .simulate import SimulationSpec  # simulate imports this module
+
+    classes = (RunConfig, EmbedderSpec, SimulationSpec)
+    values = _read(record, {s.path: s for cls in classes for s in settings_of(cls).values()})
+    run, embedder, simulation = (
+        {name: values[s.path] for name, s in settings_of(cls).items() if s.path in values}
+        for cls in classes
+    )
+    if "experts" in run:
+        run["experts"] = parse_experts(run["experts"], "config")
+    return RunConfig(**run, embedder=EmbedderSpec(**embedder), simulation=simulation)
 
 
 def load_config(path: str) -> RunConfig:
     return parse_config(read_json(path, "config"))
-

@@ -15,7 +15,6 @@ either way. Everything is a pure function of the spec's seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,8 @@ import numpy as np
 from .cli import embed_turns, mine_pairs, sampled_pools, save_training
 from .dialogue import SEPARATOR, Corpus, Dialogue, Turn, save_corpus
 from .embedding import HashEmbedder, ProjectionAdapter, check_dim, save_store
-from .errors import is_int, is_number
+from .config import Range, RunConfig, at_least, setting, settings_of
+from .errors import InputError, is_int, is_number
 from .experts import (
     LLM,
     SLM,
@@ -97,65 +97,53 @@ _EXPERTS = ((SLM, HOTEL_WORDS), (LLM, RESTAURANT_WORDS))
 # A synthetic expert's knobs, in SyntheticProfile's order; the spec sets
 # each one as ``<expert>_<knob>``.
 _KNOBS = ("accuracy_in", "accuracy_out", "confidence_correct", "confidence_wrong")
+# The run config's settings, whose ranges the spec's pipeline settings take.
+_RUN = settings_of(RunConfig)
+_SHARE = Range("must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Knobs for the synthetic benchmark. Defaults give a corpus where base
-    embeddings route decently but the trained adapter still has headroom."""
+    """Knobs for the synthetic benchmark: a config's ``simulation`` settings,
+    each of its default's kind. Defaults give a corpus where base embeddings
+    route decently but the trained adapter still has headroom."""
 
-    dialogues: int = 200
-    holdout_dialogues: int = 80
-    min_turns: int = 3
-    max_turns: int = 6
-    mixed_fraction: float = 0.1
-    embedding_dim: int = 256
-    noise_words: int = 32
-    slm_accuracy_in: float = 0.95
-    slm_accuracy_out: float = 0.30
-    llm_accuracy_in: float = 0.95
-    llm_accuracy_out: float = 0.30
-    slm_confidence_correct: float = 0.85
-    slm_confidence_wrong: float = 0.35
-    llm_confidence_correct: float = 0.90
-    llm_confidence_wrong: float = 0.40
-    k: int = 10
-    pool_size: int = 100
-    pairs_per_query: int = 25
-    margin: float = 0.0
-    learning_rate: float = 5.0
-    epochs: int = 60
-    slm_cost: float = 0.04
-    llm_cost: float = 3000.0
-    router_cost: float = 0.02
-    seed: int = 0
+    dialogues: int = setting("simulation.dialogues", None, 200, at_least(1))
+    holdout_dialogues: int = setting("simulation.holdout_dialogues", None, 80, at_least(1))
+    min_turns: int = setting("simulation.min_turns", None, 3, at_least(1))
+    max_turns: int = setting("simulation.max_turns", None, 6)  # >= min_turns
+    mixed_fraction: float = setting("simulation.mixed_fraction", None, 0.1, _SHARE)
+    embedding_dim: int = setting("simulation.embedding_dim", None, 256)  # check_dim
+    noise_words: int = setting("simulation.noise_words", None, 32, at_least(0))
+    slm_accuracy_in: float = setting("simulation.slm_accuracy_in", None, 0.95, _SHARE)
+    slm_accuracy_out: float = setting("simulation.slm_accuracy_out", None, 0.30, _SHARE)
+    llm_accuracy_in: float = setting("simulation.llm_accuracy_in", None, 0.95, _SHARE)
+    llm_accuracy_out: float = setting("simulation.llm_accuracy_out", None, 0.30, _SHARE)
+    slm_confidence_correct: float = setting("simulation.slm_confidence_correct", None, 0.85, _SHARE)
+    slm_confidence_wrong: float = setting("simulation.slm_confidence_wrong", None, 0.35, _SHARE)
+    llm_confidence_correct: float = setting("simulation.llm_confidence_correct", None, 0.90, _SHARE)
+    llm_confidence_wrong: float = setting("simulation.llm_confidence_wrong", None, 0.40, _SHARE)
+    k: int = setting("simulation.k", None, 10, _RUN["k"].range)
+    pool_size: int = setting("simulation.pool_size", None, 100, _RUN["pool_size"].range)
+    pairs_per_query: int = setting("simulation.pairs_per_query", None, 25, _RUN["pairs_per_query"].range)
+    margin: float = setting("simulation.margin", None, 0.0, _RUN["margin"].range)
+    learning_rate: float = setting("simulation.learning_rate", None, 5.0, _RUN["learning_rate"].range)
+    epochs: int = setting("simulation.epochs", None, 60, _RUN["epochs"].range)
+    slm_cost: float = setting("simulation.slm_cost", None, 0.04, _RUN["expert_costs"].range)
+    llm_cost: float = setting("simulation.llm_cost", None, 3000.0, _RUN["expert_costs"].range)
+    router_cost: float = setting("simulation.router_cost", None, 0.02, _RUN["router_cost"].range)
+    seed: int = setting("simulation.seed", None, 0)
 
     def __post_init__(self) -> None:
         """Reject a spec the pipeline cannot run, before anything is written."""
         for f in fields(self):
-            value, whole = getattr(self, f.name), isinstance(f.default, int)
+            value, whole, declared = getattr(self, f.name), isinstance(f.default, int), f.metadata["setting"]
             if not (is_int(value) if whole else is_number(value)):
                 kind = "an integer" if whole else "a number"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-        lows = {
-            "dialogues": 1, "holdout_dialogues": 1, "min_turns": 1, "max_turns": self.min_turns,
-            "noise_words": 0, "k": 1, "pool_size": 1, "pairs_per_query": 1,
-            "slm_cost": 0, "llm_cost": 0, "router_cost": 0,
-        }
-        for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("slm_cost", "llm_cost", "router_cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
-        shares = ["mixed_fraction"] + [
-            f"{expert.name}_{knob}" for expert, _ in _EXPERTS for knob in _KNOBS
-        ]
-        for name in shares:
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+                raise InputError(f"{declared.path} must be {kind}, got {value!r}")
+            declared.range.check(declared.path, value)
+        at_least(self.min_turns).check("simulation.max_turns", self.max_turns)
         check_dim(self.embedding_dim)
-        TrainConfig(self.margin, self.learning_rate, self.epochs)  # their range checks
 
 
 def _make_turns(

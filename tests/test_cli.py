@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -36,7 +37,9 @@ from dialroute.config import (
     EmbedderSpec,
     load_config,
     parse_config,
+    settings_of,
 )
+from dialroute.simulate import SimulationSpec
 from dialroute.errors import is_number, vector_rows
 
 from conftest import edit_table, npy_bytes
@@ -311,12 +314,6 @@ class TestSimulate:
         assert identical == (tmp_path / "b" / "run_retrieval_trained.jsonl").read_bytes()
         assert identical != (tmp_path / "c" / "run_retrieval_trained.jsonl").read_bytes()
 
-    def test_unknown_setting_rejected(self, tmp_path, capsys):
-        config = tmp_path / "c.json"
-        config.write_text(json.dumps({"simulation": {"dialgues": 8}}))
-        assert main(["simulate", "--config", str(config)]) == 1
-        assert "dialgues" in capsys.readouterr().err
-
 
 class TestLogLevel:
     def test_dialroute_log_sets_the_level(self):
@@ -580,6 +577,20 @@ def test_overflowing_adapter_exits_one_without_a_numpy_warning(pipeline, tmp_pat
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_diverged_fit_exits_one_and_writes_no_adapter(small_sim, tmp_path, capsys):
+    """A learning rate that drives the adapter out of float64 range fails in
+    mine-and-train, naming the setting, not later in build-pools."""
+    out = tmp_path / "out"
+    hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": 1e300}
+    config = write_config(tmp_path / "c.json", small_sim, out, hyperparameters=hyper)
+    assert main(["embed", "--config", config]) == 0
+    assert main(["mine-and-train", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"turn 'hld\d{4}:\d+': the adapter maps its embedding out of float64 range", err)
+    assert "hyperparameters.learning_rate" in err
+    assert not (out / "adapter.json").exists() and not (out / "adapter.npy").exists()
+
+
 BAD_SETTINGS = [
     ("mine-and-train", {"hyperparameters": {"margin": 1.5}}, "margin"),
     ("mine-and-train", {"hyperparameters": {"learning_rate": -1}}, "learning_rate"),
@@ -652,6 +663,45 @@ def test_loaders_reject_non_utf8(kind, tmp_path):
     path.write_bytes(b'{"key": "caf\xff"}\n')
     with pytest.raises(InputError, match="not UTF-8"):
         LOADERS[kind](str(path))
+
+
+def plain(value):
+    """``value`` with dataclasses as dicts and arrays as their bytes, for ==."""
+    if dataclasses.is_dataclass(value):
+        return plain(vars(value))
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+DATA_FILES = {
+    "corpus": "corpus_holdout.jsonl",
+    "predictions": "predictions_slm.jsonl",
+    "run": "run_retrieval_trained.jsonl",
+    "adapter": "adapter.json",
+    "pool": "pool_trained_slm.json",
+    "store": "embeddings_holdout.json",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DATA_FILES))
+def test_data_files_accept_keys_no_loader_reads(small_sim, tmp_path, kind):
+    """Unlike a config, a data file may carry keys its loader does not read:
+    another tool's model outputs may hold more fields. Each record of a
+    JSON Lines file (and each corpus turn, and a run's summary) or a vector
+    table's head gains a key, and loads as it did without it."""
+    source = small_sim.out_dir / DATA_FILES[kind]
+    target = tmp_path / source.name
+    records = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        for extra in [record, record.get("summary", {}), *record.get("turns", [])]:
+            extra["note"] = "not read"
+    target.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    if kind in TABLES:
+        shutil.copy(source.with_suffix(".npy"), target.with_suffix(".npy"))
+    assert plain(LOADERS[kind](str(target))) == plain(LOADERS[kind](str(source)))
 
 
 JSON_VALUES = st.recursive(
@@ -920,6 +970,63 @@ def test_vector_numbers_keep_the_bits_of_a_direct_cast(dtype):
         assert got.tobytes() == np.array([vector], dtype=dtype).tobytes()
 
 
+# A misspelled key at each level whose keys are fixed, and the key meant.
+UNKNOWN_KEYS = [
+    ({"routr": "oracle"}, "routr", "router"),
+    ({"embedder": {"kind": "hash", "dims": 64}}, "embedder.dims", "embedder.dim"),
+    ({"hyperparamters": {"k": 3}}, "hyperparamters", "hyperparameters"),
+    ({"hyperparameters": {"k": 3, "epoch": 2}}, "hyperparameters.epoch", "hyperparameters.epochs"),
+    ({"costs": {"expert": {"slm": 0.04, "llm": 3000.0}}}, "costs.expert", "costs.experts"),
+    ({"simulation": {"dialgues": 8}}, "simulation.dialgues", "simulation.dialogues"),
+]
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("settings, key, meant", UNKNOWN_KEYS)
+def test_unknown_config_key_exits_one_naming_the_key_meant(
+    small_sim, tmp_path, capsys, command, settings, key, meant
+):
+    config = write_config(tmp_path / "c.json", small_sim, tmp_path / "out", **settings)
+    assert main([command, "--config", config]) == 1
+    assert f"error: unknown config key {key!r} (did you mean {meant!r}?)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# Every key a config may set, each to a valid value other than its default.
+EVERY_KEY = {
+    "corpus": "c.jsonl",
+    "holdout": "h.jsonl",
+    "predictions": {"tiny": "p.jsonl"},
+    "experts": [{"name": "tiny", "priority_rank": 0}, {"name": "huge", "priority_rank": 1}],
+    "embedder": {"kind": "store", "dim": 32, "path": "vectors.json"},
+    "out_dir": "o",
+    "embeddings_path": "e.json",
+    "adapter_path": "a.json",
+    "pairs_path": "p.json",
+    "pools_dir": "pools",
+    "run_path": "r.jsonl",
+    "report_path": "rep.json",
+    "hyperparameters": {
+        "k": 3, "l": 7, "pool_size": {"tiny": 5, "huge": 6}, "margin": 0.5, "learning_rate": 0.3, "epochs": 2
+    },
+    "costs": {"experts": {"tiny": 1.0, "huge": 9.0}, "router": 0.5},
+    "seed": 4,
+    "router": "cascade",
+    "supervision": "task",
+    "prior_mode": "gold",
+    "training_domains": ["hotel"],
+    "report_runs": {"a": "a.jsonl"},
+    "simulation": {
+        "dialogues": 9, "holdout_dialogues": 7, "min_turns": 2, "max_turns": 4, "mixed_fraction": 0.5,
+        "embedding_dim": 32, "noise_words": 3, "slm_accuracy_in": 0.9, "slm_accuracy_out": 0.2,
+        "llm_accuracy_in": 0.8, "llm_accuracy_out": 0.1, "slm_confidence_correct": 0.7,
+        "slm_confidence_wrong": 0.3, "llm_confidence_correct": 0.6, "llm_confidence_wrong": 0.2,
+        "k": 3, "pool_size": 20, "pairs_per_query": 4, "margin": 0.1, "learning_rate": 1.0,
+        "epochs": 2, "slm_cost": 1.0, "llm_cost": 9.0, "router_cost": 0.5, "seed": 8,
+    },
+}
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config({})
@@ -927,7 +1034,7 @@ class TestParseConfig:
         assert cfg.supervision == "task+expert"
         assert cfg.k == 10 and cfg.pairs_per_query == 25
         assert [e.name for e in cfg.experts] == ["slm", "llm"]
-        assert cfg.costs.expert_cost("llm") == 3000.0
+        assert cfg.expert_costs == {"slm": 0.04, "llm": 3000.0} and cfg.router_cost == 0.02
 
     def test_hyperparameters_block(self):
         cfg = parse_config({"hyperparameters": {"k": 3, "l": 7, "margin": 0.5, "epochs": 2}})
@@ -944,7 +1051,7 @@ class TestParseConfig:
             }
         )
         assert [e.name for e in cfg.experts] == ["tiny", "huge"]
-        assert cfg.costs.router_cost == 0.5
+        assert cfg.expert_costs == {"tiny": 1.0, "huge": 10.0} and cfg.router_cost == 0.5
 
     def test_experts_come_in_priority_order(self):
         listed = [{"name": "llm", "priority_rank": 1}, {"name": "slm", "priority_rank": 0}]
@@ -1008,6 +1115,47 @@ class TestParseConfig:
         path.write_text(json.dumps({"corpus": "corpus.jsonl", "costs": costs}))
         assert main(["validate", "--config", str(path)]) == 1
         assert f"config field {name!r} must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_every_key_parses_to_its_value(self):
+        """EVERY_KEY sets each declared setting to a value other than its
+        default, so a setting missing from the table or read into the wrong
+        field fails here."""
+        classes = (RunConfig, EmbedderSpec, SimulationSpec)
+        declared = {s.path for cls in classes for s in settings_of(cls).values()}
+        groups = ("embedder", "hyperparameters", "costs", "simulation")
+        given = {key for key in EVERY_KEY if key not in groups}
+        given |= {f"{group}.{key}" for group in groups for key in EVERY_KEY[group]}
+        assert given == declared
+        cfg = parse_config(EVERY_KEY)
+        assert (cfg.corpus, cfg.holdout, cfg.out_dir) == ("c.jsonl", "h.jsonl", "o")
+        assert cfg.predictions == {"tiny": "p.jsonl"} and cfg.report_runs == {"a": "a.jsonl"}
+        assert [(e.name, e.priority_rank) for e in cfg.experts] == [("tiny", 0), ("huge", 1)]
+        assert cfg.embedder == EmbedderSpec("store", 32, "vectors.json")
+        paths = (cfg.embeddings_path, cfg.adapter_path, cfg.pairs_path, cfg.pools_dir, cfg.run_path, cfg.report_path)
+        assert paths == ("e.json", "a.json", "p.json", "pools", "r.jsonl", "rep.json")
+        hyper = (cfg.k, cfg.pairs_per_query, cfg.pool_size, cfg.margin, cfg.learning_rate, cfg.epochs)
+        assert hyper == (3, 7, {"tiny": 5, "huge": 6}, 0.5, 0.3, 2)
+        assert (cfg.expert_costs, cfg.router_cost) == ({"tiny": 1.0, "huge": 9.0}, 0.5)
+        assert (cfg.seed, cfg.router, cfg.supervision, cfg.prior_mode) == (4, "cascade", "task", "gold")
+        assert cfg.training_domains == ("hotel",)
+        spec, default = SimulationSpec(**cfg.simulation), SimulationSpec()
+        for name, value in EVERY_KEY["simulation"].items():
+            assert getattr(spec, name) == value != getattr(default, name)
+        for name in RunConfig.__dataclass_fields__:
+            assert getattr(cfg, name) != getattr(RunConfig(), name), name
+
+    def test_maps_keyed_by_user_chosen_names_take_any_name(self):
+        names = ["routr", "hyperparameters", "k", "expert", "ghost"]
+        cfg = parse_config(
+            {
+                "predictions": {name: f"{name}.jsonl" for name in names},
+                "report_runs": {name: f"run_{name}.jsonl" for name in names},
+                "costs": {"experts": {name: 1.0 for name in names}},
+                "hyperparameters": {"pool_size": {name: 3 for name in names}},
+            }
+        )
+        assert list(cfg.predictions) == list(cfg.report_runs) == names
+        assert list(cfg.expert_costs) == list(cfg.pool_size) == names
 
     def test_embedder_store_requires_path(self):
         spec = EmbedderSpec(kind="store", path="emb.jsonl")
