@@ -30,9 +30,10 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   expert in two files), per pair of artifacts that do not fit each other
   in dim, and per path the OS refuses (an output under a regular file, a
   store head that names a directory, a NUL in an input path), per
-  misspelled config key (at the top, in ``hyperparameters``, in ``costs``)
-  and for a fit that diverges, 35 cases in all. Each case's exit code and
-  standard error go to ``errors/<case>.txt``.
+  misspelled config key (at the top, in ``hyperparameters``, in ``costs``),
+  for a ``prior_mode`` setting and a ``pool_size`` map, and for a fit that
+  diverges and one whose loss rises, 38 cases in all. Each case's exit code
+  and standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -271,12 +272,15 @@ def error_cases(chain: Chain) -> list[str]:
         ("config_key_top", "validate", {"routr": "oracle"}),
         ("config_key_hyperparameters", "validate", {"hyperparamters": {"k": 3}}),
         ("config_key_costs", "validate", {"costs": {"expert": {"slm": 0.04, "llm": 3000.0}}}),
+        ("config_prior_mode", "validate", {"prior_mode": "gold"}),
+        ("config_pool_size_map", "validate", {"hyperparameters": {"pool_size": {"slm": 300, "llm": 100}}}),
         ("corpus_turn_id", "validate", corpus("turn_id.jsonl", first_turn(turn_id=9))),
         ("corpus_user", "validate", corpus("user.jsonl", first_turn(user=""))),
         ("predictions_confidence", "validate", predictions("conf.jsonl", first(confidence=True))),
         ("predictions_tlb", "validate", predictions("tlb.jsonl", first(tlb=["x"]))),
         ("predictions_duplicate", "validate", {"predictions": {**SIM3["predictions"], "llm": both}}),
         ("fit_diverged", "mine-and-train", {"hyperparameters": {"learning_rate": 1e300, "epochs": 3}}),
+        ("fit_rose", "mine-and-train", {"hyperparameters": {"learning_rate": 1e10, "epochs": 3}}),
         ("store_empty", "mine-and-train", table(store, "empty", lambda h, b: ({**h, "dim": 0}, b[:, :0]))),
         ("store_truncated", "mine-and-train", table(store, "truncated", body(lambda b: npy(b)[:-100]))),
         ("store_object", "mine-and-train", table(store, "object", body(lambda b: b.astype(object)))),

@@ -129,15 +129,15 @@ def sampled_pools(
     beliefs: Beliefs,
     store: EmbeddingStore,
     adapter: ProjectionAdapter,
-    sizes: dict[ExpertId, int],
+    size: int,
     seed: int,
 ) -> dict[ExpertId, tuple[ExpertPool, ExpertPool]]:
     """Each expert's pool of projected hold-out turns and its seeded sample of
-    ``sizes[expert]`` entries, in priority order."""
+    ``size`` entries, in priority order."""
     projected = {t.key: project(adapter, store[t.key], t.key) for t in turns}
     pools = build_pools(turns, beliefs, projected)
     return {
-        e: (pool, sample_pool(pool, sizes[e], subseed(seed, f"pool:{e.name}")))
+        e: (pool, sample_pool(pool, size, subseed(seed, f"pool:{e.name}")))
         for e, pool in pools.items()
     }
 
@@ -290,12 +290,6 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
         if cfg.supervision in ("expert", "task+expert"):
             beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
         pairs = mine_pairs(turns, cfg.supervision, cfg.pairs_per_query, beliefs, store)
-        pairs_path = cfg.resolve_pairs()
-        save_pairs(pairs, str(pairs_path))
-        print(
-            f"pairs: {len(pairs.positives)} positive, "
-            f"{len(pairs.negatives)} negative -> {pairs_path}"
-        )
         train_config = TrainConfig(
             margin=cfg.margin, learning_rate=cfg.learning_rate, epochs=cfg.epochs
         )
@@ -305,6 +299,17 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
                 project(adapter, store[turn.key], turn.key)
         except InputError as exc:
             raise InputError(f"{exc}; lower hyperparameters.learning_rate") from None
+        if history[-1] > history[0]:
+            raise InputError(
+                f"training loss rose from {history[0]:.6f} to {history[-1]:.6f}; "
+                "lower hyperparameters.learning_rate"
+            )
+        pairs_path = cfg.resolve_pairs()
+        save_pairs(pairs, str(pairs_path))
+        print(
+            f"pairs: {len(pairs.positives)} positive, "
+            f"{len(pairs.negatives)} negative -> {pairs_path}"
+        )
 
     save_training(adapter, history, adapter_path)
     if history:
@@ -323,8 +328,7 @@ def _cmd_build_pools(cfg: RunConfig, args: argparse.Namespace) -> None:
     store = load_store(str(store_path))
     adapter, fitted = _load_adapter(cfg)
     _fit(fitted, (f"embedding store {store_path}", store.dim))
-    sizes = {e: cfg.pool_size_for(e.name) for e in cfg.experts}
-    pools = sampled_pools(turns, beliefs, store, adapter, sizes, cfg.seed)
+    pools = sampled_pools(turns, beliefs, store, adapter, cfg.pool_size, cfg.seed)
     for expert in cfg.experts:
         pool, sampled = pools[expert]
         path = cfg.pool_path(expert.name)
@@ -399,15 +403,7 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         model = train_classifier_router(X, y)
         router = ClassifierRouter(model, cfg.experts)
 
-    run = run_pipeline(
-        corpus,
-        experts,
-        router,
-        embedder=embedder,
-        adapter=adapter,
-        prior_mode=cfg.prior_mode,
-        config=snapshot,
-    )
+    run = run_pipeline(corpus, experts, router, embedder=embedder, adapter=adapter, config=snapshot)
     out = cfg.resolve_run()
     save_run(run, str(out))
     counts: dict[str, int] = {e.name: 0 for e in cfg.experts}

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .embedding import check_dim
-from .errors import InputError, field, is_int, is_number, read_json
+from .errors import InputError, field, is_number, read_json
 from .experts import LLM, SLM, ExpertId, parse_experts, validate_experts
 
 ROUTERS = ("retrieval", "oracle", "cascade", "classifier")
@@ -62,10 +62,6 @@ LEARNING_RATE = Range("must be positive and finite", lambda value: 0.0 < value <
 STRING = Range("must be a string", lambda value: type(value) is str)
 STRINGS = Range("must hold only strings", lambda v: v is None or all(type(x) is str for x in v))
 COST = Range("must be a finite number >= 0", lambda v: is_number(v) and 0.0 <= v < math.inf)
-POOL_SIZE = Range(
-    "must be an integer >= 1 or a map of expert name to such integers",
-    lambda v: all(is_int(n) and n >= 1 for n in (v.values() if type(v) is dict else [v])),
-)
 
 
 class Setting(NamedTuple):
@@ -133,7 +129,7 @@ class RunConfig:
     report_path: str | None = setting("report_path", str)
     k: int = setting("hyperparameters.k", int, 10, at_least(1))
     pairs_per_query: int = setting("hyperparameters.l", int, 25, at_least(1), "l (pairs per query)")
-    pool_size: int | dict[str, int] = setting("hyperparameters.pool_size", None, 100, POOL_SIZE)
+    pool_size: int = setting("hyperparameters.pool_size", int, 100, at_least(1))
     margin: float = setting("hyperparameters.margin", float, 0.2, MARGIN)
     learning_rate: float = setting("hyperparameters.learning_rate", float, 0.01, LEARNING_RATE)
     epochs: int = setting("hyperparameters.epochs", int, 30, at_least(0))
@@ -142,7 +138,6 @@ class RunConfig:
     seed: int = setting("seed", int, 0)
     router: str = setting("router", str, "retrieval", one_of(ROUTERS))
     supervision: str = setting("supervision", str, "task+expert", one_of(SUPERVISIONS))
-    prior_mode: str = setting("prior_mode", str, "predicted", one_of(("predicted", "gold")))
     training_domains: tuple[str, ...] | None = setting("training_domains", list, None, STRINGS)
     report_runs: dict[str, str] = setting("report_runs", dict, {}, STRING)
     simulation: dict = dataclasses.field(default_factory=dict)  # SimulationSpec's settings
@@ -174,14 +169,6 @@ class RunConfig:
 
     def resolve_report(self) -> Path:
         return Path(self.report_path or Path(self.out_dir) / "report.json")
-
-    def pool_size_for(self, expert_name: str) -> int:
-        if isinstance(self.pool_size, dict):
-            try:
-                return self.pool_size[expert_name]
-            except KeyError:
-                raise InputError(f"pool_size map lacks expert {expert_name!r}") from None
-        return self.pool_size
 
 
 def _read(record: dict, declared: dict[str, Setting], prefix: str = "") -> dict[str, Any]:

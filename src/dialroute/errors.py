@@ -188,22 +188,17 @@ def _body_path(head_path: str | os.PathLike) -> str:
 
 
 def write_table(head_path: str | os.PathLike, head: dict, matrix: np.ndarray) -> None:
-    """Write ``matrix`` as the ``.npy`` body, then ``head`` with the body's
-    blake2b digest and dim put first, each atomically. A head that cannot be
-    written takes the new body with it; a crash between the two leaves an
-    old head that :func:`read_table` refuses with the new body."""
+    """Write ``matrix`` as the ``.npy`` body under a temporary name, then
+    ``head`` with the body's blake2b digest and dim put first, atomically,
+    then rename the body into place. A head that cannot be written leaves
+    the old table; a crash (or a failed rename) between the two leaves a new
+    head that :func:`read_table` refuses with the old body."""
     body = io.BytesIO()
     np.lib.format.write_array(body, matrix, allow_pickle=False)
     data = body.getvalue()
-    body_path = _body_path(head_path)
-    _replace_with(body_path, data)
     digest = hashlib.blake2b(data).hexdigest()
-    try:
-        write_json(head_path, {"body_blake2b": digest, "dim": int(matrix.shape[1]), **head})
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(body_path)
-        raise
+    record = {"body_blake2b": digest, "dim": int(matrix.shape[1]), **head}
+    _replace_with(_body_path(head_path), data, before=lambda: write_json(head_path, record))
 
 
 def read_table(
@@ -249,11 +244,15 @@ def read_table(
     return head, vector_rows(names, matrix, where, dtype)
 
 
-def _replace_with(path: str | os.PathLike, data: bytes) -> None:
+def _replace_with(
+    path: str | os.PathLike, data: bytes, before: Callable[[], Any] = lambda: None
+) -> None:
     """Replace the file at ``path`` with ``data`` through a new temporary file
     in the same directory, made first if missing, so that a reader never
     sees a half-written file and a failed write leaves the old one in place.
-    A path the OS refuses raises :class:`InputError` naming it."""
+    ``before`` runs once the data is written, before the rename; if it
+    raises, so does this, and the old file stays. A path the OS refuses
+    raises :class:`InputError` naming it."""
     head, name = os.path.split(os.fspath(path))
     temp = os.path.join(head, f".{name}.{secrets.token_hex(6)}.tmp")
     try:
@@ -262,6 +261,7 @@ def _replace_with(path: str | os.PathLike, data: bytes) -> None:
         try:
             with handle:
                 handle.write(data)
+            before()
             os.replace(temp, path)
         except BaseException:
             with contextlib.suppress(OSError):

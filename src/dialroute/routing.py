@@ -7,9 +7,8 @@ classifier router is a logistic probe over frozen embeddings. Every tie in
 the system resolves toward the lower priority rank.
 
 A routed run records, per turn, the decision, the chosen expert's belief, and
-the accumulated predicted state. Test-time triplets use the system's own
-accumulated predictions as prior state ("predicted" mode); a "gold" prior
-mode exists for diagnostics.
+the accumulated predicted state. Every test-time triplet after a dialogue's
+first carries the system's own accumulated predictions as its prior state.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .dialogue import (
     Triplet,
     TurnBelief,
     aggregate_state,
-    labeled_turns,
     make_belief,
     render_belief,
     split_turn_key,
@@ -404,7 +402,6 @@ def run_pipeline(
     router: object,
     embedder: object | None = None,
     adapter: ProjectionAdapter | None = None,
-    prior_mode: str = "predicted",
     config: Mapping[str, object] | None = None,
 ) -> RoutedRun:
     """Route every turn of a corpus and return the full run.
@@ -415,22 +412,19 @@ def run_pipeline(
     projection ``adapter``. Expert failures abort with the dialogue and turn
     named.
     """
-    if prior_mode not in ("predicted", "gold"):
-        raise ValueError(f"prior_mode must be 'predicted' or 'gold', got {prior_mode!r}")
     expert_ids = validate_experts([e.id for e in experts])
     by_id = {e.id: e for e in experts}
     snapshot = {
         "router": router.kind,
         "charges_router_cost": bool(router.charges_router_cost),
-        "prior_mode": prior_mode,
+        "prior_mode": "predicted",
         **(dict(config) if config else {}),
     }
     records: list[TurnRecord] = []
     for dialogue in corpus:
-        labeled = labeled_turns(dialogue) if prior_mode == "gold" else None
         state: dict = {}
         for t, turn in enumerate(dialogue.turns):
-            triplet = labeled[t].triplet if labeled else triplet_of_turn(dialogue, t, state)
+            triplet = triplet_of_turn(dialogue, t, state)
             query_vector = None
             if embedder is not None:
                 base = embedder.embed(triplet.key, serialize_triplet(triplet))

@@ -263,10 +263,9 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     save_training(adapter, history, out / "adapter.json")
 
     identity = ProjectionAdapter.identity(spec.embedding_dim)
-    sizes = {expert_id: spec.pool_size for expert_id in beliefs}
     pool_sets = {}
     for tag, active in (("base", identity), ("trained", adapter)):
-        pools = sampled_pools(holdout_turns, beliefs, store, active, sizes, spec.seed)
+        pools = sampled_pools(holdout_turns, beliefs, store, active, spec.pool_size, spec.seed)
         for expert_id, (_, sample) in pools.items():
             save_pool(sample, str(out / f"pool_{tag}_{expert_id.name}.json"))
         pool_sets[tag] = [sample for _, sample in pools.values()]

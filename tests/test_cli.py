@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
 import shutil
 import subprocess
@@ -577,18 +578,31 @@ def test_overflowing_adapter_exits_one_without_a_numpy_warning(pipeline, tmp_pat
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_diverged_fit_exits_one_and_writes_no_adapter(small_sim, tmp_path, capsys):
-    """A learning rate that drives the adapter out of float64 range fails in
-    mine-and-train, naming the setting, not later in build-pools."""
+@pytest.mark.parametrize(
+    "learning_rate, message",
+    [
+        (1e300, r"turn 'hld\d{4}:\d+': the adapter maps its embedding out of float64 range"),
+        (1e10, r"training loss rose from (\d\.\d{6}) to (\d\.\d{6})"),
+    ],
+    ids=["diverged", "loss_rose"],
+)
+def test_refused_fit_exits_one_and_writes_nothing(small_sim, tmp_path, capsys, learning_rate, message):
+    """A learning rate that drives the adapter out of float64 range, or one
+    too large for descent that raises the loss, fails in mine-and-train, not
+    later in build-pools, naming the setting; neither the pairs nor the
+    adapter are written."""
     out = tmp_path / "out"
-    hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": 1e300}
+    hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": learning_rate}
     config = write_config(tmp_path / "c.json", small_sim, out, hyperparameters=hyper)
     assert main(["embed", "--config", config]) == 0
+    capsys.readouterr()
     assert main(["mine-and-train", "--config", config]) == 1
-    err = capsys.readouterr().err
-    assert re.search(r"turn 'hld\d{4}:\d+': the adapter maps its embedding out of float64 range", err)
-    assert "hyperparameters.learning_rate" in err
-    assert not (out / "adapter.json").exists() and not (out / "adapter.npy").exists()
+    captured = capsys.readouterr()
+    match = re.fullmatch(f"error: {message}; lower hyperparameters\\.learning_rate\n", captured.err)
+    assert match, captured.err
+    assert match.lastindex is None or float(match[1]) < float(match[2])
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["embeddings.json", "embeddings.npy"]
 
 
 BAD_SETTINGS = [
@@ -599,8 +613,9 @@ BAD_SETTINGS = [
     ("mine-and-train", {"hyperparameters": {"epochs": 2.5}}, "'epochs'"),
     ("mine-and-train", {"hyperparameters": {"l": 0}}, "l (pairs per query)"),
     ("build-pools", {"hyperparameters": {"pool_size": -3}}, "pool_size"),
-    ("build-pools", {"hyperparameters": {"pool_size": {"slm": -3, "llm": 5}}}, "pool_size"),
-    ("build-pools", {"hyperparameters": {"pool_size": {"slm": "x", "llm": 5}}}, "pool_size"),
+    ("build-pools", {"hyperparameters": {"pool_size": {"slm": 300, "llm": 100}}}, "must be an integer"),
+    ("validate", {"prior_mode": "gold"}, "unknown config key 'prior_mode'"),
+    ("validate", {"prior_mode": "predicted"}, "unknown config key 'prior_mode'"),
     ("validate", {"embedder": {"kind": "hash", "dim": "abc"}}, "'dim'"),
     ("validate", {"embedder": {"kind": "hash", "dim": 100}}, "embedding dim"),
     ("route", {"hyperparameters": {"k": 1.5}}, "'k'"),
@@ -1007,13 +1022,12 @@ EVERY_KEY = {
     "run_path": "r.jsonl",
     "report_path": "rep.json",
     "hyperparameters": {
-        "k": 3, "l": 7, "pool_size": {"tiny": 5, "huge": 6}, "margin": 0.5, "learning_rate": 0.3, "epochs": 2
+        "k": 3, "l": 7, "pool_size": 5, "margin": 0.5, "learning_rate": 0.3, "epochs": 2
     },
     "costs": {"experts": {"tiny": 1.0, "huge": 9.0}, "router": 0.5},
     "seed": 4,
     "router": "cascade",
     "supervision": "task",
-    "prior_mode": "gold",
     "training_domains": ["hotel"],
     "report_runs": {"a": "a.jsonl"},
     "simulation": {
@@ -1059,13 +1073,6 @@ class TestParseConfig:
         reversed_in_code = RunConfig(experts=tuple(reversed(RunConfig().experts)))
         assert reversed_in_code.experts == RunConfig().experts
 
-    def test_pool_size_map(self):
-        cfg = parse_config({"hyperparameters": {"pool_size": {"slm": 10, "llm": 20}}})
-        assert cfg.pool_size_for("slm") == 10
-        assert cfg.pool_size_for("llm") == 20
-        with pytest.raises(InputError, match="ghost"):
-            cfg.pool_size_for("ghost")
-
     def test_training_domains_become_tuple(self):
         cfg = parse_config({"training_domains": ["hotel"]})
         assert cfg.training_domains == ("hotel",)
@@ -1076,7 +1083,6 @@ class TestParseConfig:
         [
             {"router": "psychic"},
             {"supervision": "vibes"},
-            {"prior_mode": "future"},
             {"hyperparameters": {"k": 0}},
             {"hyperparameters": "big"},
             {"hyperparameters": {"pool_size": True}},
@@ -1134,9 +1140,9 @@ class TestParseConfig:
         paths = (cfg.embeddings_path, cfg.adapter_path, cfg.pairs_path, cfg.pools_dir, cfg.run_path, cfg.report_path)
         assert paths == ("e.json", "a.json", "p.json", "pools", "r.jsonl", "rep.json")
         hyper = (cfg.k, cfg.pairs_per_query, cfg.pool_size, cfg.margin, cfg.learning_rate, cfg.epochs)
-        assert hyper == (3, 7, {"tiny": 5, "huge": 6}, 0.5, 0.3, 2)
+        assert hyper == (3, 7, 5, 0.5, 0.3, 2)
         assert (cfg.expert_costs, cfg.router_cost) == ({"tiny": 1.0, "huge": 9.0}, 0.5)
-        assert (cfg.seed, cfg.router, cfg.supervision, cfg.prior_mode) == (4, "cascade", "task", "gold")
+        assert (cfg.seed, cfg.router, cfg.supervision) == (4, "cascade", "task")
         assert cfg.training_domains == ("hotel",)
         spec, default = SimulationSpec(**cfg.simulation), SimulationSpec()
         for name, value in EVERY_KEY["simulation"].items():
@@ -1151,11 +1157,9 @@ class TestParseConfig:
                 "predictions": {name: f"{name}.jsonl" for name in names},
                 "report_runs": {name: f"run_{name}.jsonl" for name in names},
                 "costs": {"experts": {name: 1.0 for name in names}},
-                "hyperparameters": {"pool_size": {name: 3 for name in names}},
             }
         )
-        assert list(cfg.predictions) == list(cfg.report_runs) == names
-        assert list(cfg.expert_costs) == list(cfg.pool_size) == names
+        assert list(cfg.predictions) == list(cfg.report_runs) == list(cfg.expert_costs) == names
 
     def test_embedder_store_requires_path(self):
         spec = EmbedderSpec(kind="store", path="emb.jsonl")

@@ -229,9 +229,11 @@ class TestTables:
 
     @pytest.mark.parametrize("part", [".npy", ".json"])
     def test_failed_replace_keeps_the_old_bytes(self, tmp_path, part):
-        """The body is written first. A failed body leaves the old pair; a
-        failed head leaves the old head and takes the new body with it, so
-        the head's body is missing."""
+        """The body is written under a temporary name, then the head, then
+        the body is renamed into place. A failed head leaves the old pair; a
+        failed rename leaves the new head over the old body, as a crash
+        between the two would, and the old body fails the new head's digest.
+        Neither leaves a temporary file behind."""
         path = tmp_path / "store.json"
         old = edge_store()
         save_store(old, str(path))
@@ -247,20 +249,18 @@ class TestTables:
         with mock.patch("dialroute.errors.os.replace", side_effect=replace):
             with pytest.raises(InputError, match="disk gone"):
                 save_store(new, str(path))
-        failed = "store" + part
-        assert (tmp_path / failed).read_bytes() == before[failed]
-        if part == ".npy":
-            assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
+        assert sorted(os.listdir(tmp_path)) == ["store.json", "store.npy"]
+        assert (tmp_path / "store.npy").read_bytes() == before["store.npy"]
+        if part == ".json":
             assert (tmp_path / "store.json").read_bytes() == before["store.json"]
             assert list(load_store(str(path)).vectors) == list(old.vectors)
         else:
-            assert os.listdir(tmp_path) == ["store.json"]
-            with pytest.raises(InputError, match="cannot open embedding store body"):
+            with pytest.raises(InputError, match="does not match its digest"):
                 load_store(str(path))
 
     def test_a_head_naming_a_directory_leaves_no_file(self, tmp_path):
         """The head cannot replace a directory, and the body written before
-        it is removed again."""
+        it under a temporary name is removed again."""
         (tmp_path / "store.json").mkdir()
         with pytest.raises(InputError, match="cannot write"):
             save_store(edge_store(), str(tmp_path / "store.json"))

@@ -643,7 +643,7 @@ class TestRunPipeline:
         run_pipeline(corpus, [CountingExpert(SLM), CountingExpert(LLM)], GreedyRouter())
         assert sorted(calls) == sorted([("slm", k) for k in ["d1:0", "d1:1", "d2:0"]])
 
-    def test_gold_priors_rebuild_from_gold(self):
+    def test_triplets_carry_the_predicted_state(self):
         corpus = self.corpus()
         seen_states = []
 
@@ -655,13 +655,15 @@ class TestRunPipeline:
                 seen_states.append(dict(context.triplet.prev_state))
                 return RoutingDecision(context.key, SLM, invoked=(SLM,))
 
+        wrong = {"d1:0": {"hotel-area": "south"}}  # gold is north
         experts = [
-            ReplayExpert(SLM, {k: ExpertPrediction(k.rsplit(":", 1)[0], int(k.rsplit(":", 1)[1]), "slm", {}, None) for k in corpus.gold_tlbs()}),
+            ReplayExpert(SLM, {k: ExpertPrediction(k.rsplit(":", 1)[0], int(k.rsplit(":", 1)[1]), "slm", wrong.get(k, {}), None) for k in corpus.gold_tlbs()}),
             ReplayExpert(LLM, {k: ExpertPrediction(k.rsplit(":", 1)[0], int(k.rsplit(":", 1)[1]), "llm", {}, None) for k in corpus.gold_tlbs()}),
         ]
-        run_pipeline(corpus, experts, SpyRouter(), prior_mode="gold")
-        # despite slm predicting nothing, turn d1:1 sees the gold prior
-        assert seen_states[1] == {"hotel-area": "north"}
+        run = run_pipeline(corpus, experts, SpyRouter())
+        # turn d1:1 sees slm's own prediction, not gold; d2 starts empty
+        assert seen_states == [{}, {"hotel-area": "south"}, {}]
+        assert run.config["prior_mode"] == "predicted"
 
     def test_snapshot_records_router_and_extras(self):
         corpus = self.corpus()
