@@ -32,7 +32,9 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   store head that names a directory, a NUL in an input path), per
   misspelled config key (at the top, in ``hyperparameters``, in ``costs``),
   for a ``prior_mode`` setting and a ``pool_size`` map, and for a fit that
-  diverges and one whose loss rises, 38 cases in all. Each case's exit code
+  diverges and one whose loss rises, in ``mine-and-train`` and in
+  ``simulate`` (which writes its corpora, predictions and store to
+  ``errors/out/`` before the fit), 40 cases in all. Each case's exit code
   and standard error go to ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
@@ -83,6 +85,8 @@ WRITES = {
 
 # Pools near route-large-pool's size; the other steps' hold at most ~600 entries.
 LARGE = {"holdout_dialogues": 1000, "pool_size": 5000, "epochs": 2}
+# A small simulation whose fit the learning rate decides.
+SMALL_FIT = {"dialogues": 30, "holdout_dialogues": 20, "embedding_dim": 64, "epochs": 3, "margin": 0.2, "seed": 0}
 
 
 class Chain:
@@ -281,6 +285,8 @@ def error_cases(chain: Chain) -> list[str]:
         ("predictions_duplicate", "validate", {"predictions": {**SIM3["predictions"], "llm": both}}),
         ("fit_diverged", "mine-and-train", {"hyperparameters": {"learning_rate": 1e300, "epochs": 3}}),
         ("fit_rose", "mine-and-train", {"hyperparameters": {"learning_rate": 1e10, "epochs": 3}}),
+        ("simulate_fit_rose", "simulate", {"simulation": {**SMALL_FIT, "learning_rate": 100.0}}),
+        ("simulate_fit_diverged", "simulate", {"simulation": {**SMALL_FIT, "learning_rate": 1e200}}),
         ("store_empty", "mine-and-train", table(store, "empty", lambda h, b: ({**h, "dim": 0}, b[:, :0]))),
         ("store_truncated", "mine-and-train", table(store, "truncated", body(lambda b: npy(b)[:-100]))),
         ("store_object", "mine-and-train", table(store, "object", body(lambda b: b.astype(object)))),

@@ -85,7 +85,6 @@ from .similarity import f1_sets, tlb_similarity
 from .simulate import SimulationSpec, run_simulation
 from .supervision import (
     PairSet,
-    TrainConfig,
     merge_pairs,
     mine_expert_pairs,
     mine_task_pairs,

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import ROUTERS, SUPERVISIONS, RunConfig, load_config
+from .config import ROUTERS, SUPERVISIONS, RunConfig, load_config, settings_of
 from .dialogue import Corpus, LabeledTurn, TurnBelief, load_corpus
 from .embedding import (
     EmbeddingStore,
@@ -71,7 +71,6 @@ from .routing import (
 from .seeding import subseed
 from .supervision import (
     PairSet,
-    TrainConfig,
     merge_pairs,
     mine_expert_pairs,
     mine_task_pairs,
@@ -100,22 +99,39 @@ def _expert_labels(turns: Sequence[LabeledTurn], beliefs: Beliefs) -> dict[str, 
     }
 
 
-def mine_pairs(
+def fit_adapter(
     turns: Sequence[LabeledTurn],
     supervision: str,
-    l: int,
     beliefs: Beliefs | None,
     store: EmbeddingStore,
-) -> PairSet:
-    """The pairs a supervision kind trains on, empty for ``none``; the
-    expert-aware kinds label ``turns`` from ``beliefs``."""
+    settings,
+) -> tuple[PairSet, ProjectionAdapter, list[float]]:
+    """The pairs a supervision kind mines from ``turns`` (the expert-aware
+    kinds label them from ``beliefs``), the adapter trained on them with the
+    settings of ``settings``, a :class:`RunConfig` or ``SimulationSpec``, and
+    its loss history; ``none`` gives no pairs and the identity adapter. A fit
+    that maps a turn out of float64 range, or whose loss rose, is refused
+    naming the learning rate's key path."""
+    if supervision == "none":
+        return PairSet(), ProjectionAdapter.identity(store.dim), []
+    l = settings.pairs_per_query
     pairs = PairSet()
     if supervision in ("task", "task+expert"):
         pairs = mine_task_pairs(turns, l)
     if supervision in ("expert", "task+expert"):
-        expert_pairs = mine_expert_pairs(turns, _expert_labels(turns, beliefs), store, l)
-        pairs = merge_pairs(pairs, expert_pairs) if supervision == "task+expert" else expert_pairs
-    return pairs
+        pairs = merge_pairs(pairs, mine_expert_pairs(turns, _expert_labels(turns, beliefs), store, l))
+    adapter, history = train_adapter(
+        pairs, store, margin=settings.margin, learning_rate=settings.learning_rate, epochs=settings.epochs
+    )
+    advice = f"lower {settings_of(type(settings))['learning_rate'].path}"
+    try:  # pools project every hold-out turn: a diverged fit fails here instead
+        for turn in turns:
+            project(adapter, store[turn.key], turn.key)
+    except InputError as exc:
+        raise InputError(f"{exc}; {advice}") from None
+    if history[-1] > history[0]:
+        raise InputError(f"training loss rose from {history[0]:.6f} to {history[-1]:.6f}; {advice}")
+    return pairs, adapter, history
 
 
 def save_training(adapter: ProjectionAdapter, history: list[float], path: Path) -> None:
@@ -282,28 +298,11 @@ def _cmd_mine_and_train(cfg: RunConfig, args: argparse.Namespace) -> None:
         raise InputError(f"embedding store {cfg.resolve_embeddings()} is empty")
     adapter_path = cfg.resolve_adapter()
 
-    if cfg.supervision == "none":
-        adapter = ProjectionAdapter.identity(store.dim)
-        history: list[float] = []
-    else:
-        beliefs = None
-        if cfg.supervision in ("expert", "task+expert"):
-            beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
-        pairs = mine_pairs(turns, cfg.supervision, cfg.pairs_per_query, beliefs, store)
-        train_config = TrainConfig(
-            margin=cfg.margin, learning_rate=cfg.learning_rate, epochs=cfg.epochs
-        )
-        adapter, history = train_adapter(pairs, store, train_config)
-        try:  # build-pools projects every hold-out turn: a diverged fit fails here instead
-            for turn in turns:
-                project(adapter, store[turn.key], turn.key)
-        except InputError as exc:
-            raise InputError(f"{exc}; lower hyperparameters.learning_rate") from None
-        if history[-1] > history[0]:
-            raise InputError(
-                f"training loss rose from {history[0]:.6f} to {history[-1]:.6f}; "
-                "lower hyperparameters.learning_rate"
-            )
+    beliefs = None
+    if cfg.supervision in ("expert", "task+expert"):
+        beliefs = _beliefs(cfg, _load_all_predictions(cfg), turns)
+    pairs, adapter, history = fit_adapter(turns, cfg.supervision, beliefs, store, cfg)
+    if cfg.supervision != "none":
         pairs_path = cfg.resolve_pairs()
         save_pairs(pairs, str(pairs_path))
         print(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cli import embed_turns, mine_pairs, sampled_pools, save_training
+from .cli import embed_turns, fit_adapter, sampled_pools, save_training
 from .dialogue import SEPARATOR, Corpus, Dialogue, Turn, save_corpus
 from .embedding import HashEmbedder, ProjectionAdapter, check_dim, save_store
 from .config import Range, RunConfig, at_least, setting, settings_of
@@ -45,7 +45,7 @@ from .routing import (
     save_run,
 )
 from .seeding import subseed
-from .supervision import TrainConfig, save_pairs, train_adapter
+from .supervision import save_pairs
 
 HOTEL_DOMAIN = "hotel"
 RESTAURANT_DOMAIN = "restaurant"
@@ -254,12 +254,8 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     store = embed_turns(embedder, holdout_turns)
     save_store(store, str(out / "embeddings_holdout.json"))
 
-    pairs = mine_pairs(holdout_turns, "task+expert", spec.pairs_per_query, beliefs, store)
+    pairs, adapter, history = fit_adapter(holdout_turns, "task+expert", beliefs, store, spec)
     save_pairs(pairs, str(out / "pairs.json"))
-    train_config = TrainConfig(
-        margin=spec.margin, learning_rate=spec.learning_rate, epochs=spec.epochs
-    )
-    adapter, history = train_adapter(pairs, store, train_config)
     save_training(adapter, history, out / "adapter.json")
 
     identity = ProjectionAdapter.identity(spec.embedding_dim)

@@ -20,7 +20,6 @@ test suite checks it against central finite differences.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, Mapping, Sequence
 
@@ -230,21 +229,6 @@ def mine_expert_pairs(
 # --- training ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    margin: float = 0.2
-    learning_rate: float = 0.01
-    epochs: int = 30
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.margin < 1.0:
-            raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-
-
 def _rows(embeddings: Mapping[str, np.ndarray], keys: Sequence[str]) -> np.ndarray:
     """The embeddings of ``keys`` as the rows of one float64 matrix; vectors
     of mixed dims raise ValueError."""
@@ -376,9 +360,15 @@ def _loss_and_grad(W: np.ndarray, problem: _PairProblem, margin: float) -> tuple
 def train_adapter(
     pairs: PairSet,
     embeddings: Mapping[str, np.ndarray],
-    config: TrainConfig,
+    *,
+    margin: float,
+    learning_rate: float,
+    epochs: int,
 ) -> tuple[ProjectionAdapter, list[float]]:
-    """Full-batch gradient descent from the identity matrix.
+    """Full-batch gradient descent from the identity matrix: ``epochs`` steps
+    of ``learning_rate`` on the loss, whose negatives hinge at ``margin``.
+    ``config.setting`` declares the three settings' ranges; this takes them
+    as given.
 
     Returns the trained adapter and the loss history (initial loss first, then
     one entry per epoch). Deterministic: full-batch descent has no sampling,
@@ -388,17 +378,17 @@ def train_adapter(
         raise InputError("cannot train an adapter on an empty pair set")
     problem = _PairProblem.compile(pairs, embeddings)
     W = np.eye(problem.base.shape[1])
-    loss, state = _loss(W, problem, config.margin)
+    loss, state = _loss(W, problem, margin)
     history = [loss]
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         grad = _gram_grad(problem, *state)
         if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
             raise RuntimeError(f"training diverged at epoch {epoch}: non-finite loss or gradient")
-        W = W - config.learning_rate * grad
-        loss, state = _loss(W, problem, config.margin)
+        W = W - learning_rate * grad
+        loss, state = _loss(W, problem, margin)
         history.append(loss)
     if not np.isfinite(loss):
-        raise RuntimeError(f"training diverged at epoch {config.epochs}: non-finite loss")
+        raise RuntimeError(f"training diverged at epoch {epochs}: non-finite loss")
     return ProjectionAdapter(W), history
 
 

@@ -578,31 +578,58 @@ def test_overflowing_adapter_exits_one_without_a_numpy_warning(pipeline, tmp_pat
     assert "RuntimeWarning" not in proc.stderr
 
 
+DIVERGED = r"turn 'hld\d{4}:\d+': the adapter maps its embedding out of float64 range"
+LOSS_ROSE = r"training loss rose from (\d\.\d{6}) to (\d\.\d{6})"
+# A small simulation whose fit a large learning rate refuses; at 100 its
+# loss rises (0.750408 -> 0.764940).
+SMALL_FIT = {"dialogues": 30, "holdout_dialogues": 20, "embedding_dim": 64, "epochs": 3, "margin": 0.2, "seed": 0}
+# What a simulation writes before its fit.
+BEFORE_FIT = [
+    "corpus_holdout.jsonl",
+    "corpus_test.jsonl",
+    "embeddings_holdout.json",
+    "embeddings_holdout.npy",
+    "predictions_llm.jsonl",
+    "predictions_slm.jsonl",
+]
+
+
 @pytest.mark.parametrize(
-    "learning_rate, message",
+    "command, learning_rate, message",
     [
-        (1e300, r"turn 'hld\d{4}:\d+': the adapter maps its embedding out of float64 range"),
-        (1e10, r"training loss rose from (\d\.\d{6}) to (\d\.\d{6})"),
+        ("mine-and-train", 1e300, DIVERGED),
+        ("mine-and-train", 1e10, LOSS_ROSE),
+        ("simulate", 1e200, DIVERGED),
+        ("simulate", 100.0, LOSS_ROSE),
     ],
-    ids=["diverged", "loss_rose"],
+    ids=["diverged", "loss_rose", "simulate_diverged", "simulate_loss_rose"],
 )
-def test_refused_fit_exits_one_and_writes_nothing(small_sim, tmp_path, capsys, learning_rate, message):
+def test_refused_fit_exits_one_and_writes_nothing(
+    small_sim, tmp_path, capsys, command, learning_rate, message
+):
     """A learning rate that drives the adapter out of float64 range, or one
-    too large for descent that raises the loss, fails in mine-and-train, not
-    later in build-pools, naming the setting; neither the pairs nor the
-    adapter are written."""
+    too large for descent that raises the loss, fails in the fit, not later
+    in pool building, naming the setting by its key path; neither the pairs,
+    the adapter, its loss history nor any pool are written."""
     out = tmp_path / "out"
-    hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": learning_rate}
-    config = write_config(tmp_path / "c.json", small_sim, out, hyperparameters=hyper)
-    assert main(["embed", "--config", config]) == 0
-    capsys.readouterr()
-    assert main(["mine-and-train", "--config", config]) == 1
+    if command == "simulate":
+        config = tmp_path / "c.json"
+        simulation = {**SMALL_FIT, "learning_rate": learning_rate}
+        config.write_text(json.dumps({"out_dir": str(out), "simulation": simulation}))
+        setting, kept = "simulation", BEFORE_FIT
+    else:
+        hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": learning_rate}
+        config = write_config(tmp_path / "c.json", small_sim, out, hyperparameters=hyper)
+        assert main(["embed", "--config", config]) == 0
+        capsys.readouterr()
+        setting, kept = "hyperparameters", ["embeddings.json", "embeddings.npy"]
+    assert main([command, "--config", str(config)]) == 1
     captured = capsys.readouterr()
-    match = re.fullmatch(f"error: {message}; lower hyperparameters\\.learning_rate\n", captured.err)
+    match = re.fullmatch(f"error: {message}; lower {setting}\\.learning_rate\n", captured.err)
     assert match, captured.err
     assert match.lastindex is None or float(match[1]) < float(match[2])
     assert captured.out == ""
-    assert sorted(os.listdir(out)) == ["embeddings.json", "embeddings.npy"]
+    assert sorted(os.listdir(out)) == kept
 
 
 BAD_SETTINGS = [
@@ -627,6 +654,8 @@ BAD_SETTINGS = [
     ),
     ("simulate", {"simulation": {"k": 0}}, "k must be >= 1"),
     ("simulate", {"simulation": {"epochs": -1}}, "epochs must be"),
+    ("simulate", {"simulation": {"margin": 1.0}}, "simulation.margin must be in [0, 1)"),
+    ("simulate", {"simulation": {"learning_rate": 0.0}}, "simulation.learning_rate must be positive"),
     ("simulate", {"simulation": {"pairs_per_query": 0}}, "pairs_per_query must be"),
     ("simulate", {"simulation": {"slm_accuracy_in": 2.0}}, "slm_accuracy_in must be"),
     ("simulate", {"simulation": {"min_turns": 3, "max_turns": 1}}, "max_turns must be"),

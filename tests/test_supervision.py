@@ -20,7 +20,6 @@ from dialroute import (
     InputError,
     PairSet,
     ProjectionAdapter,
-    TrainConfig,
     merge_pairs,
     mine_expert_pairs,
     mine_task_pairs,
@@ -395,6 +394,10 @@ def test_task_mining_memory_stays_in_small_blocks():
     assert peak < 24 * 2**20
 
 
+# The run config's default margin, learning rate and epochs.
+DEFAULT_FIT = {"margin": 0.2, "learning_rate": 0.01, "epochs": 30}
+
+
 class TestTraining:
     def separable_problem(self):
         # two clusters; positives within, negatives across
@@ -412,22 +415,23 @@ class TestTraining:
 
     def test_loss_decreases(self):
         pairs, embeddings = self.separable_problem()
-        config = TrainConfig(margin=0.2, learning_rate=0.05, epochs=40)
-        adapter, history = train_adapter(pairs, embeddings, config)
+        adapter, history = train_adapter(
+            pairs, embeddings, margin=0.2, learning_rate=0.05, epochs=40
+        )
         assert len(history) == 41
         assert history[-1] < history[0]
 
     def test_identity_start(self):
         pairs, embeddings = self.separable_problem()
-        config = TrainConfig(epochs=0)
-        adapter, history = train_adapter(pairs, embeddings, config)
+        adapter, history = train_adapter(
+            pairs, embeddings, margin=0.2, learning_rate=0.01, epochs=0
+        )
         assert np.array_equal(adapter.matrix, np.eye(3))
         assert len(history) == 1
 
     def test_training_separates_clusters(self):
         pairs, embeddings = self.separable_problem()
-        config = TrainConfig(margin=0.2, learning_rate=0.5, epochs=120)
-        adapter, _ = train_adapter(pairs, embeddings, config)
+        adapter, _ = train_adapter(pairs, embeddings, margin=0.2, learning_rate=0.5, epochs=120)
         pos_cos = cosine(project(adapter, embeddings["a:0"]), project(adapter, embeddings["a:1"]))
         neg_cos = cosine(project(adapter, embeddings["a:0"]), project(adapter, embeddings["b:0"]))
         base_pos = cosine(embeddings["a:0"], embeddings["a:1"])
@@ -439,7 +443,9 @@ class TestTraining:
     def test_matches_descent_on_the_loss_and_its_gradient(self, epochs):
         # the trainer takes a gradient only before a step
         pairs, embeddings = self.separable_problem()
-        adapter, history = train_adapter(pairs, embeddings, TrainConfig(0.2, 0.5, epochs))
+        adapter, history = train_adapter(
+            pairs, embeddings, margin=0.2, learning_rate=0.5, epochs=epochs
+        )
         problem = _PairProblem.compile(pairs, embeddings)
         W, expected = np.eye(3), []
         for _ in range(epochs):
@@ -452,26 +458,20 @@ class TestTraining:
 
     def test_deterministic(self):
         pairs, embeddings = self.separable_problem()
-        config = TrainConfig(learning_rate=0.1, epochs=20)
-        a, hist_a = train_adapter(pairs, embeddings, config)
-        b, hist_b = train_adapter(pairs, embeddings, config)
+        config = {"margin": 0.2, "learning_rate": 0.1, "epochs": 20}
+        a, hist_a = train_adapter(pairs, embeddings, **config)
+        b, hist_b = train_adapter(pairs, embeddings, **config)
         assert np.array_equal(a.matrix, b.matrix)
         assert hist_a == hist_b
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(InputError):
-            train_adapter(PairSet(), {"a:0": np.ones(2)}, TrainConfig())
+            train_adapter(PairSet(), {"a:0": np.ones(2)}, **DEFAULT_FIT)
 
     def test_missing_embedding_rejected(self):
         pairs = PairSet({("a:0", "b:0"): "task"})
         with pytest.raises(InputError, match="b:0"):
-            train_adapter(pairs, {"a:0": np.ones(2)}, TrainConfig())
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(margin=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+            train_adapter(pairs, {"a:0": np.ones(2)}, **DEFAULT_FIT)
 
 
 class TestPairsIO:
