@@ -31,11 +31,12 @@ Runs this checkout's ``dialroute`` (its ``src``, nothing installed) with
   in dim, and per path the OS refuses (an output under a regular file, a
   store head that names a directory, a NUL in an input path), per
   misspelled config key (at the top, in ``hyperparameters``, in ``costs``),
-  for a ``prior_mode`` setting and a ``pool_size`` map, and for a fit that
+  for a ``prior_mode`` setting and a ``pool_size`` map, for a fit that
   diverges and one whose loss rises, in ``mine-and-train`` and in
-  ``simulate`` (which writes its corpora, predictions and store to
-  ``errors/out/`` before the fit), 40 cases in all. Each case's exit code
-  and standard error go to ``errors/<case>.txt``.
+  ``simulate``, for a ``simulate`` whose experts solve no turn (so every pool
+  is empty), and for a pool entry keyed by no turn or by a turn of the routed
+  corpus, 43 cases in all. Each case's exit code and standard error go to
+  ``errors/<case>.txt``.
 
 Each command's standard output goes to ``stdout/<nn>_<step>.txt``, and every
 path in a config or output is relative to OUT_DIR, so two checkouts' trees
@@ -87,6 +88,8 @@ WRITES = {
 LARGE = {"holdout_dialogues": 1000, "pool_size": 5000, "epochs": 2}
 # A small simulation whose fit the learning rate decides.
 SMALL_FIT = {"dialogues": 30, "holdout_dialogues": 20, "embedding_dim": 64, "epochs": 3, "margin": 0.2, "seed": 0}
+# Experts that get every turn wrong: no hold-out turn enters a pool.
+NEVER_RIGHT = {f"{expert}_accuracy_{where}": 0.0 for expert in ("slm", "llm") for where in ("in", "out")}
 
 
 class Chain:
@@ -253,6 +256,15 @@ def error_cases(chain: Chain) -> list[str]:
         damaged_table(chain, f"{CHAIN}/pool_llm.json", f"{name}/pool_llm", lambda h, b: (h, b))
         return {"pools_dir": f"errors/inputs/{name}"}
 
+    def first_key(key):
+        """A pool edit that gives its first entry the key ``key``."""
+
+        def edit(head, array):
+            head["entries"][0]["key"] = key
+            return head, array
+
+        return edit
+
     def body(change):
         """A table edit that keeps the head and gives ``change(body)`` as the body."""
         return lambda head, array: (head, change(array))
@@ -287,6 +299,7 @@ def error_cases(chain: Chain) -> list[str]:
         ("fit_rose", "mine-and-train", {"hyperparameters": {"learning_rate": 1e10, "epochs": 3}}),
         ("simulate_fit_rose", "simulate", {"simulation": {**SMALL_FIT, "learning_rate": 100.0}}),
         ("simulate_fit_diverged", "simulate", {"simulation": {**SMALL_FIT, "learning_rate": 1e200}}),
+        ("simulate_pools_empty", "simulate", {"simulation": {**SMALL_FIT, **NEVER_RIGHT}}),
         ("store_empty", "mine-and-train", table(store, "empty", lambda h, b: ({**h, "dim": 0}, b[:, :0]))),
         ("store_truncated", "mine-and-train", table(store, "truncated", body(lambda b: npy(b)[:-100]))),
         ("store_object", "mine-and-train", table(store, "object", body(lambda b: b.astype(object)))),
@@ -302,6 +315,8 @@ def error_cases(chain: Chain) -> list[str]:
         ("pool_bool", "route", pools("pool_bool", body(lambda b: b > 0))),
         ("pool_1d", "route", pools("pool_1d", body(np.ravel))),
         ("pool_rows", "route", pools("pool_rows", body(lambda b: np.concatenate([b, b[:1]])))),
+        ("pool_key_not_a_turn", "route", pools("pool_key_not_a_turn", first_key("x"))),
+        ("pool_key_in_corpus", "route", pools("pool_key_in_corpus", first_key("dlg0000:0"))),
         ("run_votes", "report", artifact("run_path", "votes.jsonl", first(votes={"slm": "x"}))),
         ("run_summary", "report", artifact("run_path", "summary.jsonl", lambda r: r.pop())),
         ("dim_pools_vs_adapter", "route", {"pools_dir": "errors/dim128"}),

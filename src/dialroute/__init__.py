@@ -10,7 +10,7 @@ cascade, logistic probe) and a FLOPs-style cost model round out the toolkit.
 """
 
 from .cli import main
-from .config import EmbedderSpec, RunConfig, load_config, parse_config
+from .config import EmbedderSpec, RunConfig, SimulationSpec, load_config, parse_config
 from .dialogue import (
     Corpus,
     Dialogue,
@@ -82,7 +82,7 @@ from .routing import (
 )
 from .seeding import subseed
 from .similarity import f1_sets, tlb_similarity
-from .simulate import SimulationSpec, run_simulation
+from .simulate import run_simulation
 from .supervision import (
     PairSet,
     merge_pairs,

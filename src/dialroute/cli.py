@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import ROUTERS, SUPERVISIONS, RunConfig, load_config, settings_of
+from .config import ROUTERS, SUPERVISIONS, RunConfig, SimulationSpec, load_config, settings_of
 from .dialogue import Corpus, LabeledTurn, TurnBelief, load_corpus
 from .embedding import (
     EmbeddingStore,
@@ -108,7 +108,7 @@ def fit_adapter(
 ) -> tuple[PairSet, ProjectionAdapter, list[float]]:
     """The pairs a supervision kind mines from ``turns`` (the expert-aware
     kinds label them from ``beliefs``), the adapter trained on them with the
-    settings of ``settings``, a :class:`RunConfig` or ``SimulationSpec``, and
+    settings of ``settings``, a :class:`RunConfig` or :class:`SimulationSpec`, and
     its loss history; ``none`` gives no pairs and the identity adapter. A fit
     that maps a turn out of float64 range, or whose loss rose, is refused
     naming the learning rate's key path."""
@@ -345,7 +345,8 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
         low, _ = classifier_experts(cfg.experts)
     corpus = _load_corpus(cfg, "corpus")
     predictions = _load_all_predictions(cfg)
-    _check_coverage(predictions, cfg.experts, list(corpus.gold_tlbs()), "corpus")
+    routed = corpus.gold_tlbs()
+    _check_coverage(predictions, cfg.experts, list(routed), "corpus")
     experts = [ReplayExpert(e, predictions.get(e.name, {})) for e in cfg.experts]
     embedder = None
     adapter = None
@@ -360,6 +361,9 @@ def _cmd_route(cfg: RunConfig, args: argparse.Namespace) -> None:
             if _missing(path):
                 raise InputError(f"pool file {str(path)!r} does not exist; run build-pools first")
             pool = load_pool(str(path), by_name)
+            for entry in pool.entries:
+                if entry.key in routed:
+                    raise InputError(f"pool {str(path)!r}: entry {entry.key!r} is a turn of the routed corpus")
             pools.append(pool)
             if pool.entries:
                 dims.append((f"pool {path}", len(pool.entries[0].vector)))
@@ -454,7 +458,7 @@ def _cmd_report(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
-    from .simulate import SimulationSpec, run_simulation  # simulate imports this module
+    from .simulate import run_simulation  # simulate imports this module
 
     seed = cfg.simulation.get("seed", cfg.seed) if args.seed is None else args.seed
     result = run_simulation(SimulationSpec(**{**cfg.simulation, "seed": seed}), cfg.out_dir)

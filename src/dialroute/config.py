@@ -17,7 +17,7 @@ adapter, pools, run, report) default to well-known names inside the output
 directory so the commands compose without extra wiring.
 
 Each setting is declared once, by :func:`setting`, as a field of :class:`RunConfig`,
-:class:`EmbedderSpec` or ``simulate.SimulationSpec``; a key no setting names is refused.
+:class:`EmbedderSpec` or :class:`SimulationSpec`; a key no setting names is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .embedding import check_dim
-from .errors import InputError, field, is_number, read_json
+from .errors import InputError, field, is_int, is_number, read_json
 from .experts import LLM, SLM, ExpertId, parse_experts, validate_experts
 
 ROUTERS = ("retrieval", "oracle", "cascade", "classifier")
@@ -58,6 +58,7 @@ def one_of(choices: tuple[str, ...]) -> Range:
 
 ANY = Range("", lambda value: True)
 MARGIN = Range("must be in [0, 1)", lambda value: 0.0 <= value < 1.0)
+SHARE = Range("must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
 LEARNING_RATE = Range("must be positive and finite", lambda value: 0.0 < value < math.inf)
 STRING = Range("must be a string", lambda value: type(value) is str)
 STRINGS = Range("must hold only strings", lambda v: v is None or all(type(x) is str for x in v))
@@ -171,6 +172,52 @@ class RunConfig:
         return Path(self.report_path or Path(self.out_dir) / "report.json")
 
 
+@dataclass(frozen=True)
+class SimulationSpec:
+    """Knobs for the synthetic benchmark: a config's ``simulation`` settings,
+    each of its default's kind. The ten it shares with :class:`RunConfig`
+    (``k`` to ``router_cost``) have RunConfig's ranges and defaults of their
+    own. Defaults give a corpus where base embeddings route decently but the
+    trained adapter still has headroom."""
+
+    dialogues: int = setting("simulation.dialogues", None, 200, at_least(1))
+    holdout_dialogues: int = setting("simulation.holdout_dialogues", None, 80, at_least(1))
+    min_turns: int = setting("simulation.min_turns", None, 3, at_least(1))
+    max_turns: int = setting("simulation.max_turns", None, 6)  # >= min_turns
+    mixed_fraction: float = setting("simulation.mixed_fraction", None, 0.1, SHARE)
+    embedding_dim: int = setting("simulation.embedding_dim", None, 256)  # check_dim
+    noise_words: int = setting("simulation.noise_words", None, 32, at_least(0))
+    slm_accuracy_in: float = setting("simulation.slm_accuracy_in", None, 0.95, SHARE)
+    slm_accuracy_out: float = setting("simulation.slm_accuracy_out", None, 0.30, SHARE)
+    llm_accuracy_in: float = setting("simulation.llm_accuracy_in", None, 0.95, SHARE)
+    llm_accuracy_out: float = setting("simulation.llm_accuracy_out", None, 0.30, SHARE)
+    slm_confidence_correct: float = setting("simulation.slm_confidence_correct", None, 0.85, SHARE)
+    slm_confidence_wrong: float = setting("simulation.slm_confidence_wrong", None, 0.35, SHARE)
+    llm_confidence_correct: float = setting("simulation.llm_confidence_correct", None, 0.90, SHARE)
+    llm_confidence_wrong: float = setting("simulation.llm_confidence_wrong", None, 0.40, SHARE)
+    k: int = setting("simulation.k", None, 10, at_least(1))
+    pool_size: int = setting("simulation.pool_size", None, 100, at_least(1))
+    pairs_per_query: int = setting("simulation.pairs_per_query", None, 25, at_least(1))
+    margin: float = setting("simulation.margin", None, 0.0, MARGIN)
+    learning_rate: float = setting("simulation.learning_rate", None, 5.0, LEARNING_RATE)
+    epochs: int = setting("simulation.epochs", None, 60, at_least(0))
+    slm_cost: float = setting("simulation.slm_cost", None, 0.04, COST)
+    llm_cost: float = setting("simulation.llm_cost", None, 3000.0, COST)
+    router_cost: float = setting("simulation.router_cost", None, 0.02, COST)
+    seed: int = setting("simulation.seed", None, 0)
+
+    def __post_init__(self) -> None:
+        """Reject a spec the pipeline cannot run, before anything is written."""
+        for f in dataclasses.fields(self):
+            value, whole, declared = getattr(self, f.name), isinstance(f.default, int), f.metadata["setting"]
+            if not (is_int(value) if whole else is_number(value)):
+                kind = "an integer" if whole else "a number"
+                raise InputError(f"{declared.path} must be {kind}, got {value!r}")
+            declared.range.check(declared.path, value)
+        at_least(self.min_turns).check("simulation.max_turns", self.max_turns)
+        check_dim(self.embedding_dim)
+
+
 def _read(record: dict, declared: dict[str, Setting], prefix: str = "") -> dict[str, Any]:
     """The value of each setting in ``declared`` (by key path) that ``record``,
     the object at ``prefix``, sets, by key path. A key that no path runs
@@ -196,8 +243,6 @@ def _read(record: dict, declared: dict[str, Setting], prefix: str = "") -> dict[
 def parse_config(record: dict) -> RunConfig:
     if not isinstance(record, dict):
         raise InputError("config must be a JSON object")
-    from .simulate import SimulationSpec  # simulate imports this module
-
     classes = (RunConfig, EmbedderSpec, SimulationSpec)
     values = _read(record, {s.path: s for cls in classes for s in settings_of(cls).values()})
     run, embedder, simulation = (

@@ -24,6 +24,7 @@ from .dialogue import (
     TurnBelief,
     make_belief,
     render_belief,
+    split_turn_key,
     turn_key,
 )
 from .embedding import serialize_triplet
@@ -378,6 +379,10 @@ def _entry_keys(head: dict, where: str) -> list[str]:
             raise InputError(f"{where} entry {i} is not an object")
         keys.append(field(raw, "key", str, f"{where} entry {i}:"))
         field(raw, "text", str, f"{where} entry {i}:", "")
+        try:  # a pool holds hold-out turns
+            split_turn_key(keys[-1])
+        except InputError as exc:
+            raise InputError(f"{where} entry {i}: {exc}") from None
     return keys
 
 

@@ -11,11 +11,15 @@ functions as the CLI. Routing replays the predictions written to the
 ``predictions_*.jsonl`` files instead of asking the synthetic experts again,
 as the CLI's ``route`` replays them from those files; the runs are the same
 either way. Everything is a pure function of the spec's seed.
+
+The knobs are :class:`config.SimulationSpec`, a config's ``simulation``
+settings. Every stage runs before the first file is written, so a run that a
+stage refuses writes nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -23,9 +27,8 @@ import numpy as np
 
 from .cli import embed_turns, fit_adapter, sampled_pools, save_training
 from .dialogue import SEPARATOR, Corpus, Dialogue, Turn, save_corpus
-from .embedding import HashEmbedder, ProjectionAdapter, check_dim, save_store
-from .config import Range, RunConfig, at_least, setting, settings_of
-from .errors import InputError, is_int, is_number
+from .embedding import HashEmbedder, ProjectionAdapter, save_store
+from .config import SimulationSpec
 from .experts import (
     LLM,
     SLM,
@@ -97,53 +100,6 @@ _EXPERTS = ((SLM, HOTEL_WORDS), (LLM, RESTAURANT_WORDS))
 # A synthetic expert's knobs, in SyntheticProfile's order; the spec sets
 # each one as ``<expert>_<knob>``.
 _KNOBS = ("accuracy_in", "accuracy_out", "confidence_correct", "confidence_wrong")
-# The run config's settings, whose ranges the spec's pipeline settings take.
-_RUN = settings_of(RunConfig)
-_SHARE = Range("must be in [0, 1]", lambda value: 0.0 <= value <= 1.0)
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """Knobs for the synthetic benchmark: a config's ``simulation`` settings,
-    each of its default's kind. Defaults give a corpus where base embeddings
-    route decently but the trained adapter still has headroom."""
-
-    dialogues: int = setting("simulation.dialogues", None, 200, at_least(1))
-    holdout_dialogues: int = setting("simulation.holdout_dialogues", None, 80, at_least(1))
-    min_turns: int = setting("simulation.min_turns", None, 3, at_least(1))
-    max_turns: int = setting("simulation.max_turns", None, 6)  # >= min_turns
-    mixed_fraction: float = setting("simulation.mixed_fraction", None, 0.1, _SHARE)
-    embedding_dim: int = setting("simulation.embedding_dim", None, 256)  # check_dim
-    noise_words: int = setting("simulation.noise_words", None, 32, at_least(0))
-    slm_accuracy_in: float = setting("simulation.slm_accuracy_in", None, 0.95, _SHARE)
-    slm_accuracy_out: float = setting("simulation.slm_accuracy_out", None, 0.30, _SHARE)
-    llm_accuracy_in: float = setting("simulation.llm_accuracy_in", None, 0.95, _SHARE)
-    llm_accuracy_out: float = setting("simulation.llm_accuracy_out", None, 0.30, _SHARE)
-    slm_confidence_correct: float = setting("simulation.slm_confidence_correct", None, 0.85, _SHARE)
-    slm_confidence_wrong: float = setting("simulation.slm_confidence_wrong", None, 0.35, _SHARE)
-    llm_confidence_correct: float = setting("simulation.llm_confidence_correct", None, 0.90, _SHARE)
-    llm_confidence_wrong: float = setting("simulation.llm_confidence_wrong", None, 0.40, _SHARE)
-    k: int = setting("simulation.k", None, 10, _RUN["k"].range)
-    pool_size: int = setting("simulation.pool_size", None, 100, _RUN["pool_size"].range)
-    pairs_per_query: int = setting("simulation.pairs_per_query", None, 25, _RUN["pairs_per_query"].range)
-    margin: float = setting("simulation.margin", None, 0.0, _RUN["margin"].range)
-    learning_rate: float = setting("simulation.learning_rate", None, 5.0, _RUN["learning_rate"].range)
-    epochs: int = setting("simulation.epochs", None, 60, _RUN["epochs"].range)
-    slm_cost: float = setting("simulation.slm_cost", None, 0.04, _RUN["expert_costs"].range)
-    llm_cost: float = setting("simulation.llm_cost", None, 3000.0, _RUN["expert_costs"].range)
-    router_cost: float = setting("simulation.router_cost", None, 0.02, _RUN["router_cost"].range)
-    seed: int = setting("simulation.seed", None, 0)
-
-    def __post_init__(self) -> None:
-        """Reject a spec the pipeline cannot run, before anything is written."""
-        for f in fields(self):
-            value, whole, declared = getattr(self, f.name), isinstance(f.default, int), f.metadata["setting"]
-            if not (is_int(value) if whole else is_number(value)):
-                kind = "an integer" if whole else "a number"
-                raise InputError(f"{declared.path} must be {kind}, got {value!r}")
-            declared.range.check(declared.path, value)
-        at_least(self.min_turns).check("simulation.max_turns", self.max_turns)
-        check_dim(self.embedding_dim)
 
 
 def _make_turns(
@@ -226,18 +182,18 @@ class SimulationResult:
 
 
 def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResult:
-    """Generate the benchmark and run the whole pipeline into ``out_dir``."""
+    """Generate the benchmark, run the whole pipeline, then write every
+    artifact into ``out_dir``."""
     out = Path(out_dir)
     test_corpus = generate_corpus(spec, spec.dialogues, "dlg", "test")
     holdout_corpus = generate_corpus(spec, spec.holdout_dialogues, "hld", "holdout")
-    save_corpus(test_corpus, str(out / "corpus_test.jsonl"))
-    save_corpus(holdout_corpus, str(out / "corpus_holdout.jsonl"))
 
     gold = {**holdout_corpus.gold_tlbs(), **test_corpus.gold_tlbs()}
     experts = make_experts(spec, gold)
 
     holdout_turns = holdout_corpus.labeled()
     test_turns = test_corpus.labeled()
+    predictions = {}
     beliefs = {}
     # Routing replays these predictions, as the CLI's ``route`` does from the
     # same files. That is exact: a synthetic expert seeds on (seed, expert,
@@ -246,30 +202,22 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
     replayed = []
     for expert in experts:
         preds = [expert.predict(t.triplet) for t in [*holdout_turns, *test_turns]]
-        write_predictions(preds, str(out / f"predictions_{expert.id.name}.jsonl"))
+        predictions[expert.id.name] = preds
         beliefs[expert.id] = {t.key: p.tlb for t, p in zip(holdout_turns, preds)}
         replayed.append(ReplayExpert(expert.id, {p.key: p for p in preds}))
 
     embedder = HashEmbedder(spec.embedding_dim, subseed(spec.seed, "embedder"))
     store = embed_turns(embedder, holdout_turns)
-    save_store(store, str(out / "embeddings_holdout.json"))
-
     pairs, adapter, history = fit_adapter(holdout_turns, "task+expert", beliefs, store, spec)
-    save_pairs(pairs, str(out / "pairs.json"))
-    save_training(adapter, history, out / "adapter.json")
 
     identity = ProjectionAdapter.identity(spec.embedding_dim)
     pool_sets = {}
     for tag, active in (("base", identity), ("trained", adapter)):
         pools = sampled_pools(holdout_turns, beliefs, store, active, spec.pool_size, spec.seed)
-        for expert_id, (_, sample) in pools.items():
-            save_pool(sample, str(out / f"pool_{tag}_{expert_id.name}.json"))
         pool_sets[tag] = [sample for _, sample in pools.values()]
 
     costs = CostTable({SLM.name: spec.slm_cost, LLM.name: spec.llm_cost}, spec.router_cost)
-    result = SimulationResult(spec, out, test_corpus, holdout_corpus)
-    result.adapter = adapter
-    result.loss_history = history
+    result = SimulationResult(spec, out, test_corpus, holdout_corpus, adapter=adapter, loss_history=history)
 
     # (name, router, adapter): a run embeds its turns exactly when it has an adapter.
     runs = (
@@ -288,12 +236,22 @@ def run_simulation(spec: SimulationSpec, out_dir: str | Path) -> SimulationResul
             adapter=active,
             config={"k": spec.k, "pool_size": spec.pool_size, "seed": spec.seed, "name": name},
         )
-        save_run(run, str(out / f"run_{name}.jsonl"))
-        report = make_report(run, test_corpus, costs, training_domains={HOTEL_DOMAIN})
-        save_report(report, str(out / f"report_{name}.json"))
         result.runs[name] = run
-        result.reports[name] = report
-
+        result.reports[name] = make_report(run, test_corpus, costs, training_domains={HOTEL_DOMAIN})
     series = make_series(sorted(result.reports.items()))
+
+    save_corpus(test_corpus, str(out / "corpus_test.jsonl"))
+    save_corpus(holdout_corpus, str(out / "corpus_holdout.jsonl"))
+    for name, preds in predictions.items():
+        write_predictions(preds, str(out / f"predictions_{name}.jsonl"))
+    save_store(store, str(out / "embeddings_holdout.json"))
+    save_pairs(pairs, str(out / "pairs.json"))
+    save_training(adapter, history, out / "adapter.json")
+    for tag, samples in pool_sets.items():
+        for sample in samples:
+            save_pool(sample, str(out / f"pool_{tag}_{sample.expert.name}.json"))
+    for name, run in result.runs.items():
+        save_run(run, str(out / f"run_{name}.jsonl"))
+        save_report(result.reports[name], str(out / f"report_{name}.json"))
     save_series(series, str(out / "series.json"))
     return result

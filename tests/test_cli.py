@@ -517,8 +517,19 @@ def identity_adapter(dim):
     return lambda head, body: ({**head, "dim": dim}, np.eye(dim))
 
 
+def first_key(key):
+    """A table edit that gives a pool's first entry the key ``key``."""
+
+    def edit(head, body):
+        head["entries"][0]["key"] = key
+        return head, body
+
+    return edit
+
+
 # command, its extra arguments, the artifacts damaged, the edit, and what the
-# error must say: artifacts that do not fit each other, and vectors of no numbers
+# error must say: artifacts that do not fit each other, vectors of no numbers,
+# and pool keys that are no hold-out turn
 MISFITS = {
     "pools_vs_adapter": (
         "route", [], ["pool_slm.json", "pool_llm.json"], cut_vectors(32),
@@ -543,6 +554,14 @@ MISFITS = {
     "empty_pool_vectors": (
         "route", [], ["pool_slm.json", "pool_llm.json"], cut_vectors(0),
         ["pool_slm.json': vector for 'hld", "not a non-empty flat list"],
+    ),
+    "pool_key_not_a_turn": (
+        "route", [], ["pool_slm.json"], first_key("x"),
+        ["pool_slm.json': entry 0: malformed turn key 'x'"],
+    ),
+    "pool_key_in_corpus": (
+        "route", [], ["pool_slm.json"], first_key("dlg0000:0"),
+        ["pool_slm.json': entry 'dlg0000:0' is a turn of the routed corpus"],
     ),
 }
 
@@ -583,15 +602,15 @@ LOSS_ROSE = r"training loss rose from (\d\.\d{6}) to (\d\.\d{6})"
 # A small simulation whose fit a large learning rate refuses; at 100 its
 # loss rises (0.750408 -> 0.764940).
 SMALL_FIT = {"dialogues": 30, "holdout_dialogues": 20, "embedding_dim": 64, "epochs": 3, "margin": 0.2, "seed": 0}
-# What a simulation writes before its fit.
-BEFORE_FIT = [
-    "corpus_holdout.jsonl",
-    "corpus_test.jsonl",
-    "embeddings_holdout.json",
-    "embeddings_holdout.npy",
-    "predictions_llm.jsonl",
-    "predictions_slm.jsonl",
-]
+
+
+def files_under(root: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def write_simulation(path: Path, out: Path, **simulation) -> str:
+    path.write_text(json.dumps({"out_dir": str(out), "simulation": {**SMALL_FIT, **simulation}}))
+    return str(path)
 
 
 @pytest.mark.parametrize(
@@ -610,13 +629,12 @@ def test_refused_fit_exits_one_and_writes_nothing(
     """A learning rate that drives the adapter out of float64 range, or one
     too large for descent that raises the loss, fails in the fit, not later
     in pool building, naming the setting by its key path; neither the pairs,
-    the adapter, its loss history nor any pool are written."""
+    the adapter, its loss history nor any pool are written, and a refused
+    ``simulate`` writes no file at all."""
     out = tmp_path / "out"
     if command == "simulate":
-        config = tmp_path / "c.json"
-        simulation = {**SMALL_FIT, "learning_rate": learning_rate}
-        config.write_text(json.dumps({"out_dir": str(out), "simulation": simulation}))
-        setting, kept = "simulation", BEFORE_FIT
+        config = write_simulation(tmp_path / "c.json", out, learning_rate=learning_rate)
+        setting, kept = "simulation", []
     else:
         hyper = {"k": 5, "l": 5, "pool_size": 40, "epochs": 3, "learning_rate": learning_rate}
         config = write_config(tmp_path / "c.json", small_sim, out, hyperparameters=hyper)
@@ -629,7 +647,31 @@ def test_refused_fit_exits_one_and_writes_nothing(
     assert match, captured.err
     assert match.lastindex is None or float(match[1]) < float(match[2])
     assert captured.out == ""
-    assert sorted(os.listdir(out)) == kept
+    assert (sorted(os.listdir(out)) if out.exists() else []) == kept
+
+
+def test_refused_simulate_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    """A ``simulate`` refused in its fit, into the directory of an earlier
+    run, changes no file there and adds none: no new corpus, prediction or
+    store sits beside the earlier run's adapter, pools and runs."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_simulation(tmp_path / "a.json", out)]) == 0
+    before = files_under(out)
+    refused = write_simulation(tmp_path / "b.json", out, seed=1, learning_rate=1e200)
+    capsys.readouterr()
+    assert main(["simulate", "--config", refused]) == 1
+    assert "lower simulation.learning_rate" in capsys.readouterr().err
+    assert files_under(out) == before
+
+
+def test_simulate_whose_experts_solve_no_turn_exits_one_and_writes_nothing(tmp_path, capsys):
+    """Experts that get every turn wrong leave every pool empty: retrieval
+    routing is refused after the fit, and nothing is written."""
+    never_right = {f"{e}_accuracy_{where}": 0.0 for e in ("slm", "llm") for where in ("in", "out")}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_simulation(tmp_path / "c.json", out, **never_right)]) == 1
+    assert capsys.readouterr().err == "error: all pools are empty; retrieval routing is impossible\n"
+    assert not out.exists()
 
 
 BAD_SETTINGS = [
@@ -1150,6 +1192,15 @@ class TestParseConfig:
         path.write_text(json.dumps({"corpus": "corpus.jsonl", "costs": costs}))
         assert main(["validate", "--config", str(path)]) == 1
         assert f"config field {name!r} must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_simulation_shares_the_run_settings_ranges(self):
+        """Each pipeline setting a simulation shares with a run refuses what
+        the run's setting refuses, in the same words."""
+        run, simulation = settings_of(RunConfig), settings_of(SimulationSpec)
+        shared = ["k", "pool_size", "pairs_per_query", "margin", "learning_rate", "epochs", "router_cost"]
+        pairs = [(name, name) for name in shared] + [("slm_cost", "expert_costs"), ("llm_cost", "expert_costs")]
+        for mine, theirs in pairs:
+            assert simulation[mine].range.words == run[theirs].range.words, mine
 
     def test_every_key_parses_to_its_value(self):
         """EVERY_KEY sets each declared setting to a value other than its

@@ -367,6 +367,7 @@ class TestPoolIO:
             (["d:0"], "entry 0 is not an object"),
             ([{"text": "t"}], "entry 0: key is missing"),
             ([{"key": "d:0", "text": 5}], "entry 0: text must be a string"),
+            ([{"key": "d", "text": "t"}], "entry 0: malformed turn key 'd'"),
         ],
     )
     def test_malformed_entries_rejected(self, tmp_path, entries, message):
